@@ -9,7 +9,7 @@ from .arch import (
     load_config,
     min_separation_audit,
 )
-from .array_mapper import assign_arrays, brute_force_max_kcut, greedy_max_kcut
+from .array_mapper import assign_arrays, greedy_max_kcut
 from .atom_mapper import place_atoms
 from .circuit import (
     Circuit,
@@ -17,7 +17,6 @@ from .circuit import (
     ParseError,
     build_dag,
     circuit_stats,
-    front_layer,
     gate_frequency_graph,
     parse_qasm,
     to_basis,
@@ -32,15 +31,15 @@ from .fidelity import (
     heating_factor,
     move_survival,
 )
-from .oracle import equivalent_up_to_permutation, flatten, simulate
+from .oracle import equivalent_up_to_permutation, simulate
 from .pipeline import CompileResult, compile_circuit
 from .stage_router import (
     Schedule,
     Stage,
     audit_schedule,
     route,
-    route_serial,
     schedule_from_dict,
+    schedule_to_circuit,
     schedule_to_dict,
 )
 from .swap_router import RoutedCircuit, route_inter_array

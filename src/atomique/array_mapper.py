@@ -5,7 +5,7 @@ moving one array; gates between atoms of the *same* array would need extra
 routing.  We therefore want a k-way partition of the interaction graph that
 maximizes the total edge weight *cut* by the partition, subject to per-array
 capacity.  A greedy pass over the vertices gives the classic (1 - 1/k)
-approximation; an exhaustive search is available as a reference for small n.
+approximation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .arch import ArchConfig
-from .kernels import kcut_exhaustive
 
 
 def cut_value(weights: np.ndarray, labels) -> float:
@@ -75,8 +74,6 @@ def greedy_max_kcut(
 
     labels = np.full(n, -1, dtype=np.int64)
     sizes = [0] * k
-    # weight from vertex i into each partition, maintained incrementally
-    placed_weight = 0.0
     for i in visit:
         into = np.zeros(k)
         for q in range(n):
@@ -94,13 +91,7 @@ def greedy_max_kcut(
             raise RuntimeError("no partition with remaining capacity")
         labels[i] = best_j
         sizes[best_j] += 1
-        placed_weight += best_cut
     return labels
-
-
-def brute_force_max_kcut(weights: np.ndarray, k: int):
-    """Exhaustive max k-cut (value, labels); only feasible for small n."""
-    return kcut_exhaustive(np.asarray(weights, dtype=np.float64), k)
 
 
 def bind_partitions(labels, config: ArchConfig) -> np.ndarray:

@@ -9,7 +9,9 @@ expands.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -77,16 +79,34 @@ _FIXED_1Q = {
     "tdg": (0.0, 0.0, -math.pi / 4),
 }
 
-_PARAM_RE = re.compile(r"^[0-9eE+\-*/. ()]*$")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAX_PARAM_DEPTH = 32
+
+
+def _eval_node(node: ast.AST, depth: int) -> float:
+    """Arithmetic over number literals and ``pi`` with + - * / and unary
+    signs; anything else (``**`` included) is rejected."""
+    if depth > _MAX_PARAM_DEPTH:
+        raise ValueError("expression nested too deeply")
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_eval_node(node.left, depth + 1),
+                                      _eval_node(node.right, depth + 1))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNOPS:
+        return _UNOPS[type(node.op)](_eval_node(node.operand, depth + 1))
+    raise ValueError(f"unsupported expression {type(node).__name__}")
 
 
 def _eval_param(expr: str, line: int) -> float:
-    expr = expr.strip().replace("pi", str(math.pi))
-    if not _PARAM_RE.match(expr):
-        raise ParseError(f"line {line}: cannot evaluate parameter {expr!r}")
+    expr = expr.strip()
     try:
-        return float(eval(expr, {"__builtins__": {}}, {}))  # noqa: S307 - charset-restricted
-    except Exception as exc:
+        return float(_eval_node(ast.parse(expr, mode="eval").body, 0))
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ParseError(f"line {line}: cannot evaluate parameter {expr!r}") from exc
 
 
@@ -126,9 +146,12 @@ def parse_qasm(text: str) -> Circuit:
     warned_measure = False
 
     pos = 0
-    for match in re.finditer(r"[^;{}]+;", clean):
-        stmt = match.group(0)[:-1].strip()
-        line = clean.count("\n", 0, match.start()) + 1
+    line, counted = 1, 0  # `line` is the line number of offset `counted`
+    for match in re.finditer(r"\s*([^;{}]+);", clean):
+        stmt = match.group(1).strip()
+        # count newlines only since the last statement: linear in the file
+        line += clean.count("\n", counted, match.start(1))
+        counted = match.start(1)
         pos = match.end()
         if not stmt:
             continue
@@ -268,13 +291,6 @@ def to_basis(c: Circuit) -> Circuit:
     return out
 
 
-def swap_expansion(a: int, b: int) -> list[Gate]:
-    """Basis gate sequence implementing swap(a, b)."""
-    c = Circuit(max(a, b) + 1)
-    c.add("swap", (a, b))
-    return to_basis(c).gates
-
-
 # ---------------------------------------------------------------------------
 # dependency DAG
 # ---------------------------------------------------------------------------
@@ -323,15 +339,6 @@ def build_dag(c: Circuit) -> CircuitDag:
         for q in touched:
             last[q] = i
     return CircuitDag(c, preds, succs, layer)
-
-
-def front_layer(dag: CircuitDag, executed: set[int]) -> list[int]:
-    """Nodes not yet executed whose predecessors have all executed."""
-    return [
-        i
-        for i in range(dag.n_nodes)
-        if i not in executed and all(p in executed for p in dag.preds[i])
-    ]
 
 
 def gate_frequency_graph(c: Circuit, gamma: float = 0.9) -> np.ndarray:

@@ -10,8 +10,6 @@ config, seed); the one exception is the compile_wall_time_s stats field.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import copy
 import csv
 import dataclasses
 import json
@@ -21,10 +19,15 @@ import sys
 from .arch import ArchConfig, HardwareParams, load_config
 from .fidelity import apply_schedule, execution_time
 from .circuit import parse_qasm, to_qasm
-from .oracle import MAX_ORACLE_QUBITS, equivalent_up_to_permutation, flatten
+from .oracle import MAX_ORACLE_QUBITS, equivalent_up_to_permutation
 from .pipeline import compile_circuit
 from .render import render_schedule
-from .stage_router import audit_schedule, schedule_from_dict, schedule_to_dict
+from .stage_router import (
+    audit_schedule,
+    schedule_from_dict,
+    schedule_to_circuit,
+    schedule_to_dict,
+)
 from .workloads import FAMILIES, WorkloadSpec
 
 SWEEP_PARAMS = ("T_per_move", "D_site", "n_cool_threshold", "T1", "f_2Q")
@@ -52,13 +55,13 @@ def _compile_args(p: argparse.ArgumentParser) -> None:
 
 def _run_compile(args):
     config, params = _load_config(args)
+    config = dataclasses.replace(config, relaxed=config.relaxed | set(args.relax))
     with open(args.input) as fh:
         circuit = parse_qasm(fh.read())
     return compile_circuit(
         circuit, config, params,
         seed=args.seed,
         serial=args.serial_router,
-        relaxed=tuple(args.relax),
         order=args.alg1_order,
         mapper=args.mapper,
     )
@@ -113,12 +116,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _n_workers(n_points: int) -> int:
-    cap = os.environ.get("ATOMIQUE_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_points, cap))
-
-
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         print(f"unknown sweep parameter {args.param!r}", file=sys.stderr)
@@ -127,7 +124,7 @@ def cmd_sweep(args) -> int:
     config, params = _load_config(args)
     circuit = _workload(args).generate()
     # geometry changes force a recompile per point; pure-model parameters
-    # rescore one compiled schedule (deep-copied: scoring annotates cooling)
+    # rescore one compiled schedule
     base = None
     if args.param != "D_site":
         base = compile_circuit(circuit, config, params, seed=args.seed)
@@ -137,13 +134,12 @@ def cmd_sweep(args) -> int:
             res = compile_circuit(circuit, dataclasses.replace(config, D_site=value),
                                   params, seed=args.seed)
             return res.report, res.ledger
-        sched = copy.deepcopy(base.schedule)
         if args.param == "T_per_move":
-            return apply_schedule(sched, params, T_per_move=value)
-        return apply_schedule(sched, dataclasses.replace(params, **{args.param: value}))
+            return apply_schedule(base.schedule, params, T_per_move=value)
+        return apply_schedule(base.schedule,
+                              dataclasses.replace(params, **{args.param: value}))
 
-    with concurrent.futures.ThreadPoolExecutor(_n_workers(len(values))) as pool:
-        results = list(pool.map(score, values))
+    results = [score(value) for value in values]
 
     factor_names = ("F_1Q", "F_2Q", "F_transfer", "F_mov_heating",
                     "F_mov_loss", "F_mov_cooling", "F_mov_deco")
@@ -180,7 +176,7 @@ def cmd_check(args) -> int:
         print(f"FAIL: {n} qubits exceeds the {MAX_ORACLE_QUBITS}-qubit oracle limit",
               file=sys.stderr)
         return 1
-    ok = equivalent_up_to_permutation(res.circuit, flatten(res.schedule),
+    ok = equivalent_up_to_permutation(res.circuit, schedule_to_circuit(res.schedule),
                                       res.schedule.perm)
     print("PASS: schedule matches input unitary" if ok
           else "FAIL: schedule does not match input unitary")

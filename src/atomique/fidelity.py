@@ -11,7 +11,7 @@ result is a product of seven error factors plus a wall-clock time ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import HardwareParams
 from .stage_router import Schedule
@@ -50,7 +50,6 @@ class TimeLedger:
     T_2Q_total: float = 0.0
     T_move_total: float = 0.0
     T_transfer_total: float = 0.0
-    stage_qubit_counts: list[int] = field(default_factory=list)
 
 
 def execution_time(ledger: TimeLedger) -> float:
@@ -71,6 +70,7 @@ class FidelityReport:
     N_2Q: int
     N_transfer: int
     N_cooling: int
+    cooling: list[list[int]]  # per stage: AOD indices cooled after it
 
     @property
     def F_total(self) -> float:
@@ -92,7 +92,10 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
                    T_per_move: float | None = None,
                    per_gate_time: bool = False,
                    n_transfer: int = 0) -> tuple[FidelityReport, TimeLedger]:
-    """Score a schedule; annotates each stage's cooling events in place.
+    """Score a schedule without modifying it.
+
+    The report's ``cooling`` lists, per stage, the AOD indices whose atoms
+    were swapped against the cold reserve after that stage.
 
     T_per_move overrides the schedule's move duration for every stage that
     moves (distances stay fixed), which is what a move-time sweep rescores.
@@ -115,11 +118,9 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     F_mov_heating = F_mov_loss = F_mov_cooling = F_mov_deco = 1.0
     n_1q = n_2q = n_cooling = 0
     rydberg_stages = 0
+    cooling: list[list[int]] = []
 
     for stage in schedule.stages:
-        stage.cooling.clear()
-        ledger.stage_qubit_counts.append(n_mapped)
-
         for layer in stage.raman:
             n_1q += len(layer)
             ledger.T_1Q_total += params.t_1Q * (len(layer) if per_gate_time else 1)
@@ -142,6 +143,7 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
                 n_eff = n_vib.get(a, 0.0) + n_vib.get(b, 0.0)
                 F_mov_heating *= heating_factor(n_eff, params)
 
+        cooled = []
         for array in sorted(aod_atoms):
             atoms = aod_atoms[array]
             if max(n_vib[q] for q in atoms) > params.n_cool_threshold:
@@ -149,7 +151,8 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
                 for q in atoms:
                     n_vib[q] = 0.0
                 n_cooling += 1
-                stage.cooling.append(array - 1)
+                cooled.append(array - 1)
+        cooling.append(cooled)
 
     if per_gate_time:
         ledger.T_2Q_total = (n_2q + 2 * n_cooling) * params.t_2Q
@@ -167,5 +170,6 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
         F_mov_heating=F_mov_heating, F_mov_loss=F_mov_loss,
         F_mov_cooling=F_mov_cooling, F_mov_deco=F_mov_deco,
         N_1Q=n_1q, N_2Q=n_2q, N_transfer=n_transfer, N_cooling=n_cooling,
+        cooling=cooling,
     )
     return report, ledger

@@ -1,91 +1,22 @@
-"""Numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Numeric kernels: the pairwise minimum-separation scan.
 
-The two hot inner loops of the package live here: the pairwise
-minimum-separation scan that validates every stage geometry, and the
-exhaustive max k-cut reference used to bound the greedy partitioner.
-Both exist in a numba ``@njit`` flavour and a vectorised numpy flavour
-with identical semantics (same iteration order, same tie-breaks).
-
-Set ``ATOMIQUE_NO_NUMBA=1`` to force the numpy path; this is also the
-automatic fallback when numba is not importable.  The benchmark in
-``benchmarks/bench_kernels.py`` compares the two.
+The scan validates every stage geometry.  positions: (m, 2) float64 in um.
+partner[i] = j when (i, j) is an intended interaction pair this stage, else
+-1.  A pair is in violation when it is intended but sits at distance >= r_b,
+or unintended and closer than s_min.  Returns (i, j, distance, kind) arrays
+in row-major (i < j) pair order with kind 0 = unintended too close,
+1 = intended pair too far.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("ATOMIQUE_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# minimum-separation scan
-#
-# positions: (m, 2) float64 in um.  partner[i] = j when (i, j) is an intended
-# interaction pair this stage, else -1.  A pair is in violation when it is
-# intended but sits at distance >= r_b, or unintended and closer than s_min.
-# Returns (i, j, distance, kind) arrays in row-major (i < j) pair order with
-# kind 0 = unintended too close, 1 = intended pair too far.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _separation_scan_numba(pos, partner, r_b, s_min):  # pragma: no cover - numba
-    m = pos.shape[0]
-    count = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            dx = pos[i, 0] - pos[j, 0]
-            dy = pos[i, 1] - pos[j, 1]
-            d = (dx * dx + dy * dy) ** 0.5
-            if partner[i] == j:
-                if d >= r_b:
-                    count += 1
-            elif d < s_min:
-                count += 1
-    out_i = np.empty(count, np.int64)
-    out_j = np.empty(count, np.int64)
-    out_d = np.empty(count, np.float64)
-    out_k = np.empty(count, np.int64)
-    w = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            dx = pos[i, 0] - pos[j, 0]
-            dy = pos[i, 1] - pos[j, 1]
-            d = (dx * dx + dy * dy) ** 0.5
-            if partner[i] == j:
-                if d >= r_b:
-                    out_i[w] = i
-                    out_j[w] = j
-                    out_d[w] = d
-                    out_k[w] = 1
-                    w += 1
-            elif d < s_min:
-                out_i[w] = i
-                out_j[w] = j
-                out_d[w] = d
-                out_k[w] = 0
-                w += 1
-    return out_i, out_j, out_d, out_k
-
-
-def _separation_scan_numpy(pos, partner, r_b, s_min):
+def separation_scan(pos, partner, r_b, s_min):
+    """Scan all atom pairs for separation violations; see module docstring."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    partner = np.ascontiguousarray(partner, dtype=np.int64)
     m = pos.shape[0]
     if m < 2:
         e = np.empty(0, np.int64)
@@ -94,94 +25,6 @@ def _separation_scan_numpy(pos, partner, r_b, s_min):
     diff = pos[iu] - pos[ju]
     d = np.sqrt((diff * diff).sum(axis=1))
     intended = partner[iu] == ju
-    bad = np.where(intended, d >= r_b, d < s_min)
+    bad = np.where(intended, d >= float(r_b), d < float(s_min))
     kind = intended.astype(np.int64)
     return iu[bad].astype(np.int64), ju[bad].astype(np.int64), d[bad], kind[bad]
-
-
-def separation_scan(pos, partner, r_b, s_min):
-    """Scan all atom pairs for separation violations; see module docstring."""
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    partner = np.ascontiguousarray(partner, dtype=np.int64)
-    if USE_NUMBA:
-        return _separation_scan_numba(pos, partner, float(r_b), float(s_min))
-    return _separation_scan_numpy(pos, partner, float(r_b), float(s_min))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive max k-cut
-#
-# Enumerates every labelling with vertex 0 fixed in partition 0 (label
-# permutations leave the cut value unchanged), in base-k counter order with
-# vertex 1 as the least significant digit.  Ties keep the first labelling
-# found, so both flavours return identical labellings.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _kcut_exhaustive_numba(w, k):  # pragma: no cover - numba
-    n = w.shape[0]
-    total = 1
-    for _ in range(n - 1):
-        total *= k
-    labels = np.zeros(n, np.int64)
-    best_labels = np.zeros(n, np.int64)
-    best = -1.0
-    for code in range(total):
-        c = code
-        for v in range(1, n):
-            labels[v] = c % k
-            c //= k
-        val = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if labels[i] != labels[j]:
-                    val += w[i, j]
-        if val > best:
-            best = val
-            best_labels[:] = labels
-    return best, best_labels
-
-
-def _kcut_exhaustive_numpy(w, k, chunk=1 << 14):
-    n = w.shape[0]
-    total = k ** (n - 1)
-    iu, ju = np.triu_indices(n, k=1)
-    wij = w[iu, ju]
-    best = -1.0
-    best_labels = np.zeros(n, np.int64)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        labels = np.zeros((codes.shape[0], n), np.int64)
-        c = codes.copy()
-        for v in range(1, n):
-            labels[:, v] = c % k
-            c //= k
-        vals = ((labels[:, iu] != labels[:, ju]) * wij).sum(axis=1)
-        a = int(np.argmax(vals))
-        if vals[a] > best:
-            best = float(vals[a])
-            best_labels = labels[a].copy()
-    return best, best_labels
-
-
-def kcut_exhaustive(w, k):
-    """Exact max k-cut value and one optimal labelling (n <= 12)."""
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    n = w.shape[0]
-    if n > 12:
-        raise ValueError(f"exhaustive k-cut limited to 12 vertices, got {n}")
-    if n == 0:
-        return 0.0, np.zeros(0, np.int64)
-    if USE_NUMBA:
-        best, labels = _kcut_exhaustive_numba(w, int(k))
-        return float(best), labels
-    return _kcut_exhaustive_numpy(w, int(k))
-
-
-def warm_up():
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    pos = np.zeros((2, 2))
-    pos[1, 0] = 100.0
-    separation_scan(pos, np.full(2, -1, np.int64), 2.5, 6.25)
-    kcut_exhaustive(np.ones((3, 3)), 2)

@@ -108,11 +108,3 @@ def equivalent_up_to_permutation(
     if perm is not None:
         u_b = permutation_matrix(perm, a.n_qubits) @ u_b
     return states_close(u_a, u_b, tol)
-
-
-def flatten(schedule) -> Circuit:
-    """Logical circuit of a schedule: Raman layers then CZs per stage, in
-    stage order.  Cooling and motion contribute no gates."""
-    from .stage_router import schedule_to_circuit
-
-    return schedule_to_circuit(schedule)

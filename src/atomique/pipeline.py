@@ -19,7 +19,7 @@ from .array_mapper import assign_arrays, partition_capacities
 from .atom_mapper import Placement, place_atoms
 from .circuit import Circuit, circuit_stats, gate_frequency_graph, to_basis
 from .fidelity import FidelityReport, TimeLedger, apply_schedule, execution_time
-from .stage_router import Schedule, relax_constraint, route
+from .stage_router import Schedule, route
 from .swap_router import RoutedCircuit, route_inter_array
 
 
@@ -53,7 +53,6 @@ def compile_circuit(
     *,
     seed: int = 0,
     serial: bool = False,
-    relaxed: tuple[str, ...] = (),
     order: str = "weight",
     mapper: str = "greedy",
 ) -> CompileResult:
@@ -61,11 +60,10 @@ def compile_circuit(
 
     mapper="random" replaces the greedy partitioner with a seeded uniform
     slot assignment (the ablation baseline); everything downstream is shared.
+    Constraint relaxations come from ``config.relaxed``.
     """
     if params is None:
         params = HardwareParams()
-    for name in relaxed:
-        config = relax_constraint(config, name)
     t0 = time.perf_counter()
 
     basis = to_basis(circuit)
@@ -85,6 +83,8 @@ def compile_circuit(
     placement = place_atoms(routed.circuit, routed.assignment, config)
     schedule = route(routed, placement, config, serial=serial)
     report, ledger = apply_schedule(schedule, params)
+    for stage, events in zip(schedule.stages, report.cooling):
+        stage.cooling = events
     wall = time.perf_counter() - t0
 
     in_stats = circuit_stats(basis)

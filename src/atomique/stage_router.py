@@ -20,7 +20,6 @@ min-separation audit remains the ground truth and is run on every stage.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,23 +88,12 @@ class Schedule:
         return sum(len(s.cz) for s in self.stages)
 
     @property
-    def n_coolings(self) -> int:
-        return sum(len(s.cooling) for s in self.stages)
-
-    @property
     def total_distance_um(self) -> float:
         return float(sum(s.distances_um.sum() for s in self.stages))
 
     def stage_positions(self, k: int) -> np.ndarray:
         return atom_positions(self.placement, self.stages[k].lane_model(self.config),
                               self.config)
-
-
-def relax_constraint(config: ArchConfig, which: str) -> ArchConfig:
-    """Config copy with one movement constraint (C1/C2/C3) disabled."""
-    if which not in ("C1", "C2", "C3"):
-        raise ValueError(f"unknown constraint name {which!r}")
-    return dataclasses.replace(config, relaxed=config.relaxed | {which})
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +239,9 @@ def _order_ok(pins: dict, t: int, indices, relaxed) -> str | None:
             return "C3"
         if la > lb and "C2" not in relaxed:
             return "C2"
+    # once C2 lets pins reorder, equal lanes need not be index-adjacent
+    if "C3" not in relaxed and len({lane for _, lane in lanes}) < len(lanes):
+        return "C3"
     return None
 
 
@@ -352,9 +343,13 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
 
     Arrays are processed in id order; a park lane is eligible only if no
     other array has (or keeps) a lane there, so cross-array collisions are
-    impossible by construction.  Returns (row_lanes, col_lanes, col_offsets)
-    or None when some gap cannot host its parked rows.
+    impossible by construction.  Unless C3 is relaxed, a park lane is also
+    never one this array already holds: crossed anchors (C2 relaxed) make
+    the lane ranges of neighbouring segments overlap.  Returns (row_lanes,
+    col_lanes, col_offsets) or None when some gap cannot host its parked
+    rows.
     """
+    merge_ok = "C3" in config.relaxed
 
     def solve_axis(axis_pins: dict, prev, occupied_per_t):
         new = [[None] * len(prev[t]) for t in range(config.n_aod)]
@@ -385,6 +380,7 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                        and (hi_a is None or i < hi_a[0])]
                 if seg:
                     segments.append((lo_a, hi_a, seg))
+            held = set()  # park lanes already given to this array's rows
             for lo_a, hi_a, seg in segments:
                 old = [prev[t][i] for i in seg]
                 need = len(seg)
@@ -394,7 +390,8 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                 if hi_a and lo_a and hi_lane < lo_lane:  # crossed anchors (C2 off)
                     lo_lane, hi_lane = hi_lane, lo_lane
                 cand = [l for l in range(lo_lane + 1, hi_lane)
-                        if l % 2 and l not in forbidden and l not in own_pins]
+                        if l % 2 and l not in forbidden and l not in own_pins
+                        and (merge_ok or l not in held)]
                 got = _assign_park_lanes(old, cand)
                 if got is None:
                     if lo_a and hi_a:
@@ -402,6 +399,7 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                     raise RuntimeError("park margin exhausted")  # pragma: no cover
                 for i, lane in zip(seg, got):
                     new[t][i] = lane
+                held.update(got)
         return new
 
     row_pins = pins.rows
@@ -572,14 +570,10 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                     init_rows, init_cols, overlap_rejections)
 
 
-def route_serial(routed: RoutedCircuit, placement: Placement,
-                 config: ArchConfig) -> Schedule:
-    """One CZ per stage; the parallelism ablation baseline."""
-    return route(routed, placement, config, serial=True)
-
-
 def schedule_to_circuit(schedule: Schedule) -> Circuit:
-    """Flatten a schedule back into a slot-space circuit for verification."""
+    """Flatten a schedule back into a slot-space circuit for verification:
+    Raman layers then CZs per stage, in stage order.  Cooling and motion
+    contribute no gates."""
     n = len(schedule.placement)
     c = Circuit(n)
     for stage in schedule.stages:

@@ -5,12 +5,12 @@ from atomique.arch import ArchConfig
 from atomique.array_mapper import (
     assign_arrays,
     bind_partitions,
-    brute_force_max_kcut,
     cut_value,
     greedy_max_kcut,
     partition_capacities,
     total_weight,
 )
+from kcut_reference import kcut_exhaustive
 
 
 def _sym(entries, n):
@@ -36,7 +36,7 @@ def test_greedy_alg1_example():
     labels = greedy_max_kcut(w, 2)
     assert labels[0] == labels[2] != labels[1]
     assert cut_value(w, labels) == pytest.approx(3.0)
-    best, _ = brute_force_max_kcut(w, 2)
+    best, _ = kcut_exhaustive(w, 2)
     assert best == pytest.approx(3.0)
 
 
@@ -90,20 +90,20 @@ def test_greedy_deterministic():
 
 def test_brute_force_triangle():
     w = _sym([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 3)
-    assert brute_force_max_kcut(w, 2)[0] == pytest.approx(2.0)
-    assert brute_force_max_kcut(w, 3)[0] == pytest.approx(3.0)
+    assert kcut_exhaustive(w, 2)[0] == pytest.approx(2.0)
+    assert kcut_exhaustive(w, 3)[0] == pytest.approx(3.0)
 
 
 def test_brute_force_path():
     w = _sym([(0, 1, 1.0), (1, 2, 1.0)], 3)
-    best, labels = brute_force_max_kcut(w, 2)
+    best, labels = kcut_exhaustive(w, 2)
     assert best == pytest.approx(2.0)
     assert labels[1] != labels[0] and labels[1] != labels[2]
 
 
 def test_brute_force_size_guard():
     with pytest.raises(ValueError):
-        brute_force_max_kcut(np.zeros((13, 13)), 2)
+        kcut_exhaustive(np.zeros((13, 13)), 2)
 
 
 def test_approximation_bound_sample():
@@ -117,7 +117,7 @@ def test_approximation_bound_sample():
         w = w + w.T
         for k in (2, 3):
             greedy = cut_value(w, greedy_max_kcut(w, k))
-            opt, _ = brute_force_max_kcut(w, k)
+            opt, _ = kcut_exhaustive(w, k)
             assert greedy >= (1 - 1 / k) * opt - 1e-9
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from atomique.circuit import (
     build_dag,
     circuit_stats,
     euler_angles,
-    front_layer,
     gate_frequency_graph,
     parse_qasm,
-    swap_expansion,
     to_basis,
     to_qasm,
     u3_matrix,
@@ -51,6 +50,31 @@ def test_parse_measure_ignored_with_warning():
     with pytest.warns(UserWarning):
         c = parse_qasm(text)
     assert len(c.gates) == 0
+
+
+def test_parse_parameter_arithmetic():
+    cases = {"pi/2": math.pi / 2, "-pi/4": -math.pi / 4,
+             "2*pi/3": 2 * math.pi / 3, "1e-3": 1e-3, "+3*0.5-1": 0.5}
+    for expr, want in cases.items():
+        c = parse_qasm(HEADER + f"qreg q[1];\nrz({expr}) q[0];\n")
+        assert c.gates[0].params[2] == want, expr
+
+
+def test_parse_rejects_power_at_once():
+    for expr in ("9**9**9", "2**10", "x", "pi()", "1j", "-" * 100 + "1"):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_qasm(HEADER + f"qreg q[1];\nrz({expr}) q[0];\n")
+        assert time.perf_counter() - t0 < 1.0, expr
+
+
+def test_parse_error_line_number_in_long_file():
+    n_lines = 20000
+    body = "".join(f"cz q[{i % 3}],q[{i % 3 + 1}];\n" for i in range(n_lines))
+    text = "OPENQASM 2.0;\nqreg q[4];\n" + body + "\n// comment\nfoo q[0];\n"
+    bad_line = 2 + n_lines + 3
+    with pytest.raises(ParseError, match=f"^line {bad_line}: unsupported gate"):
+        parse_qasm(text)
 
 
 def test_parse_pi_expressions():
@@ -128,9 +152,10 @@ def test_to_basis_unitary_preserved_fuzz():
 
 
 def test_swap_expansion_is_swap():
-    gates = swap_expansion(0, 1)
-    c = Circuit(2)
-    c.gates.extend(gates)
+    swap_gate = Circuit(2)
+    swap_gate.add("swap", (0, 1))
+    c = to_basis(swap_gate)
+    assert {g.kind for g in c.gates} <= {"u", "cz"}
     u = simulate(c)
     swap = np.eye(4)[[0, 2, 1, 3]]
     k = np.unravel_index(np.argmax(np.abs(swap)), (4, 4))
@@ -171,44 +196,6 @@ def test_barrier_fences_all_qubits():
     dag = build_dag(c)
     assert dag.preds[2] == [1]
     assert dag.preds[1] == [0]
-
-
-def test_front_layer_progression():
-    c = Circuit(3)
-    c.add("cz", (0, 1))
-    c.add("cz", (1, 2))
-    dag = build_dag(c)
-    assert front_layer(dag, set()) == [0]
-    assert front_layer(dag, {0}) == [1]
-
-
-def test_front_layer_disjoint():
-    c = Circuit(4)
-    c.add("cz", (0, 1))
-    c.add("cz", (2, 3))
-    dag = build_dag(c)
-    assert front_layer(dag, set()) == [0, 1]
-
-
-def test_front_layer_visits_each_node_once():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        c = Circuit(n)
-        for _ in range(int(rng.integers(1, 15))):
-            a, b = rng.choice(n, 2, replace=False)
-            c.add("cz", (int(min(a, b)), int(max(a, b))))
-        dag = build_dag(c)
-        executed: set[int] = set()
-        seen = []
-        while len(executed) < dag.n_nodes:
-            ready = front_layer(dag, executed)
-            assert ready
-            for i in ready:
-                assert all(p in executed for p in dag.preds[i])
-            seen.extend(ready)
-            executed.update(ready)
-        assert sorted(seen) == list(range(dag.n_nodes))
 
 
 def test_frequency_graph_decay():

@@ -1,6 +1,5 @@
 """Thermal tracking, cooling insertion, and the multiplicative fidelity model."""
 
-import copy
 import dataclasses
 import math
 
@@ -19,7 +18,7 @@ from atomique.fidelity import (
     move_survival,
 )
 from atomique.pipeline import compile_circuit
-from atomique.stage_router import Schedule, Stage
+from atomique.stage_router import Schedule, Stage, schedule_to_dict
 from atomique.workloads import WorkloadSpec
 
 CFG, PARAMS = load_config({})
@@ -160,10 +159,9 @@ def test_pulse_time_counts_stages_plus_cooling_swaps():
 
 def test_cooling_event_adds_two_gate_times():
     res = single_cz_result()
-    base = copy.deepcopy(res.schedule)
     eager = dataclasses.replace(PARAMS, n_cool_threshold=0.0)
-    report, ledger = apply_schedule(copy.deepcopy(base), eager)
-    report0, ledger0 = apply_schedule(copy.deepcopy(base), PARAMS)
+    report, ledger = apply_schedule(res.schedule, eager)
+    report0, ledger0 = apply_schedule(res.schedule, PARAMS)
     assert report0.N_cooling == 0
     assert report.N_cooling == 1
     assert ledger.T_2Q_total - ledger0.T_2Q_total == pytest.approx(2 * PARAMS.t_2Q)
@@ -175,22 +173,37 @@ def test_cooling_event_adds_two_gate_times():
 
 def test_cooling_events_annotated_on_stages():
     res = single_cz_result()
-    sched = copy.deepcopy(res.schedule)
+    before = schedule_to_dict(res.schedule)
     eager = dataclasses.replace(PARAMS, n_cool_threshold=0.0)
-    apply_schedule(sched, eager)
-    cooled = [s.cooling for s in sched.stages if s.cooling]
-    assert cooled == [[0]]
-    # rescoring with the lenient params clears the annotation again
-    apply_schedule(sched, PARAMS)
-    assert all(not s.cooling for s in sched.stages)
+    report, _ = apply_schedule(res.schedule, eager)
+    assert len(report.cooling) == len(res.schedule.stages)
+    assert [c for c in report.cooling if c] == [[0]]
+    # the events are reported, not written onto the schedule
+    assert schedule_to_dict(res.schedule) == before
+    lenient, _ = apply_schedule(res.schedule, PARAMS)
+    assert not any(lenient.cooling)
+
+
+def test_scoring_leaves_the_schedule_unchanged():
+    circ = WorkloadSpec("qaoa-rand", 12, p=0.6).generate()
+    res = compile_circuit(circ, dataclasses.replace(CFG, D_site=60.0), PARAMS)
+    assert res.report.N_cooling >= 1
+    # compile_circuit attaches the events of the scoring it just ran
+    assert [s.cooling for s in res.schedule.stages] == res.report.cooling
+    before = schedule_to_dict(res.schedule)
+    for params in (PARAMS, dataclasses.replace(PARAMS, n_cool_threshold=0.0)):
+        first = apply_schedule(res.schedule, params)
+        second = apply_schedule(res.schedule, params)
+        assert first == second
+        assert schedule_to_dict(res.schedule) == before
 
 
 def test_move_time_override_rescales_heating_and_clock():
     circ = WorkloadSpec("qaoa-rand", 10, seed=7, p=0.5).generate()
     res = compile_circuit(circ, CFG, PARAMS)
     moving = sum(1 for s in res.schedule.stages if s.move_time_s > 0)
-    rep_fast, led_fast = apply_schedule(copy.deepcopy(res.schedule), PARAMS, T_per_move=150e-6)
-    rep_slow, led_slow = apply_schedule(copy.deepcopy(res.schedule), PARAMS, T_per_move=600e-6)
+    rep_fast, led_fast = apply_schedule(res.schedule, PARAMS, T_per_move=150e-6)
+    rep_slow, led_slow = apply_schedule(res.schedule, PARAMS, T_per_move=600e-6)
     assert led_fast.T_move_total == pytest.approx(moving * 150e-6)
     assert led_slow.T_move_total == pytest.approx(moving * 600e-6)
     assert rep_slow.F_mov_heating >= rep_fast.F_mov_heating  # slower is gentler
@@ -203,8 +216,8 @@ def test_per_gate_time_flag_charges_each_gate():
         circ.add("u", (q,), (0.3, 0.0, 0.0))
     res = compile_circuit(circ, CFG, PARAMS)
     assert res.schedule.n_raman_layers == 1
-    _, by_layer = apply_schedule(copy.deepcopy(res.schedule), PARAMS)
-    _, by_gate = apply_schedule(copy.deepcopy(res.schedule), PARAMS, per_gate_time=True)
+    _, by_layer = apply_schedule(res.schedule, PARAMS)
+    _, by_gate = apply_schedule(res.schedule, PARAMS, per_gate_time=True)
     assert by_layer.T_1Q_total == pytest.approx(PARAMS.t_1Q)
     assert by_gate.T_1Q_total == pytest.approx(3 * PARAMS.t_1Q)
 
@@ -237,9 +250,8 @@ def test_factors_stay_in_unit_interval():
 
 def test_more_stages_never_help():
     res = single_cz_result()
-    once = copy.deepcopy(res.schedule)
-    twice = copy.deepcopy(res.schedule)
-    twice.stages = twice.stages + copy.deepcopy(twice.stages)
+    once = res.schedule
+    twice = dataclasses.replace(once, stages=once.stages * 2)
     f_once, _ = apply_schedule(once, PARAMS)
     f_twice, _ = apply_schedule(twice, PARAMS)
     assert f_twice.F_total < f_once.F_total
@@ -287,7 +299,7 @@ def test_move_duration_tradeoff_has_interior_optimum():
     durations = [us * 1e-6 for us in range(100, 1001, 100)]
     totals = []
     for t in durations:
-        rep, _ = apply_schedule(copy.deepcopy(res.schedule), PARAMS, T_per_move=t)
+        rep, _ = apply_schedule(res.schedule, PARAMS, T_per_move=t)
         totals.append(rep.F_total)
     best = totals.index(max(totals))
     assert 0 < best < len(totals) - 1

@@ -1,18 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atomique import kernels
-from atomique.kernels import (
-    _kcut_exhaustive_numpy,
-    _separation_scan_numpy,
-    kcut_exhaustive,
-    separation_scan,
-    warm_up,
-)
+from atomique.kernels import separation_scan
+from kcut_reference import kcut_exhaustive
 
-
-def test_warm_up_runs():
-    warm_up()
+R_B, S_MIN = 2.5, 6.25
 
 
 def test_scan_clean_lattice():
@@ -46,18 +42,50 @@ def test_scan_intended_pair_inside_blockade_ok():
     assert i.size == 0
 
 
-def test_scan_flavours_identical():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        m = int(rng.integers(2, 40))
-        pos = rng.uniform(0, 60, size=(m, 2))
-        partner = np.full(m, -1, np.int64)
-        for a in range(0, m - 1, 7):
-            partner[a], partner[a + 1] = a + 1, a
-        ref = _separation_scan_numpy(pos, partner, 2.5, 6.25)
-        out = separation_scan(pos, partner, 2.5, 6.25)
-        for a, b in zip(ref, out):
-            assert np.array_equal(a, b)
+def reference_scan(pos, partner, r_b, s_min):
+    """The scan's contract as a plain double loop over i < j."""
+    found = []
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            dx = pos[i][0] - pos[j][0]
+            dy = pos[i][1] - pos[j][1]
+            d = math.sqrt(dx * dx + dy * dy)
+            if partner[i] == j:
+                if d >= r_b:
+                    found.append((i, j, d, 1))
+            elif d < s_min:
+                found.append((i, j, d, 0))
+    return found
+
+
+@st.composite
+def stage_geometries(draw):
+    """Atoms at arbitrary or lattice-snapped points (a 1.25 um grid puts
+    pairs exactly on the r_b and s_min boundaries and on top of each
+    other), with disjoint intended pairs, some drawn close together."""
+    m = draw(st.integers(0, 30))
+    coord = st.one_of(st.floats(0.0, 60.0, allow_nan=False),
+                      st.integers(0, 48).map(lambda k: 1.25 * k))
+    pos = np.array([[draw(coord), draw(coord)] for _ in range(m)], dtype=float)
+    pos = pos.reshape(m, 2)
+    order = draw(st.permutations(range(m)))
+    n_pairs = draw(st.integers(0, m // 2))
+    partner = np.full(m, -1, np.int64)
+    near = st.integers(-2, 2).map(lambda k: 1.25 * k)
+    for a, b in zip(order[0:2 * n_pairs:2], order[1:2 * n_pairs:2]):
+        partner[a], partner[b] = b, a
+        if draw(st.booleans()):
+            pos[b] = pos[a] + [draw(near), draw(near)]
+    return pos, partner
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_geometries())
+def test_scan_matches_double_loop(geometry):
+    pos, partner = geometry
+    i, j, d, k = separation_scan(pos, partner, R_B, S_MIN)
+    got = list(zip(i.tolist(), j.tolist(), d.tolist(), k.tolist()))
+    assert got == reference_scan(pos.tolist(), partner.tolist(), R_B, S_MIN)
 
 
 def test_scan_empty_and_single():
@@ -88,20 +116,6 @@ def test_kcut_triangle_k3():
     assert len(set(labels.tolist())) == 3
 
 
-def test_kcut_flavours_identical():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        w = rng.uniform(0, 1, size=(n, n))
-        w = np.triu(w, 1)
-        w = w + w.T
-        for k in (2, 3):
-            b_np, l_np = _kcut_exhaustive_numpy(w, k)
-            b, l = kcut_exhaustive(w, k)
-            assert b == pytest.approx(b_np, abs=1e-12)
-            assert np.array_equal(l, l_np)
-
-
 def test_kcut_vertex_limit():
     with pytest.raises(ValueError):
         kcut_exhaustive(np.zeros((13, 13)), 2)
@@ -110,12 +124,3 @@ def test_kcut_vertex_limit():
 def test_kcut_empty():
     best, labels = kcut_exhaustive(np.zeros((0, 0)), 2)
     assert best == 0.0 and labels.size == 0
-
-
-def test_numpy_fallback_flag(monkeypatch):
-    monkeypatch.setattr(kernels, "USE_NUMBA", False)
-    pos = np.array([[0.0, 0.0], [3.0, 0.0]])
-    i, j, d, k = kernels.separation_scan(pos, np.full(2, -1, np.int64), 2.5, 6.25)
-    assert list(i) == [0]
-    best, _ = kernels.kcut_exhaustive(np.ones((3, 3)) - np.eye(3), 2)
-    assert best == pytest.approx(2.0)

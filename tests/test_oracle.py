@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from atomique.circuit import Circuit, swap_expansion
+from atomique.circuit import Circuit, to_basis
 from atomique.oracle import (
     MAX_ORACLE_QUBITS,
     equivalent_up_to_permutation,
-    flatten,
     permutation_matrix,
     simulate,
     states_close,
@@ -100,7 +99,8 @@ def test_equivalent_swap_expanded():
     a = Circuit(2)
     a.add("cz", (0, 1))
     b = Circuit(2)
-    b.gates.extend(swap_expansion(0, 1))
+    b.add("swap", (0, 1))
+    b = to_basis(b)
     b.add("cz", (0, 1))
     assert equivalent_up_to_permutation(a, b, [1, 0])
     assert not equivalent_up_to_permutation(a, b, [0, 1])
@@ -121,11 +121,12 @@ def test_equivalent_width_mismatch():
 def test_flatten_matches_schedule_circuit():
     from atomique.arch import ArchConfig
     from atomique.pipeline import compile_circuit
+    from atomique.stage_router import schedule_to_circuit
     from atomique.workloads import gen_bv
 
     cfg = ArchConfig(n_aod=2, slm_rows=4, slm_cols=4, aod_rows=(4, 4), aod_cols=(4, 4))
     res = compile_circuit(gen_bv(5, "1010"), cfg)
-    flat = flatten(res.schedule)
+    flat = schedule_to_circuit(res.schedule)
     czs = [g for g in flat.gates if g.kind == "cz"]
     assert len(czs) == res.stats["n_2q"]
     assert equivalent_up_to_permutation(res.circuit, flat, res.schedule.perm)

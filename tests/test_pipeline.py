@@ -1,7 +1,7 @@
 """End-to-end compilation pipeline and the command-line surface."""
 
-import copy
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -10,9 +10,9 @@ import pytest
 from atomique.arch import load_config
 from atomique.circuit import Circuit, parse_qasm, to_qasm
 from atomique.cli import main
-from atomique.oracle import equivalent_up_to_permutation, flatten
+from atomique.oracle import equivalent_up_to_permutation
 from atomique.pipeline import compile_circuit, random_assignment
-from atomique.stage_router import audit_schedule
+from atomique.stage_router import audit_schedule, schedule_to_circuit
 from atomique.workloads import WorkloadSpec
 
 CFG, PARAMS = load_config({})
@@ -44,7 +44,7 @@ def test_compile_preserves_unitary():
         circ = spec.generate()
         res = compile_circuit(circ, CFG, PARAMS)
         assert equivalent_up_to_permutation(
-            res.circuit, flatten(res.schedule), res.schedule.perm
+            res.circuit, schedule_to_circuit(res.schedule), res.schedule.perm
         )
         assert audit_schedule(res.schedule) == []
 
@@ -97,7 +97,8 @@ def test_random_assignment_respects_capacity():
 
 def test_relaxed_constraints_are_plumbed_through():
     spec = WorkloadSpec("qaoa-rand", 6, seed=4)
-    res = compile_spec(spec, relaxed=("C3", "C1"))
+    cfg = dataclasses.replace(CFG, relaxed=frozenset({"C3", "C1"}))
+    res = compile_circuit(spec.generate(), cfg, PARAMS)
     assert res.schedule.config.relaxed == frozenset({"C1", "C3"})
     strict = compile_spec(spec)
     assert res.stats["n_2q"] == strict.stats["n_2q"]
@@ -294,14 +295,6 @@ def test_sweep_lattice_pitch_recompiles(tmp_path):
     assert len(rows) == 2
     assert rows[0][0] == 15.0 and rows[1][0] == 30.0
     assert rows[1][1] < rows[0][1]  # longer hops hurt fidelity
-
-
-def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
-    a = sweep(tmp_path, "T1", "0.5,1.0,2.0", out="pool.csv")
-    data = a.read_bytes()
-    monkeypatch.setenv("ATOMIQUE_THREADS", "1")
-    b = sweep(tmp_path, "T1", "0.5,1.0,2.0", out="serial.csv")
-    assert b.read_bytes() == data
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

@@ -14,11 +14,10 @@ from atomique.stage_router import (
     Schedule,
     _ArrayIndex,
     _Pins,
+    _order_ok,
     audit_schedule,
     initial_lanes,
-    relax_constraint,
     route,
-    route_serial,
     schedule_from_dict,
     schedule_to_circuit,
     schedule_to_dict,
@@ -32,6 +31,10 @@ def small_config(n_aod=1, rows=10):
     return dataclasses.replace(
         cfg, n_aod=n_aod, aod_rows=(rows,) * n_aod, aod_cols=(rows,) * n_aod
     )
+
+
+def relax(cfg, name):
+    return dataclasses.replace(cfg, relaxed=cfg.relaxed | {name})
 
 
 def as_routed(circ, placement):
@@ -174,7 +177,7 @@ def test_row_crossing_is_deferred_to_a_second_stage():
 
 
 def test_relaxing_row_order_accepts_the_crossing():
-    cfg = relax_constraint(small_config(), "C2")
+    cfg = relax(small_config(), "C2")
     circ, placement = crossing_scenario()
     sched = route(as_routed(circ, placement), placement, cfg)
     assert len(sched.stages) == 1
@@ -207,7 +210,7 @@ def test_same_lane_demand_is_deferred_and_counted():
 
 
 def test_relaxing_lane_exclusivity_merges_the_rows():
-    cfg = relax_constraint(small_config(), "C3")
+    cfg = relax(small_config(), "C3")
     circ, placement = coinciding_scenario()
     sched = route(as_routed(circ, placement), placement, cfg)
     assert len(sched.stages) == 1
@@ -227,7 +230,7 @@ def test_aligned_independent_gates_share_one_stage():
     sched = route(as_routed(circ, placement), placement, cfg)
     assert len(sched.stages) == 1
     assert len(sched.stages[0].cz) == 4
-    serial = route_serial(as_routed(circ, placement), placement, cfg)
+    serial = route(as_routed(circ, placement), placement, cfg, serial=True)
     assert [len(s.cz) for s in serial.stages] == [1, 1, 1, 1]
 
 
@@ -324,7 +327,7 @@ def test_single_gate_parallel_and_serial_agree_exactly():
     circ = Circuit(2)
     circ.add("cz", (0, 1))
     par = schedule_to_dict(route(as_routed(circ, placement), placement, cfg))
-    ser = schedule_to_dict(route_serial(as_routed(circ, placement), placement, cfg))
+    ser = schedule_to_dict(route(as_routed(circ, placement), placement, cfg, serial=True))
     assert par == ser
 
 
@@ -343,16 +346,24 @@ def test_relaxation_never_increases_depth_or_changes_gates():
     cfg, params = load_config({})
     strict = compile_circuit(circ, cfg, params)
     for name in ("C1", "C2", "C3"):
-        loose = compile_circuit(circ, cfg, params, relaxed=(name,))
+        loose = compile_circuit(circ, relax(cfg, name), params)
         assert loose.schedule.depth <= strict.schedule.depth
         assert loose.schedule.n_2q == strict.schedule.n_2q
 
 
-def test_relax_constraint_validates_name():
-    cfg = small_config()
-    assert relax_constraint(cfg, "C3").relaxed == frozenset({"C3"})
-    with pytest.raises(ValueError):
-        relax_constraint(cfg, "C9")
+def test_relaxing_row_order_alone_keeps_stages_legal():
+    # with C2 off, pinned rows may cross: C3 must still catch equal lanes
+    # that are not index-adjacent, and parked rows must not land on lanes
+    # their own array already holds
+    crossed = {(0, 1): 4, (0, 2): 2, (0, 3): 4}  # rows 1 and 3 share lane 4
+    assert _order_ok(crossed, 0, range(5), frozenset({"C2"})) == "C3"
+    assert _order_ok(crossed, 0, range(5), frozenset({"C2", "C3"})) is None
+    circ = WorkloadSpec("qaoa-rand", 30, seed=0).generate()
+    cfg, params = load_config({})
+    strict = compile_circuit(circ, cfg, params)
+    loose = compile_circuit(circ, relax(cfg, "C2"), params)
+    assert audit_schedule(loose.schedule) == []
+    assert loose.schedule.n_2q == strict.schedule.n_2q
 
 
 # ---------------------------------------------------------------------------
