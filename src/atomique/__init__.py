@@ -4,7 +4,6 @@ from .arch import (
     ArchConfig,
     AtomCoord,
     HardwareParams,
-    LaneModel,
     Violation,
     load_config,
     min_separation_audit,
@@ -34,6 +33,7 @@ from .fidelity import (
 from .oracle import equivalent_up_to_permutation, simulate
 from .pipeline import CompileResult, compile_circuit
 from .stage_router import (
+    DistanceMismatch,
     Schedule,
     Stage,
     audit_schedule,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -184,36 +184,48 @@ class AtomCoord:
     col: int
 
 
-@dataclass
-class LaneModel:
-    """Resolved lane coordinates (um) for each AOD array at one stage.
-
-    ``row_y[t]`` maps occupied row index -> y and ``col_x[t]`` maps occupied
-    column index -> x for AOD array t (index 0 is global array id 1).
-    """
-
-    row_y: list[dict[int, float]] = field(default_factory=list)
-    col_x: list[dict[int, float]] = field(default_factory=list)
-
-
 def slm_position(row: int, col: int, config: ArchConfig) -> tuple[float, float]:
     return (col * config.D_site, row * config.D_site)
 
 
-def atom_positions(
-    placement: dict[int, AtomCoord], lanes: LaneModel, config: ArchConfig
-) -> np.ndarray:
-    """(n, 2) x/y positions in um indexed by qubit id."""
-    n = len(placement)
-    pos = np.zeros((n, 2))
-    for q, coord in placement.items():
-        if coord.array == 0:
-            pos[q] = slm_position(coord.row, coord.col, config)
+def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
+               col_offsets=None) -> np.ndarray:
+    """(n, 3) lane coordinates indexed by qubit id: x lane, x offset (um),
+    y lane.
+
+    A static site (row, col) sits on the gate lanes (2 col, 0, 2 row); an
+    AOD atom takes its row's and column's lane from the per-AOD lists, and
+    its column's offset (zero when `col_offsets` is None).
+    """
+    flat = []  # one flat list: numpy converts it much faster than tuples
+    for q in range(len(placement)):
+        p = placement[q]
+        if p.array == 0:
+            flat += (2 * p.col, 0.0, 2 * p.row)
         else:
-            t = coord.array - 1
-            pos[q, 0] = lanes.col_x[t][coord.col]
-            pos[q, 1] = lanes.row_y[t][coord.row]
+            t = p.array - 1
+            off = col_offsets[t][p.col] if col_offsets is not None else 0.0
+            flat += (col_lanes[t][p.col], off, row_lanes[t][p.row])
+    lanes = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    if np.isnan(lanes).any():  # a None lane
+        raise ValueError("an occupied AOD row or column has no lane")
+    return lanes
+
+
+def atom_positions(lanes: np.ndarray, config: ArchConfig) -> np.ndarray:
+    """(n, 2) x/y positions in um from an `atom_lanes` array: x = x lane *
+    D_site/2 + x offset, y = y lane * D_site/2."""
+    pos = lanes[:, ::2] * (config.D_site / 2.0)
+    pos[:, 0] += lanes[:, 1]
     return pos
+
+
+def move_distances(prev: np.ndarray, new: np.ndarray, config: ArchConfig) -> np.ndarray:
+    """Per-atom move distance (um) between two `atom_lanes` arrays, from
+    the lane and offset deltas (not from differences of positions, which
+    round differently when D_site/2 is not dyadic)."""
+    d = (new - prev) * (config.D_site / 2.0)  # its offset column is unused
+    return np.hypot(d[:, 0] + new[:, 1] - prev[:, 1], d[:, 2])
 
 
 # ---------------------------------------------------------------------------

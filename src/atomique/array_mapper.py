@@ -15,22 +15,6 @@ import numpy as np
 from .arch import ArchConfig
 
 
-def cut_value(weights: np.ndarray, labels) -> float:
-    """Total weight of edges whose endpoints carry different labels."""
-    w = np.asarray(weights, dtype=np.float64)
-    lab = np.asarray(labels)
-    n = w.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    mask = lab[iu] != lab[ju]
-    return float(w[iu[mask], ju[mask]].sum())
-
-
-def total_weight(weights: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=np.float64)
-    iu, ju = np.triu_indices(w.shape[0], k=1)
-    return float(w[iu, ju].sum())
-
-
 def greedy_max_kcut(
     weights: np.ndarray,
     k: int,

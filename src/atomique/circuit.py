@@ -180,7 +180,9 @@ def parse_qasm(text: str) -> Circuit:
         if stmt.startswith("if"):
             raise ParseError(f"line {line}: classical control is not supported")
 
-        m = re.match(r"([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s+(.+)$", stmt)
+        # parameters run to the last ')' before the arguments; with re.S the
+        # first ')' tried from the end matches, so matching stays linear
+        m = re.match(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s+(.+)$", stmt, re.S)
         if not m:
             raise ParseError(f"line {line}: cannot parse statement {stmt!r}")
         name, paramstr, argstr = m.group(1), m.group(2), m.group(3)

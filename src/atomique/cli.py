@@ -23,6 +23,7 @@ from .oracle import MAX_ORACLE_QUBITS, equivalent_up_to_permutation
 from .pipeline import compile_circuit
 from .render import render_schedule
 from .stage_router import (
+    DistanceMismatch,
     audit_schedule,
     schedule_from_dict,
     schedule_to_circuit,
@@ -164,7 +165,10 @@ def cmd_audit(args) -> int:
     schedule = _load_schedule(args.schedule)
     findings = audit_schedule(schedule)
     for k, v in findings[:20]:
-        print(f"stage {k}: atoms {v.i},{v.j} {v.kind} at {v.distance_um:.3f} um")
+        if isinstance(v, DistanceMismatch):
+            print(f"stage {k}: atom {v.q} distances_um {v.stored_um!r}, lanes give {v.lanes_um!r}")
+        else:
+            print(f"stage {k}: atoms {v.i},{v.j} {v.kind} at {v.distance_um:.3f} um")
     print(f"{len(findings)} violation(s) across {len(schedule.stages)} stage(s)")
     return 0 if not findings else 1
 

@@ -90,7 +90,6 @@ class FidelityReport:
 
 def apply_schedule(schedule: Schedule, params: HardwareParams, *,
                    T_per_move: float | None = None,
-                   per_gate_time: bool = False,
                    n_transfer: int = 0) -> tuple[FidelityReport, TimeLedger]:
     """Score a schedule without modifying it.
 
@@ -100,7 +99,7 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     T_per_move overrides the schedule's move duration for every stage that
     moves (distances stay fixed), which is what a move-time sweep rescores.
     Gate times are charged per layer/stage (parallel pulses share a clock
-    tick); per_gate_time=True charges every gate individually instead.
+    tick).
     N_transfer is 0 for native schedules and only non-zero when scoring
     externally produced schedules that reload atoms between stages.
     """
@@ -123,7 +122,7 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     for stage in schedule.stages:
         for layer in stage.raman:
             n_1q += len(layer)
-            ledger.T_1Q_total += params.t_1Q * (len(layer) if per_gate_time else 1)
+            ledger.T_1Q_total += params.t_1Q
 
         move_t = stage.move_time_s
         if T_per_move is not None and move_t > 0.0:
@@ -154,10 +153,7 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
                 cooled.append(array - 1)
         cooling.append(cooled)
 
-    if per_gate_time:
-        ledger.T_2Q_total = (n_2q + 2 * n_cooling) * params.t_2Q
-    else:
-        ledger.T_2Q_total = (rydberg_stages + 2 * n_cooling) * params.t_2Q
+    ledger.T_2Q_total = (rydberg_stages + 2 * n_cooling) * params.t_2Q
     ledger.T_transfer_total = n_transfer * params.T_transfer
 
     F_1Q = params.f_1Q ** n_1q * math.exp(-ledger.T_1Q_total * n_mapped / t1)

@@ -27,11 +27,12 @@ import numpy as np
 from .arch import (
     ArchConfig,
     AtomCoord,
-    LaneModel,
     arch_to_dict,
+    atom_lanes,
     atom_positions,
     load_config,
     min_separation_audit,
+    move_distances,
 )
 from .atom_mapper import Placement
 from .circuit import Circuit, Gate, build_dag
@@ -48,16 +49,6 @@ class Stage:
     distances_um: np.ndarray             # per-atom move distance this stage
     move_time_s: float
     cooling: list[int] = field(default_factory=list)  # AOD indices reset after this stage
-
-    def lane_model(self, config: ArchConfig) -> LaneModel:
-        half = config.D_site / 2.0
-        row_y, col_x = [], []
-        for t in range(config.n_aod):
-            row_y.append({r: lane * half for r, lane in enumerate(self.row_lanes[t])
-                          if lane is not None})
-            col_x.append({c: lane * half + self.col_offsets[t][c]
-                          for c, lane in enumerate(self.col_lanes[t]) if lane is not None})
-        return LaneModel(row_y, col_x)
 
 
 @dataclass
@@ -92,8 +83,9 @@ class Schedule:
         return float(sum(s.distances_um.sum() for s in self.stages))
 
     def stage_positions(self, k: int) -> np.ndarray:
-        return atom_positions(self.placement, self.stages[k].lane_model(self.config),
-                              self.config)
+        s = self.stages[k]
+        return atom_positions(atom_lanes(self.placement, s.row_lanes, s.col_lanes,
+                                         s.col_offsets), self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +93,18 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 
-def initial_lanes(config: ArchConfig, placement: Placement):
+def initial_lanes(config: ArchConfig, index: "_ArrayIndex"):
     """Starting lanes: AOD t parks interleaved but offset by the cumulative
     grid size of the arrays before it, stacking the arrays diagonally so no
     two arrays share a row or column lane."""
-    occ_rows = [set() for _ in range(config.n_aod)]
-    occ_cols = [set() for _ in range(config.n_aod)]
-    for coord in placement.values():
-        if coord.array > 0:
-            occ_rows[coord.array - 1].add(coord.row)
-            occ_cols[coord.array - 1].add(coord.col)
     row_lanes, col_lanes = [], []
     row_base = col_base = 0
     for t in range(config.n_aod):
         rows, cols = config.aod_rows[t], config.aod_cols[t]
-        row_lanes.append([2 * (r + row_base) + 1 if r in occ_rows[t] else None
+        occ_rows, occ_cols = set(index.occ_rows[t]), set(index.occ_cols[t])
+        row_lanes.append([2 * (r + row_base) + 1 if r in occ_rows else None
                           for r in range(rows)])
-        col_lanes.append([2 * (c + col_base) + 1 if c in occ_cols[t] else None
+        col_lanes.append([2 * (c + col_base) + 1 if c in occ_cols else None
                           for c in range(cols)])
         row_base += rows
         col_base += cols
@@ -166,21 +153,29 @@ def _assign_park_lanes(old, lanes):
 
 
 class _Pins:
-    """Required (array, index) -> lane bindings for one candidate set."""
+    """Required (array, index) -> lane bindings for one candidate set;
+    pinned columns also carry an x offset (um)."""
 
-    def __init__(self):
-        self.rows: dict[tuple[int, int], int] = {}
-        self.cols: dict[tuple[int, int], tuple[int, float]] = {}
+    def __init__(self, rows=None, cols=None, offsets=None):
+        self.rows: dict[tuple[int, int], int] = rows or {}
+        self.cols: dict[tuple[int, int], int] = cols or {}
+        self.offsets: dict[tuple[int, int], float] = offsets or {}
 
-    def copy(self) -> "_Pins":
-        p = _Pins()
-        p.rows = dict(self.rows)
-        p.cols = dict(self.cols)
-        return p
+    def conflicts(self, other: "_Pins") -> bool:
+        """True if `other` binds an already pinned row or column to a
+        different lane or offset."""
+        return any(mine.get(k, v) != v
+                   for mine, theirs in ((self.rows, other.rows), (self.cols, other.cols),
+                                        (self.offsets, other.offsets))
+                   for k, v in theirs.items())
+
+    def merged(self, other: "_Pins") -> "_Pins":
+        return _Pins({**self.rows, **other.rows}, {**self.cols, **other.cols},
+                     {**self.offsets, **other.offsets})
 
 
-def _gate_pins(pair, placement: Placement, config: ArchConfig):
-    """Lane pins implied by one CZ, plus its shared cell.
+def _gate_pins(pair, placement: Placement, config: ArchConfig) -> _Pins:
+    """Lane pins implied by one CZ.
 
     A movable atom gating a static one pulls its row/column onto the static
     site's gate lanes, columns offset by -delta.  Two movable atoms meet on
@@ -189,29 +184,23 @@ def _gate_pins(pair, placement: Placement, config: ArchConfig):
     """
     a, b = pair
     pa, pb = placement[a], placement[b]
-    rows, cols = {}, {}
     if pa.array == 0 or pb.array == 0:
         slm, aod = (pa, pb) if pa.array == 0 else (pb, pa)
         t = aod.array - 1
-        rows[(t, aod.row)] = 2 * slm.row
-        cols[(t, aod.col)] = (2 * slm.col, -config.delta)
-        cell = (2 * slm.row, 2 * slm.col)
-    else:
-        lo, hi = (pa, pb) if pa.array < pb.array else (pb, pa)
-        lane_r, lane_c = 2 * lo.row + 1, 2 * lo.col + 1
-        rows[(lo.array - 1, lo.row)] = lane_r
-        rows[(hi.array - 1, hi.row)] = lane_r
-        cols[(lo.array - 1, lo.col)] = (lane_c, -config.delta / 2)
-        cols[(hi.array - 1, hi.col)] = (lane_c, +config.delta / 2)
-        cell = (lane_r, lane_c)
-    return rows, cols, cell
+        return _Pins({(t, aod.row): 2 * slm.row}, {(t, aod.col): 2 * slm.col},
+                     {(t, aod.col): -config.delta})
+    lo, hi = (pa, pb) if pa.array < pb.array else (pb, pa)
+    lane_r, lane_c = 2 * lo.row + 1, 2 * lo.col + 1
+    lo_c, hi_c = (lo.array - 1, lo.col), (hi.array - 1, hi.col)
+    return _Pins({(lo.array - 1, lo.row): lane_r, (hi.array - 1, hi.row): lane_r},
+                 {lo_c: lane_c, hi_c: lane_c},
+                 {lo_c: -config.delta / 2, hi_c: +config.delta / 2})
 
 
 class _ArrayIndex:
     """Static occupancy lookups shared by all stages of one routing run."""
 
     def __init__(self, placement: Placement, config: ArchConfig):
-        self.config = config
         self.slm_cells = {(2 * p.row, 2 * p.col): q
                           for q, p in placement.items() if p.array == 0}
         self.occ = [{} for _ in range(config.n_aod)]   # t -> (r, c) -> qubit
@@ -249,7 +238,7 @@ def _cells_ok(row_pins, col_pins, index: _ArrayIndex, intended) -> bool:
     """C1: every implied gate-cell cohabitation must be an intended pair."""
     occupants: dict[tuple[int, int], list[int]] = {}
     for (t, r), lane_r in row_pins.items():
-        for (t2, c), (lane_c, _off) in col_pins.items():
+        for (t2, c), lane_c in col_pins.items():
             if t2 != t:
                 continue
             q = index.occ[t].get((r, c))
@@ -296,22 +285,17 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
     overlap_rejections = 0
 
     for gi, pair in order:
-        rows, cols, _cell = _gate_pins(pair, placement, config)
-        # (a) a row/col already pinned to a different lane
-        conflict = any(pins.rows.get(k, lane) != lane for k, lane in rows.items()) or \
-                   any(pins.cols.get(k, lc) != lc for k, lc in cols.items())
-        if conflict:
+        gate = _gate_pins(pair, placement, config)
+        # (a) a row/col already pinned to a different lane or offset
+        if pins.conflicts(gate):
             continue
-        trial = pins.copy()
-        trial.rows.update(rows)
-        trial.cols.update(cols)
+        trial = pins.merged(gate)
         # (b) per-array strict lane order
         verdict = None
-        touched = {t for t, _ in list(rows) + list(cols)}
+        touched = {t for t, _ in (*gate.rows, *gate.cols)}
         for t in sorted(touched):
             verdict = (_order_ok(trial.rows, t, index.occ_rows[t], relaxed)
-                       or _order_ok({k: v[0] for k, v in trial.cols.items()},
-                                    t, index.occ_cols[t], relaxed))
+                       or _order_ok(trial.cols, t, index.occ_cols[t], relaxed))
             if verdict:
                 break
         if verdict:
@@ -324,8 +308,7 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
             continue
         # (d) parked rows must still fit between the anchors
         if not all(_parkable(trial.rows, t, index.occ_rows[t], relaxed)
-                   and _parkable({k: v[0] for k, v in trial.cols.items()},
-                                 t, index.occ_cols[t], relaxed)
+                   and _parkable(trial.cols, t, index.occ_cols[t], relaxed)
                    for t in sorted(touched)):
             continue
         pins = trial
@@ -402,16 +385,14 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                 held.update(got)
         return new
 
-    row_pins = pins.rows
-    col_pins = {k: v[0] for k, v in pins.cols.items()}
-    new_rows = solve_axis(row_pins, prev_rows, index.occ_rows)
+    new_rows = solve_axis(pins.rows, prev_rows, index.occ_rows)
     if new_rows is None:
         return None
-    new_cols = solve_axis(col_pins, prev_cols, index.occ_cols)
+    new_cols = solve_axis(pins.cols, prev_cols, index.occ_cols)
     if new_cols is None:
         return None
     offsets = [[0.0] * len(prev_cols[t]) for t in range(config.n_aod)]
-    for (t, c), (_lane, off) in pins.cols.items():
+    for (t, c), off in pins.offsets.items():
         offsets[t][c] = off
     return new_rows, new_cols, offsets
 
@@ -428,12 +409,12 @@ def _descendant_counts(dag) -> list[int]:
     return [r.bit_count() for r in reach]
 
 
-def stage_violations(stage: Stage, placement: Placement, config: ArchConfig) -> list:
-    """Separation-audit findings for one stage, minus the ones a relaxed
-    constraint deliberately permits (cross-array closeness under C1,
-    same-array lane collisions under C3)."""
-    positions = atom_positions(placement, stage.lane_model(config), config)
-    violations = min_separation_audit(positions, stage.cz, config)
+def stage_violations(positions: np.ndarray, cz, placement: Placement,
+                     config: ArchConfig) -> list:
+    """Separation-audit findings for one stage's atom positions and CZ
+    pairs, minus the ones a relaxed constraint deliberately permits
+    (cross-array closeness under C1, same-array lane collisions under C3)."""
+    violations = min_separation_audit(positions, cz, config)
     keep = []
     for v in violations:
         ai, aj = placement[v.i].array, placement[v.j].array
@@ -446,16 +427,35 @@ def stage_violations(stage: Stage, placement: Placement, config: ArchConfig) -> 
     return keep
 
 
+@dataclass(frozen=True)
+class DistanceMismatch:
+    """A stored move distance that differs from the lane and offset deltas."""
+    q: int
+    stored_um: float
+    lanes_um: float
+
+
 def audit_schedule(schedule: Schedule) -> list:
-    """(stage index, violation) pairs over the whole schedule; empty = legal."""
-    return [(k, v) for k, s in enumerate(schedule.stages)
-            for v in stage_violations(s, schedule.placement, schedule.config)]
+    """(stage index, finding) pairs over the whole schedule; empty = legal.
 
-
-def _audit_stage(stage: Stage, placement: Placement, config: ArchConfig) -> None:
-    keep = stage_violations(stage, placement, config)
-    if keep:
-        raise RuntimeError(f"stage geometry violates separation: {keep[:4]}")
+    Findings are separation violations (`Violation`) and stored move
+    distances that are not exactly the ones the lanes give, starting from
+    the initial lanes (`DistanceMismatch`).
+    """
+    placement, config = schedule.placement, schedule.config
+    findings = []
+    prev = atom_lanes(placement, schedule.initial_row_lanes, schedule.initial_col_lanes)
+    for k, s in enumerate(schedule.stages):
+        lanes = atom_lanes(placement, s.row_lanes, s.col_lanes, s.col_offsets)
+        findings += [(k, v) for v in stage_violations(atom_positions(lanes, config),
+                                                      s.cz, placement, config)]
+        moved = move_distances(prev, lanes, config)
+        wrong = s.distances_um != moved
+        if wrong.any():
+            findings += [(k, DistanceMismatch(int(q), float(s.distances_um[q]), float(moved[q])))
+                         for q in np.flatnonzero(wrong)]
+        prev = lanes
+    return findings
 
 
 def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
@@ -472,24 +472,20 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     desc_count = _descendant_counts(dag)
     index = _ArrayIndex(placement, config)
 
-    n = circuit.n_qubits
     pending = [len(p) for p in dag.preds]
     ready = {i for i, c in enumerate(pending) if c == 0}
-    executed = [False] * len(gates)
 
     def finish(gi: int) -> None:
-        executed[gi] = True
         ready.discard(gi)
         for s in dag.succs[gi]:
             pending[s] -= 1
             if pending[s] == 0:
                 ready.add(s)
 
-    prev_rows, prev_cols = initial_lanes(config, placement)
+    prev_rows, prev_cols = initial_lanes(config, index)
     init_rows = [list(r) for r in prev_rows]
     init_cols = [list(c) for c in prev_cols]
-    prev_offsets = [[0.0] * len(c) for c in prev_cols]
-    half = config.D_site / 2.0
+    prev = atom_lanes(placement, prev_rows, prev_cols)
 
     stages: list[Stage] = []
     overlap_rejections = 0
@@ -536,20 +532,10 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             accepted.pop()
             pins = _Pins()
             for _, pair in accepted:
-                rows, cols, _ = _gate_pins(pair, placement, config)
-                pins.rows.update(rows)
-                pins.cols.update(cols)
+                pins = pins.merged(_gate_pins(pair, placement, config))
         new_rows, new_cols, new_offsets = synth
-
-        distances = np.zeros(n)
-        for q, p in placement.items():
-            if p.array == 0:
-                continue
-            t = p.array - 1
-            dx = (new_cols[t][p.col] - prev_cols[t][p.col]) * half \
-                + new_offsets[t][p.col] - prev_offsets[t][p.col]
-            dy = (new_rows[t][p.row] - prev_rows[t][p.row]) * half
-            distances[q] = float(np.hypot(dx, dy))
+        lanes = atom_lanes(placement, new_rows, new_cols, new_offsets)
+        distances = move_distances(prev, lanes, config)
 
         stage = Stage(
             raman=raman_layers,
@@ -560,11 +546,14 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             distances_um=distances,
             move_time_s=config.T_per_move if (accepted or distances.any()) else 0.0,
         )
-        _audit_stage(stage, placement, config)
+        violations = stage_violations(atom_positions(lanes, config), stage.cz,
+                                      placement, config)
+        if violations:
+            raise RuntimeError(f"stage geometry violates separation: {violations[:4]}")
         stages.append(stage)
         for gi, _ in accepted:
             finish(gi)
-        prev_rows, prev_cols, prev_offsets = new_rows, new_cols, new_offsets
+        prev_rows, prev_cols, prev = new_rows, new_cols, lanes
 
     return Schedule(config, dict(placement), stages, list(routed.perm),
                     init_rows, init_cols, overlap_rejections)
@@ -630,7 +619,9 @@ def schedule_from_dict(d: dict) -> Schedule:
     placement = {q: AtomCoord(a, r, c)
                  for q, (a, r, c) in enumerate(d["placement"])}
     stages = []
-    for s in d["stages"]:
+    for k, s in enumerate(d["stages"]):
+        if len(s["distances_um"]) != len(placement):
+            raise ValueError(f"stage {k}: distances_um needs one entry per qubit")
         stages.append(Stage(
             raman=[[Gate("u", (int(q),), tuple(params)) for q, *params in layer]
                    for layer in s["raman"]],

@@ -1,13 +1,29 @@
-"""Exhaustive max k-cut: the exact reference the greedy partitioner is
-measured against in the tests (n <= 12).
+"""Max k-cut references the greedy partitioner is measured against in the
+tests: cut and total edge weights, and the exhaustive max k-cut (n <= 12).
 
-Enumerates every labelling with vertex 0 fixed in partition 0 (label
-permutations leave the cut value unchanged), in base-k counter order with
-vertex 1 as the least significant digit.  Ties keep the first labelling
-found.
+`kcut_exhaustive` enumerates every labelling with vertex 0 fixed in
+partition 0 (label permutations leave the cut value unchanged), in base-k
+counter order with vertex 1 as the least significant digit.  Ties keep the
+first labelling found.
 """
 
 import numpy as np
+
+
+def cut_value(weights, labels) -> float:
+    """Total weight of edges whose endpoints carry different labels."""
+    w = np.asarray(weights, dtype=np.float64)
+    lab = np.asarray(labels)
+    n = w.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    mask = lab[iu] != lab[ju]
+    return float(w[iu[mask], ju[mask]].sum())
+
+
+def total_weight(weights) -> float:
+    w = np.asarray(weights, dtype=np.float64)
+    iu, ju = np.triu_indices(w.shape[0], k=1)
+    return float(w[iu, ju].sum())
 
 
 def kcut_exhaustive(w, k, chunk=1 << 14):

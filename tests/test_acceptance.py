@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from atomique.arch import AtomCoord, load_config
-from atomique.array_mapper import cut_value, greedy_max_kcut
+from atomique.array_mapper import greedy_max_kcut
 from atomique.circuit import Circuit
 from atomique.fidelity import apply_schedule, delta_nvib, move_survival
 from atomique.oracle import equivalent_up_to_permutation
 from atomique.pipeline import compile_circuit
 from atomique.stage_router import Schedule, Stage, audit_schedule, schedule_to_circuit
 from atomique.workloads import WorkloadSpec, bv_secret
-from kcut_reference import kcut_exhaustive
+from kcut_reference import cut_value, kcut_exhaustive
 
 CFG, PARAMS = load_config({})
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

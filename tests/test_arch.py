@@ -7,12 +7,13 @@ from atomique.arch import (
     ArchConfig,
     AtomCoord,
     HardwareParams,
-    LaneModel,
     arch_to_dict,
+    atom_lanes,
     atom_positions,
     config_to_dict,
     load_config,
     min_separation_audit,
+    move_distances,
     slm_position,
 )
 
@@ -69,10 +70,32 @@ def test_hardware_validation():
 def test_atom_positions_mixed():
     cfg = ArchConfig()
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(1, 0, 0)}
-    lanes = LaneModel(row_y=[{0: 7.5}, {}], col_x=[{0: 22.5}, {}])
-    pos = atom_positions(placement, lanes, cfg)
+    lanes = atom_lanes(placement, [[1], [None]], [[3], [None]], [[-0.5], [0.0]])
+    assert lanes.tolist() == [[4.0, 0.0, 2.0], [3.0, -0.5, 1.0]]
+    pos = atom_positions(lanes, cfg)
     assert pos[0] == pytest.approx([30.0, 15.0])
-    assert pos[1] == pytest.approx([22.5, 7.5])
+    assert pos[1] == pytest.approx([22.0, 7.5])
+    # static sites sit exactly where slm_position puts them
+    assert tuple(pos[0]) == slm_position(1, 2, cfg)
+
+
+def test_atom_lanes_rejects_an_occupied_row_without_a_lane():
+    with pytest.raises(ValueError):
+        atom_lanes({0: AtomCoord(1, 0, 0)}, [[None]], [[1]])
+
+
+def test_move_distances_come_from_lane_deltas():
+    # D_site/2 = 8.15 is not dyadic: lane deltas times half-pitch and
+    # differences of positions round differently
+    cfg = ArchConfig(D_site=16.3)
+    placement = {0: AtomCoord(0, 0, 0), 1: AtomCoord(1, 0, 0)}
+    prev = atom_lanes(placement, [[7], [None]], [[1], [None]])
+    new = atom_lanes(placement, [[7], [None]], [[3], [None]], [[-0.5], [0.0]])
+    got = move_distances(prev, new, cfg)
+    assert got[0] == 0.0
+    assert got[1] == 2 * 8.15 - 0.5 == 15.8
+    moved = atom_positions(new, cfg) - atom_positions(prev, cfg)
+    assert np.hypot(*moved[1]) != got[1]
 
 
 def test_audit_clean_lattice():

@@ -5,12 +5,10 @@ from atomique.arch import ArchConfig
 from atomique.array_mapper import (
     assign_arrays,
     bind_partitions,
-    cut_value,
     greedy_max_kcut,
     partition_capacities,
-    total_weight,
 )
-from kcut_reference import kcut_exhaustive
+from kcut_reference import cut_value, kcut_exhaustive, total_weight
 
 
 def _sym(entries, n):

@@ -54,7 +54,8 @@ def test_parse_measure_ignored_with_warning():
 
 def test_parse_parameter_arithmetic():
     cases = {"pi/2": math.pi / 2, "-pi/4": -math.pi / 4,
-             "2*pi/3": 2 * math.pi / 3, "1e-3": 1e-3, "+3*0.5-1": 0.5}
+             "2*pi/3": 2 * math.pi / 3, "1e-3": 1e-3, "+3*0.5-1": 0.5,
+             "(1+2)*0.5": 1.5, "-(pi/(2+2))": -math.pi / 4}
     for expr, want in cases.items():
         c = parse_qasm(HEADER + f"qreg q[1];\nrz({expr}) q[0];\n")
         assert c.gates[0].params[2] == want, expr
@@ -66,6 +67,12 @@ def test_parse_rejects_power_at_once():
         with pytest.raises(ParseError):
             parse_qasm(HEADER + f"qreg q[1];\nrz({expr}) q[0];\n")
         assert time.perf_counter() - t0 < 1.0, expr
+    # many ')' and no arguments on the last line: matching the parameter
+    # list must not backtrack quadratically
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_qasm(HEADER + "qreg q[1];\nrz(" + ") y " * 20000 + "\nq\nq;\n")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_parse_error_line_number_in_long_file():

@@ -210,18 +210,6 @@ def test_move_time_override_rescales_heating_and_clock():
     assert rep_slow.F_mov_deco < rep_fast.F_mov_deco  # but decoheres longer
 
 
-def test_per_gate_time_flag_charges_each_gate():
-    circ = Circuit(3)
-    for q in range(3):
-        circ.add("u", (q,), (0.3, 0.0, 0.0))
-    res = compile_circuit(circ, CFG, PARAMS)
-    assert res.schedule.n_raman_layers == 1
-    _, by_layer = apply_schedule(res.schedule, PARAMS)
-    _, by_gate = apply_schedule(res.schedule, PARAMS, per_gate_time=True)
-    assert by_layer.T_1Q_total == pytest.approx(PARAMS.t_1Q)
-    assert by_gate.T_1Q_total == pytest.approx(3 * PARAMS.t_1Q)
-
-
 def test_transfer_operations_scored_for_external_schedules():
     report, ledger = apply_schedule(one_move_schedule(10), PARAMS, n_transfer=3)
     assert ledger.T_transfer_total == pytest.approx(3 * PARAMS.T_transfer)

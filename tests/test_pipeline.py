@@ -209,6 +209,22 @@ def test_audit_command_flags_corrupted_geometry(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_audit_command_flags_a_changed_move_distance(tmp_path, capsys):
+    qasm = write_benchmark(tmp_path)
+    out = tmp_path / "out"
+    main(["compile", str(qasm), "-o", str(out)])
+    doc = json.loads((out / "schedule.json").read_text())
+    moving = next(s for s in doc["stages"] if any(s["distances_um"]))
+    q = next(q for q, d in enumerate(moving["distances_um"]) if d)
+    moving["distances_um"][q] += 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["audit", str(bad)])
+    assert rc == 1
+    text = capsys.readouterr().out
+    assert f"atom {q} distances_um" in text and "1 violation(s)" in text
+
+
 def test_check_command_verifies_unitary(tmp_path, capsys):
     qasm = write_benchmark(tmp_path)
     assert main(["check", str(qasm)]) == 0

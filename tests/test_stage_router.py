@@ -1,12 +1,19 @@
 """Movement scheduling: lane assignment, parallel gate selection, stages."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from atomique.arch import AtomCoord, load_config, min_separation_audit
+from atomique.arch import (
+    AtomCoord,
+    atom_lanes,
+    atom_positions,
+    load_config,
+    min_separation_audit,
+)
 from atomique.circuit import Circuit
 from atomique.pipeline import compile_circuit
 from atomique.swap_router import RoutedCircuit
@@ -14,6 +21,7 @@ from atomique.stage_router import (
     Schedule,
     _ArrayIndex,
     _Pins,
+    _gate_pins,
     _order_ok,
     audit_schedule,
     initial_lanes,
@@ -49,7 +57,7 @@ def as_routed(circ, placement):
 
 def test_initial_lanes_first_movable_row_parks_above_lattice_row():
     cfg = small_config()
-    rows, cols = initial_lanes(cfg, {0: AtomCoord(1, 0, 0)})
+    rows, cols = initial_lanes(cfg, _ArrayIndex({0: AtomCoord(1, 0, 0)}, cfg))
     assert rows[0][0] == 1
     assert rows[0][0] * cfg.D_site / 2 == pytest.approx(0.5 * cfg.D_site)
     assert cols[0][0] == 1
@@ -57,7 +65,7 @@ def test_initial_lanes_first_movable_row_parks_above_lattice_row():
 
 def test_initial_lanes_second_array_stacked_past_the_first():
     cfg = small_config(n_aod=2, rows=10)
-    rows, cols = initial_lanes(cfg, {0: AtomCoord(2, 0, 0)})
+    rows, cols = initial_lanes(cfg, _ArrayIndex({0: AtomCoord(2, 0, 0)}, cfg))
     y = rows[1][0] * cfg.D_site / 2
     assert y == pytest.approx(0.5 * cfg.D_site + 10 * cfg.D_site)
     assert cols[1][0] == 21
@@ -66,7 +74,7 @@ def test_initial_lanes_second_array_stacked_past_the_first():
 def test_initial_lanes_only_occupied_slots_get_lanes():
     cfg = small_config()
     placement = {0: AtomCoord(1, 2, 5)}
-    rows, cols = initial_lanes(cfg, placement)
+    rows, cols = initial_lanes(cfg, _ArrayIndex(placement, cfg))
     assert rows[0][2] == 5 and cols[0][5] == 11
     assert all(l is None for i, l in enumerate(rows[0]) if i != 2)
 
@@ -81,15 +89,8 @@ def test_initial_positions_pass_separation_audit():
     # raman-free, gate-free circuit: whatever stages exist must be clean,
     # and the parked starting geometry itself must be clean too
     assert audit_schedule(sched) == []
-    from atomique.arch import LaneModel, atom_positions
-
-    half = cfg.D_site / 2
-    rows, cols = initial_lanes(cfg, placement)
-    lanes = LaneModel(
-        [{r: l * half for r, l in enumerate(rs) if l is not None} for rs in rows],
-        [{c: l * half for c, l in enumerate(cs) if l is not None} for cs in cols],
-    )
-    pos = atom_positions(placement, lanes, cfg)
+    lanes = atom_lanes(placement, sched.initial_row_lanes, sched.initial_col_lanes)
+    pos = atom_positions(lanes, cfg)
     assert min_separation_audit(pos, [], cfg) == []
 
 
@@ -276,6 +277,26 @@ def test_candidates_with_more_descendants_go_first():
     assert sched2.stages[0].cz == [(2, 0)]
 
 
+def test_a_column_pinned_to_its_lane_with_another_offset_conflicts():
+    # column 1 of AOD 2 meets AOD 1 (offset +delta/2) and AOD 3 (offset
+    # -delta/2) on the same dual lane: the two gates cannot share a stage
+    cfg = small_config(n_aod=3)
+    placement = {0: AtomCoord(1, 0, 1), 1: AtomCoord(2, 0, 1),
+                 2: AtomCoord(2, 1, 1), 3: AtomCoord(3, 1, 1)}
+    first = _gate_pins((0, 1), placement, cfg)
+    second = _gate_pins((2, 3), placement, cfg)
+    assert first.cols[(1, 1)] == second.cols[(1, 1)] == 3
+    assert first.offsets[(1, 1)] != second.offsets[(1, 1)]
+    assert first.conflicts(second) and second.conflicts(first)
+    assert not first.conflicts(_gate_pins((0, 1), placement, cfg))
+    circ = Circuit(4)
+    circ.add("cz", (0, 1))
+    circ.add("cz", (2, 3))
+    sched = route(as_routed(circ, placement), placement, cfg)
+    assert sched.depth == 2
+    assert audit_schedule(sched) == []
+
+
 # ---------------------------------------------------------------------------
 # motion synthesis
 # ---------------------------------------------------------------------------
@@ -284,8 +305,8 @@ def test_candidates_with_more_descendants_go_first():
 def test_no_pins_keeps_every_lane():
     cfg = small_config()
     placement = {0: AtomCoord(1, 0, 0), 1: AtomCoord(1, 3, 2)}
-    prev_rows, prev_cols = initial_lanes(cfg, placement)
     idx = _ArrayIndex(placement, cfg)
+    prev_rows, prev_cols = initial_lanes(cfg, idx)
     rows, cols, offs = synthesize_motion(_Pins(), prev_rows, prev_cols, idx, cfg)
     assert rows == [list(r) for r in prev_rows]
     assert cols == [list(c) for c in prev_cols]
@@ -295,8 +316,8 @@ def test_no_pins_keeps_every_lane():
 def test_single_row_pin_moves_exactly_one_cell():
     cfg = small_config()
     placement = {0: AtomCoord(1, 0, 0)}
-    prev_rows, prev_cols = initial_lanes(cfg, placement)
     idx = _ArrayIndex(placement, cfg)
+    prev_rows, prev_cols = initial_lanes(cfg, idx)
     pins = _Pins()
     pins.rows[(0, 0)] = prev_rows[0][0] + 2
     rows, cols, _ = synthesize_motion(pins, prev_rows, prev_cols, idx, cfg)
@@ -308,8 +329,8 @@ def test_single_row_pin_moves_exactly_one_cell():
 def test_parked_rows_that_cannot_fit_report_infeasible():
     cfg = small_config()
     placement = {q: AtomCoord(1, q, 0) for q in range(4)}
-    prev_rows, prev_cols = initial_lanes(cfg, placement)
     idx = _ArrayIndex(placement, cfg)
+    prev_rows, prev_cols = initial_lanes(cfg, idx)
     pins = _Pins()
     pins.rows[(0, 0)] = 2
     pins.rows[(0, 3)] = 4  # rows 1 and 2 must park on the lone lane between
@@ -407,6 +428,30 @@ def test_every_stage_passes_the_separation_audit():
         cfg, params = load_config({})
         res = compile_circuit(circ, cfg, params, seed=seed)
         assert audit_schedule(res.schedule) == []
+
+
+@pytest.mark.parametrize("d_site", [15.0, 16.3])
+def test_stored_move_distances_match_the_lanes(d_site):
+    # at 16.3 um the half pitch is not dyadic, so distances taken from
+    # differences of positions would miss the lane deltas in the last bits
+    circ = WorkloadSpec("qaoa-rand", 20, seed=1).generate()
+    cfg, params = load_config({"D_site": d_site})
+    res = compile_circuit(circ, cfg, params, seed=1)
+    assert audit_schedule(res.schedule) == []
+    back = schedule_from_dict(json.loads(json.dumps(schedule_to_dict(res.schedule))))
+    assert audit_schedule(back) == []
+
+
+def test_audit_reports_a_stored_distance_off_by_one_bit():
+    circ = WorkloadSpec("qaoa-rand", 10, seed=2).generate()
+    cfg, params = load_config({})
+    sched = compile_circuit(circ, cfg, params).schedule
+    k, stage = next((k, s) for k, s in enumerate(sched.stages) if s.distances_um.any())
+    q = int(np.flatnonzero(stage.distances_um)[0])
+    stage.distances_um[q] = np.nextafter(stage.distances_um[q], np.inf)
+    [(k_found, finding)] = audit_schedule(sched)
+    assert k_found == k and finding.q == q
+    assert finding.stored_um == stage.distances_um[q] != finding.lanes_um
 
 
 def test_routing_is_deterministic():
