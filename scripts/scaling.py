@@ -1,0 +1,111 @@
+"""Scaling baseline: best-of-k compile and audit wall times on a fixed grid.
+
+    python3 scripts/scaling.py --label after      # into BENCH_scaling.json
+    python3 scripts/scaling.py --label before -o /path/to/BENCH_scaling.json
+
+The program is imported from the ``src/`` next to this script.  Each grid
+point generates one seeded circuit (seed 0) on d x d SLM and AOD arrays,
+d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit`` and then
+``audit_schedule`` on the compiled schedule, k times each (k = 3 up to 300
+qubits, 1 above), keeping the fastest.  Every compile must give the same
+schedule, whose sha256 (of its sorted-key JSON) is recorded with the
+audit's finding count, so runs of two versions can be checked for equal
+output.  The process pins itself to one CPU, the highest-numbered one it
+may use.
+
+The run is stored under ``runs[<label>]`` of the output file; other labels
+already in the file are kept, so one file holds a before/after pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from atomique.arch import ArchConfig  # noqa: E402
+from atomique.pipeline import compile_circuit  # noqa: E402
+from atomique.stage_router import audit_schedule, schedule_to_dict  # noqa: E402
+from atomique.workloads import WorkloadSpec  # noqa: E402
+
+# (family, generator keywords, qubit counts)
+GRID = [
+    ("qaoa-regular", {"d": 3}, (40, 100, 300, 600, 1000)),
+    ("bv", {}, (40, 100, 300, 600, 1000)),
+    ("qsim-rand", {}, (40, 100, 300)),
+    ("qaoa-rand", {"p": 0.5}, (40, 100)),
+]
+
+
+def best_of(k: int, fn):
+    """(fastest wall time in s, list of the k results)."""
+    times, results = [], []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        results.append(fn())
+        times.append(time.perf_counter() - t0)
+    return min(times), results
+
+
+def run_point(family: str, kwargs: dict, n: int) -> dict:
+    d = max(10, math.ceil(math.sqrt(n / 3)))
+    config = ArchConfig(slm_rows=d, slm_cols=d, aod_rows=(d, d), aod_cols=(d, d))
+    circuit = WorkloadSpec(family, n, seed=0, **kwargs).generate()
+    k = 3 if n <= 300 else 1
+    compile_s, compiled = best_of(k, lambda: compile_circuit(circuit, config, seed=0))
+    hashes = {hashlib.sha256(json.dumps(schedule_to_dict(r.schedule), sort_keys=True)
+                             .encode()).hexdigest() for r in compiled}
+    if len(hashes) != 1:
+        raise RuntimeError(f"{family} n={n}: repeated compiles gave different schedules")
+    schedule = compiled[0].schedule
+    audit_s, audits = best_of(k, lambda: audit_schedule(schedule))
+    return {
+        "family": family, **kwargs, "n": n, "array_side": d, "k": k,
+        "compile_s": round(compile_s, 4), "audit_s": round(audit_s, 4),
+        "stages": len(schedule.stages), "audit_findings": len(audits[0]),
+        "schedule_sha256": hashes.pop(),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("-o", "--output", default=str(ROOT / "BENCH_scaling.json"))
+    args = ap.parse_args(argv)
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    points = []
+    for family, kwargs, sizes in GRID:
+        for n in sizes:
+            points.append(run_point(family, kwargs, n))
+            p = points[-1]
+            print(f"{family:13s} n={n:5d} d={p['array_side']:3d} k={p['k']} "
+                  f"compile {p['compile_s']:9.3f} s  audit {p['audit_s']:8.3f} s  "
+                  f"{p['schedule_sha256'][:12]}", flush=True)
+    out = Path(args.output)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "pinned_cpus": 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "points": points,
+    }
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out} [runs.{args.label}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,9 +72,6 @@ class ArchConfig:
     def n_arrays(self) -> int:
         return self.n_aod + 1
 
-    def total_capacity(self) -> int:
-        return sum(self.array_capacity(a) for a in range(self.n_arrays))
-
 
 def _per_aod(value, n_aod: int, key: str) -> tuple[int, ...]:
     if isinstance(value, int):
@@ -165,13 +162,6 @@ def arch_to_dict(arch: ArchConfig) -> dict:
     return out
 
 
-def config_to_dict(arch: ArchConfig, hw: HardwareParams) -> dict:
-    out = arch_to_dict(arch)
-    for f in fields(HardwareParams):
-        out["lambda" if f.name == "lam" else f.name] = getattr(hw, f.name)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coordinates
 # ---------------------------------------------------------------------------
@@ -195,7 +185,9 @@ def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
 
     A static site (row, col) sits on the gate lanes (2 col, 0, 2 row); an
     AOD atom takes its row's and column's lane from the per-AOD lists, and
-    its column's offset (zero when `col_offsets` is None).
+    its column's offset (zero when `col_offsets` is None).  Raises
+    ValueError when an occupied row or column has no lane (None) or a lane
+    or offset is not finite.
     """
     flat = []  # one flat list: numpy converts it much faster than tuples
     for q in range(len(placement)):
@@ -207,8 +199,9 @@ def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
             off = col_offsets[t][p.col] if col_offsets is not None else 0.0
             flat += (col_lanes[t][p.col], off, row_lanes[t][p.row])
     lanes = np.array(flat, dtype=np.float64).reshape(-1, 3)
-    if np.isnan(lanes).any():  # a None lane
-        raise ValueError("an occupied AOD row or column has no lane")
+    if not np.isfinite(lanes).all():  # a None lane is NaN here
+        raise ValueError("an occupied AOD row or column has no lane, "
+                         "or a lane or offset that is not finite")
     return lanes
 
 
@@ -249,7 +242,8 @@ def min_separation_audit(
     """Report every pair violating the continuous-space separation rule.
 
     Intended pairs must sit closer than r_b; every other pair must be at
-    least 2.5 * r_b apart.  Reports, never raises.
+    least 2.5 * r_b apart.  Violations are reported, not raised; a
+    non-finite position, where distances mean nothing, raises ValueError.
     """
     m = len(positions)
     partner = np.full(m, -1, np.int64)

@@ -1,4 +1,6 @@
 import json
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from atomique.arch import (
     arch_to_dict,
     atom_lanes,
     atom_positions,
-    config_to_dict,
     load_config,
     min_separation_audit,
     move_distances,
@@ -18,11 +19,23 @@ from atomique.arch import (
 )
 
 
+def total_capacity(cfg: ArchConfig) -> int:
+    return sum(cfg.array_capacity(a) for a in range(cfg.n_arrays))
+
+
+def config_to_dict(arch: ArchConfig, hw: HardwareParams) -> dict:
+    """One JSON-ready dict for both dataclasses, as `load_config` reads it."""
+    out = arch_to_dict(arch)
+    for f in fields(HardwareParams):
+        out["lambda" if f.name == "lam" else f.name] = getattr(hw, f.name)
+    return out
+
+
 def test_defaults_valid():
     cfg = ArchConfig()
     assert cfg.n_arrays == 3
     assert cfg.s_min == pytest.approx(6.25)
-    assert cfg.total_capacity() == 300
+    assert total_capacity(cfg) == 300
 
 
 def test_slm_positions():
@@ -84,6 +97,15 @@ def test_atom_lanes_rejects_an_occupied_row_without_a_lane():
         atom_lanes({0: AtomCoord(1, 0, 0)}, [[None]], [[1]])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_atom_lanes_rejects_a_lane_or_offset_that_is_not_finite(bad):
+    placement = {0: AtomCoord(1, 0, 0)}
+    for rows, cols, offsets in (([[bad]], [[1]], None), ([[1]], [[bad]], None),
+                                ([[1]], [[1]], [[bad]])):
+        with pytest.raises(ValueError, match="not finite"):
+            atom_lanes(placement, rows, cols, offsets)
+
+
 def test_move_distances_come_from_lane_deltas():
     # D_site/2 = 8.15 is not dyadic: lane deltas times half-pitch and
     # differences of positions round differently
@@ -129,6 +151,22 @@ def test_audit_reports_never_raises():
     pos = np.zeros((4, 2))  # everything stacked at the origin
     out = min_separation_audit(pos, [], cfg)
     assert len(out) == 6
+
+
+@pytest.mark.parametrize("far", [1e300, -1e18])
+def test_audit_finds_a_coincident_pair_beside_a_huge_position(far):
+    cfg = ArchConfig()
+    pos = np.array([[30.0, 15.0], [far, far], [30.0, 15.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in the cell keys
+        out = min_separation_audit(pos, [], cfg)
+    assert [(v.i, v.j, v.distance_um, v.kind) for v in out] == [(0, 2, 0.0, "too_close")]
+
+
+def test_audit_raises_on_a_position_that_is_not_finite():
+    cfg = ArchConfig()
+    with pytest.raises(ValueError, match="finite"):
+        min_separation_audit(np.array([[0.0, 0.0], [np.inf, 0.0]]), [(0, 1)], cfg)
 
 
 def test_load_config_roundtrip(tmp_path):

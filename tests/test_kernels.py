@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from atomique.kernels import separation_scan
 from kcut_reference import kcut_exhaustive
+from scan_reference import dense_separation_scan
 
 R_B, S_MIN = 2.5, 6.25
 
@@ -86,6 +87,93 @@ def test_scan_matches_double_loop(geometry):
     i, j, d, k = separation_scan(pos, partner, R_B, S_MIN)
     got = list(zip(i.tolist(), j.tolist(), d.tolist(), k.tolist()))
     assert got == reference_scan(pos.tolist(), partner.tolist(), R_B, S_MIN)
+
+
+def assert_same_findings(got, want):
+    """Equal indices, kinds and distances, bit for bit and dtype for dtype."""
+    assert [a.dtype for a in got] == [np.dtype(t) for t in ("int64", "int64", "float64", "int64")]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+ULP_SEPARATIONS = [S_MIN, np.nextafter(S_MIN, 0.0), np.nextafter(S_MIN, np.inf),
+                   R_B, np.nextafter(R_B, 0.0), np.nextafter(R_B, np.inf)]
+DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (math.sqrt(0.5), math.sqrt(0.5)),
+              (-math.sqrt(0.5), math.sqrt(0.5))]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=["x", "y", "diag", "antidiag"])
+@pytest.mark.parametrize("sep", ULP_SEPARATIONS,
+                         ids=["s_min", "s_min-ulp", "s_min+ulp", "r_b", "r_b-ulp", "r_b+ulp"])
+def test_scan_boundary_separations_straddling_cells(direction, sep):
+    # the first atom sits on, or a hair either side of, a multiple of s_min
+    # (where cells of side about s_min have their edges), at small and
+    # large coordinates; one copy of the pair is intended, one is not
+    ux, uy = direction
+    found = 0
+    for k in (-3, -1, 0, 1, 2, 7, 1000, 2**19, 2**21):
+        for eps in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6, 0.5 * S_MIN):
+            x0 = k * S_MIN + eps
+            a = [x0, x0 * 0.5]
+            b = [a[0] + sep * ux, a[1] + sep * uy]
+            pos = np.array([a, b, [a[0] + 100.0, a[1]], [b[0] + 100.0, b[1]]])
+            partner = np.array([1, 0, -1, -1], np.int64)
+            got = separation_scan(pos, partner, R_B, S_MIN)
+            assert_same_findings(got, dense_separation_scan(pos, partner, R_B, S_MIN))
+            found += got[0].size
+    assert found > 0
+
+
+def test_scan_cell_with_many_coincident_atoms():
+    # a relaxed C3 lets rows of one AOD share a lane: several atoms on one point
+    pos = np.array([[30.0, 15.0]] * 4 + [[30.0, 22.5], [37.5, 15.0], [30.5, 15.0]])
+    partner = np.array([6, -1, -1, -1, -1, -1, 0], np.int64)
+    got = separation_scan(pos, partner, R_B, S_MIN)
+    assert_same_findings(got, dense_separation_scan(pos, partner, R_B, S_MIN))
+    pairs = list(zip(got[0].tolist(), got[1].tolist(), got[2].tolist()))
+    assert [(i, j) for i, j, d in pairs if d == 0.0] == [(0, 1), (0, 2), (0, 3),
+                                                          (1, 2), (1, 3), (2, 3)]
+    assert (0, 6) not in [(i, j) for i, j, _ in pairs]  # intended, 0.5 um apart
+    assert {(i, 6) for i in (1, 2, 3)} <= {(i, j) for i, j, _ in pairs}
+
+
+def test_scan_matches_all_pairs_on_a_600_atom_lattice_stage():
+    # 600 atoms on the 7.5 um half-pitch lanes: intended pairs drawn at
+    # random, most moved to the 0.5 um gate offset and the rest left where
+    # they are (far apart), and a few atoms moved onto or next to another
+    rng = np.random.default_rng(0)
+    pos = np.array([[7.5 * x, 7.5 * y] for x in range(30) for y in range(20)])
+    m = len(pos)
+    partner = np.full(m, -1, np.int64)
+    order = rng.permutation(m)
+    for a, b in zip(order[0:240:2], order[1:240:2]):
+        partner[a], partner[b] = b, a
+        if rng.random() < 0.8:
+            pos[b] = pos[a] + [0.5, 0.0]
+    for q in order[240:260]:
+        pos[q] = pos[rng.integers(m)] + rng.choice([0.0, 3.0, 6.0], 2)
+    got = separation_scan(pos, partner, R_B, S_MIN)
+    assert_same_findings(got, dense_separation_scan(pos, partner, R_B, S_MIN))
+    assert set(got[3].tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("far", [1e300, -1e300, 1e18, -1e18, 2.0**62])
+def test_scan_huge_positions_match_all_pairs(far):
+    pos = np.array([[0.0, 0.0], [far, 0.0], [0.0, 0.0], [far, far], [far, far + 1.0],
+                    [0.0, far]])
+    partner = np.array([-1, 5, -1, -1, -1, -1], np.int64)
+    with np.errstate(over="ignore"):  # both square the intended pair's huge gap
+        want = dense_separation_scan(pos, partner, R_B, S_MIN)
+        got = separation_scan(pos, partner, R_B, S_MIN)
+    assert_same_findings(got, want)
+    assert (0, 2) in zip(want[0].tolist(), want[1].tolist())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_rejects_positions_that_are_not_finite(bad):
+    pos = np.array([[0.0, 0.0], [0.0, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        separation_scan(pos, np.full(3, -1, np.int64), R_B, S_MIN)
 
 
 def test_scan_empty_and_single():

@@ -225,6 +225,26 @@ def test_audit_command_flags_a_changed_move_distance(tmp_path, capsys):
     assert f"atom {q} distances_um" in text and "1 violation(s)" in text
 
 
+def test_audit_command_fails_on_an_offset_that_is_not_finite(tmp_path, capsys):
+    qasm = write_benchmark(tmp_path)
+    out = tmp_path / "out"
+    main(["compile", str(qasm), "-o", str(out)])
+    text = (out / "schedule.json").read_text()
+    doc = json.loads(text)
+    array, _, col = next(p for p in doc["placement"] if p[0] > 0)  # an AOD atom
+    doc["stages"][0]["aod"][array - 1]["col_offsets_um"][col] = float("inf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # Python writes it as Infinity
+    assert "Infinity" in bad.read_text()
+    capsys.readouterr()
+    rc = main(["audit", str(bad)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+
+
 def test_check_command_verifies_unitary(tmp_path, capsys):
     qasm = write_benchmark(tmp_path)
     assert main(["check", str(qasm)]) == 0
