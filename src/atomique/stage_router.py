@@ -20,6 +20,7 @@ min-separation audit remains the ground truth and is run on every stage.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,27 +124,38 @@ def _odd_between(lo: int, hi: int) -> int:
 
 def _assign_park_lanes(old, lanes):
     """Order-preserving assignment of rows (with previous lanes `old`) onto
-    the sorted candidate `lanes`, minimizing total |shift|; None if they
-    don't fit."""
+    the sorted, distinct candidate `lanes`, minimizing total |shift|; None
+    if they don't fit.
+
+    Rows that all keep their lanes are the unique zero-cost assignment.
+    Otherwise a DP over (row i, lane j) fills only the band j - i in
+    [0, m - k]: the backtrack reads no other cell, since i rows must fit
+    below row i's lane and k - 1 - i above it.  Costs are integers, so
+    ties, and with them the backtrack's choices, are those of the full
+    table.
+    """
     k, m = len(old), len(lanes)
     if k > m:
         return None
-    inf = float("inf")
-    dp = [[inf] * (m + 1) for _ in range(k + 1)]
-    for j in range(m + 1):
-        dp[0][j] = 0.0
-    for i in range(1, k + 1):
-        for j in range(i, m + 1):
-            skip = dp[i][j - 1]
-            take = dp[i - 1][j - 1] + abs(lanes[j - 1] - old[i - 1])
-            dp[i][j] = take if take < skip else skip
+    if all(a < b for a, b in zip(old, old[1:])) and set(old) <= set(lanes):
+        return list(old)
+    # table[i][d]: least cost of rows < i on lanes < i + d  (band offset d)
+    width = m - k + 1
+    table = [[0] * width]
+    for i, o in enumerate(old):
+        below, row, best = table[-1], [], None
+        for d in range(width):
+            take = below[d] + abs(lanes[i + d] - o)
+            best = take if best is None or take < best else best
+            row.append(best)
+        table.append(row)
     out = [0] * k
-    j = m
+    d = width - 1
     for i in range(k, 0, -1):
-        while dp[i][j] == dp[i][j - 1]:
-            j -= 1
-        out[i - 1] = lanes[j - 1]
-        j -= 1
+        row = table[i]
+        while d and row[d] == row[d - 1]:
+            d -= 1
+        out[i - 1] = lanes[i - 1 + d]
     return out
 
 
@@ -160,14 +172,6 @@ class _Pins:
         self.rows: dict[tuple[int, int], int] = rows or {}
         self.cols: dict[tuple[int, int], int] = cols or {}
         self.offsets: dict[tuple[int, int], float] = offsets or {}
-
-    def conflicts(self, other: "_Pins") -> bool:
-        """True if `other` binds an already pinned row or column to a
-        different lane or offset."""
-        return any(mine.get(k, v) != v
-                   for mine, theirs in ((self.rows, other.rows), (self.cols, other.cols),
-                                        (self.offsets, other.offsets))
-                   for k, v in theirs.items())
 
     def merged(self, other: "_Pins") -> "_Pins":
         return _Pins({**self.rows, **other.rows}, {**self.cols, **other.cols},
@@ -218,84 +222,106 @@ class _ArrayIndex:
 # ---------------------------------------------------------------------------
 
 
-def _order_ok(pins: dict, t: int, indices, relaxed) -> str | None:
-    """Check C2/C3 over one array's pinned lanes; returns the violated
-    constraint name or None."""
-    lanes = [(i, pins[(t, i)]) for i in indices if (t, i) in pins]
-    lanes.sort()
-    for (_, la), (_, lb) in zip(lanes, lanes[1:]):
-        if la == lb and "C3" not in relaxed:
-            return "C3"
-        if la > lb and "C2" not in relaxed:
-            return "C2"
-    # once C2 lets pins reorder, equal lanes need not be index-adjacent
-    if "C3" not in relaxed and len({lane for _, lane in lanes}) < len(lanes):
-        return "C3"
-    return None
-
-
-def _cells_ok(row_pins, col_pins, index: _ArrayIndex, intended) -> bool:
-    """C1: every implied gate-cell cohabitation must be an intended pair."""
-    occupants: dict[tuple[int, int], list[int]] = {}
-    for (t, r), lane_r in row_pins.items():
-        for (t2, c), lane_c in col_pins.items():
-            if t2 != t:
-                continue
-            q = index.occ[t].get((r, c))
-            if q is not None:
-                occupants.setdefault((lane_r, lane_c), []).append(q)
-    for cell, atoms in occupants.items():
-        slm_q = index.slm_cells.get(cell)
-        if slm_q is not None:
-            atoms = atoms + [slm_q]
-        if len(atoms) > 2:
-            return False
-        if len(atoms) == 2 and frozenset(atoms) not in intended:
-            return False
-    return True
-
-
-def _parkable(pins: dict, t: int, occupied, relaxed) -> bool:
-    """Pigeonhole check: unpinned occupied indices must fit on odd lanes
-    strictly between consecutive pinned anchors."""
-    anchors = sorted((i, pins[(t, i)]) for i in occupied if (t, i) in pins)
-    for (ia, la), (ib, lb) in zip(anchors, anchors[1:]):
-        between = sum(1 for i in occupied if ia < i < ib and (t, i) not in pins)
-        lo, hi = (la, lb) if la <= lb else (lb, la)
-        if between > _odd_between(lo, hi):
-            return False
-    return True
-
-
 def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
-                          config: ArchConfig, desc_count, serial: bool = False):
+                          config: ArchConfig, desc_count, serial: bool = False,
+                          gate_pins: dict | None = None):
     """Greedy maximal legal parallel CZ set.
 
     `front` holds (gate_index, (a, b)) for every ready CZ.  Candidates are
     tried by descending DAG-descendant count (ties: lower gate index); each
     either merges its lane pins into the stage or is rejected back to the
-    next stage.  Returns (accepted list of (gate_index, pair), pins,
+    next stage.  `gate_pins` memoizes `_gate_pins` by gate index across
+    calls.  Returns (accepted list of (gate_index, pair), pins,
     C3 rejections).
+
+    The accepted pins always satisfy every enabled constraint, so a
+    candidate is checked only against what it adds: at most one new pin
+    per (array, axis), since a CZ touches one row and one column of each of
+    its at most two AODs.  The stage keeps, per (array, axis), the sorted
+    pinned indices and the set of pinned lanes, plus the AOD atoms on each
+    gate cell.  Then
+      (a) pin conflicts are dict lookups over the gate's keys;
+      (b) C2/C3 compare the new lane with its index neighbours' lanes
+          (with C2 relaxed, C3 is lane-set membership), first violation
+          in (array, rows-before-columns) order, as a whole-array scan
+          would report it;
+      (c) C1 checks only the cells the new pins create: a new row times
+          its array's pinned columns, pinned rows times a new column;
+      (d) the pigeonhole check covers the two gaps beside each new anchor.
     """
     relaxed = config.relaxed
+    check_c1 = "C1" not in relaxed
+    strict_c2, strict_c3 = "C2" not in relaxed, "C3" not in relaxed
+    if gate_pins is None:
+        gate_pins = {}
     order = sorted(front, key=lambda fg: (-desc_count[fg[0]], fg[0]))
     pins = _Pins()
+    axis_pins = (pins.rows, pins.cols)
+    occupied = (index.occ_rows, index.occ_cols)
+    # axis (0 rows, 1 columns) -> array -> sorted pinned indices / lane set
+    pinned = tuple([[] for _ in range(config.n_aod)] for _ in range(2))
+    pinned_lanes = tuple([set() for _ in range(config.n_aod)] for _ in range(2))
+    cells: dict[tuple[int, int], list[int]] = {}  # gate cell -> AOD atoms on it
     accepted: list[tuple[int, tuple[int, int]]] = []
     intended: set[frozenset] = set()
     overlap_rejections = 0
 
+    def order_verdict(axis, t, i, lane, at):
+        """C2/C3 verdict of pinning index i of (t, axis) to `lane`; `at`
+        is i's insertion point in the pinned list."""
+        if not strict_c2:
+            return "C3" if strict_c3 and lane in pinned_lanes[axis][t] else None
+        plist, lanes = pinned[axis][t], axis_pins[axis]
+        pairs = []
+        if at:
+            pairs.append((lanes[(t, plist[at - 1])], lane))
+        if at < len(plist):
+            pairs.append((lane, lanes[(t, plist[at])]))
+        for la, lb in pairs:
+            if la == lb and strict_c3:
+                return "C3"
+            if la > lb:
+                return "C2"
+        return None
+
+    def gaps_fit(axis, t, i, lane, at) -> bool:
+        """Pigeonhole: the occupied indices between the new anchor and
+        each pinned neighbour fit on the odd lanes between their lanes."""
+        plist, occ = pinned[axis][t], occupied[axis][t]
+        for j in (plist[at - 1] if at else None,
+                  plist[at] if at < len(plist) else None):
+            if j is None:
+                continue
+            lo_i, hi_i = (j, i) if j < i else (i, j)
+            between = bisect_left(occ, hi_i) - bisect_right(occ, lo_i)
+            lj = axis_pins[axis][(t, j)]
+            if between > _odd_between(min(lane, lj), max(lane, lj)):
+                return False
+        return True
+
     for gi, pair in order:
-        gate = _gate_pins(pair, placement, config)
-        # (a) a row/col already pinned to a different lane or offset
-        if pins.conflicts(gate):
+        gate = gate_pins.get(gi)
+        if gate is None:
+            gate = gate_pins[gi] = _gate_pins(pair, placement, config)
+        # (a) a row/col already pinned to a different lane or offset; the
+        # others are new pins: (array, axis, index, lane, insertion point)
+        new, clash = [], False
+        for axis, theirs in enumerate((gate.rows, gate.cols)):
+            mine = axis_pins[axis]
+            for key, lane in theirs.items():
+                have = mine.get(key)
+                if have is None:
+                    t, i = key
+                    new.append((t, axis, i, lane, bisect_left(pinned[axis][t], i)))
+                elif have != lane or (axis and pins.offsets[key] != gate.offsets[key]):
+                    clash = True
+        if clash:
             continue
-        trial = pins.merged(gate)
-        # (b) per-array strict lane order
+        new.sort()
+        # (b) per-array lane order
         verdict = None
-        touched = {t for t, _ in (*gate.rows, *gate.cols)}
-        for t in sorted(touched):
-            verdict = (_order_ok(trial.rows, t, index.occ_rows[t], relaxed)
-                       or _order_ok(trial.cols, t, index.occ_cols[t], relaxed))
+        for t, axis, i, lane, at in new:
+            verdict = order_verdict(axis, t, i, lane, at)
             if verdict:
                 break
         if verdict:
@@ -303,15 +329,50 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
                 overlap_rejections += 1
             continue
         # (c) cell exclusivity against static atoms and other arrays
-        if "C1" not in relaxed and not _cells_ok(
-                trial.rows, trial.cols, index, intended | {frozenset(pair)}):
-            continue
+        if check_c1:
+            added: dict[tuple[int, int], list[int]] = {}
+            new_row = {}  # array -> this gate's new (row, lane) there
+            for t, axis, i, lane, _ in new:
+                occ = index.occ[t]
+                if axis == 0:
+                    new_row[t] = (i, lane)
+                    for c in pinned[1][t]:
+                        q = occ.get((i, c))
+                        if q is not None:
+                            added.setdefault((lane, pins.cols[(t, c)]), []).append(q)
+                    continue
+                rows = [(r, pins.rows[(t, r)]) for r in pinned[0][t]]
+                if t in new_row:
+                    rows.append(new_row[t])
+                for r, lane_r in rows:
+                    q = occ.get((r, i))
+                    if q is not None:
+                        added.setdefault((lane_r, lane), []).append(q)
+            pair_set = frozenset(pair)
+            clash = False
+            for cell, atoms in added.items():
+                atoms = cells.get(cell, []) + atoms
+                slm_q = index.slm_cells.get(cell)
+                if slm_q is not None:
+                    atoms.append(slm_q)
+                if len(atoms) > 2 or (len(atoms) == 2 and frozenset(atoms) != pair_set
+                                      and frozenset(atoms) not in intended):
+                    clash = True
+                    break
+            if clash:
+                continue
         # (d) parked rows must still fit between the anchors
-        if not all(_parkable(trial.rows, t, index.occ_rows[t], relaxed)
-                   and _parkable(trial.cols, t, index.occ_cols[t], relaxed)
-                   for t in sorted(touched)):
+        if not all(gaps_fit(axis, t, i, lane, at) for t, axis, i, lane, at in new):
             continue
-        pins = trial
+        pins.rows.update(gate.rows)
+        pins.cols.update(gate.cols)
+        pins.offsets.update(gate.offsets)
+        for t, axis, i, lane, at in new:
+            pinned[axis][t].insert(at, i)
+            pinned_lanes[axis][t].add(lane)
+        if check_c1:
+            for cell, atoms in added.items():
+                cells.setdefault(cell, []).extend(atoms)
         accepted.append((gi, pair))
         intended.add(frozenset(pair))
         if serial:
@@ -345,24 +406,22 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                     continue
                 source = new[s] if s < t else prev[s]
                 forbidden.update(l for l in source if l is not None)
-            anchors = [(i, axis_pins[(t, i)]) for i in occupied if (t, i) in axis_pins]
-            for i, lane in anchors:
-                new[t][i] = lane
-            own_pins = {lane for _, lane in anchors}
-            forbidden -= own_pins  # own anchors bound the gaps instead
             # split unpinned occupied indices into segments between anchors
-            bounds = [(None, None)] if not anchors else (
-                [(None, anchors[0])] +
-                [(anchors[k], anchors[k + 1]) for k in range(len(anchors) - 1)] +
-                [(anchors[-1], None)])
-            segments = []
-            for lo_a, hi_a in bounds:
-                seg = [i for i in occupied
-                       if (t, i) not in axis_pins
-                       and (lo_a is None or i > lo_a[0])
-                       and (hi_a is None or i < hi_a[0])]
+            segments, seg, lo_a, own_pins = [], [], None, set()
+            for i in occupied:
+                lane = axis_pins.get((t, i))
+                if lane is None:
+                    seg.append(i)
+                    continue
+                new[t][i] = lane
+                own_pins.add(lane)
                 if seg:
-                    segments.append((lo_a, hi_a, seg))
+                    segments.append((lo_a, (i, lane), seg))
+                    seg = []
+                lo_a = (i, lane)
+            if seg:
+                segments.append((lo_a, None, seg))
+            forbidden -= own_pins  # own anchors bound the gaps instead
             held = set()  # park lanes already given to this array's rows
             for lo_a, hi_a, seg in segments:
                 old = [prev[t][i] for i in seg]
@@ -372,8 +431,8 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                 hi_lane = hi_a[1] if hi_a else max(old + ([lo_a[1]] if lo_a else [])) + margin
                 if hi_a and lo_a and hi_lane < lo_lane:  # crossed anchors (C2 off)
                     lo_lane, hi_lane = hi_lane, lo_lane
-                cand = [l for l in range(lo_lane + 1, hi_lane)
-                        if l % 2 and l not in forbidden and l not in own_pins
+                cand = [l for l in range(lo_lane + 1 + lo_lane % 2, hi_lane, 2)  # odd
+                        if l not in forbidden and l not in own_pins
                         and (merge_ok or l not in held)]
                 got = _assign_park_lanes(old, cand)
                 if got is None:
@@ -489,6 +548,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
 
     stages: list[Stage] = []
     overlap_rejections = 0
+    gate_pins: dict[int, _Pins] = {}  # gate index -> its lane pins
 
     while True:
         raman_layers: list[list[Gate]] = []
@@ -521,7 +581,8 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
         accepted, pins, rej = [], _Pins(), 0
         if front:
             accepted, pins, rej = select_parallel_gates(
-                front, placement, index, config, desc_count, serial=serial)
+                front, placement, index, config, desc_count, serial=serial,
+                gate_pins=gate_pins)
             overlap_rejections += rej
         while True:
             # with no pins at all (raman-only stage) this parks every array
@@ -531,8 +592,8 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 break
             accepted.pop()
             pins = _Pins()
-            for _, pair in accepted:
-                pins = pins.merged(_gate_pins(pair, placement, config))
+            for gi, _ in accepted:
+                pins = pins.merged(gate_pins[gi])
         new_rows, new_cols, new_offsets = synth
         lanes = atom_lanes(placement, new_rows, new_cols, new_offsets)
         distances = move_distances(prev, lanes, config)
@@ -612,20 +673,41 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(d: dict) -> Schedule:
-    """Rebuild a Schedule from its JSON form (audit / render / check)."""
+    """Rebuild a Schedule from its JSON form (audit / render / check).
+
+    Raises ValueError when the gates or the permutation name qubits the
+    placement does not have: a `cz` or `raman` qubit outside
+    range(n_qubits), a `cz` on one qubit twice, or a `perm` that is not a
+    permutation of range(n_qubits)."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
     placement = {q: AtomCoord(a, r, c)
                  for q, (a, r, c) in enumerate(d["placement"])}
+    n = len(placement)
+    if d["n_qubits"] != n:
+        raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
+    if sorted(d["perm"]) != list(range(n)):
+        raise ValueError(f"perm is not a permutation of range({n})")
     stages = []
     for k, s in enumerate(d["stages"]):
-        if len(s["distances_um"]) != len(placement):
+        if len(s["distances_um"]) != n:
             raise ValueError(f"stage {k}: distances_um needs one entry per qubit")
+        cz = [(int(a), int(b)) for a, b in s["cz"]]
+        raman = [[Gate("u", (int(q),), tuple(params)) for q, *params in layer]
+                 for layer in s["raman"]]
+        for a, b in cz:
+            if not (0 <= a < n and 0 <= b < n) or a == b:
+                raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct qubits "
+                                 f"in range({n})")
+        for layer in raman:
+            for g in layer:
+                if not 0 <= g.qubits[0] < n:
+                    raise ValueError(f"stage {k}: raman gate on qubit {g.qubits[0]}, "
+                                     f"not in range({n})")
         stages.append(Stage(
-            raman=[[Gate("u", (int(q),), tuple(params)) for q, *params in layer]
-                   for layer in s["raman"]],
-            cz=[(int(a), int(b)) for a, b in s["cz"]],
+            raman=raman,
+            cz=cz,
             row_lanes=[list(a["row_lanes"]) for a in s["aod"]],
             col_lanes=[list(a["col_lanes"]) for a in s["aod"]],
             col_offsets=[list(a["col_offsets_um"]) for a in s["aod"]],

@@ -64,6 +64,7 @@ def route_inter_array(circuit: Circuit, assignment,
     gates = circuit.gates
     dag = build_dag(circuit)
 
+    slot_arr = s_arr.tolist()  # slot -> array id, as Python ints
     l2s = list(range(n))  # logical -> slot
     future = [0] * n      # remaining CZ count per logical qubit
     for g in gates:
@@ -78,7 +79,7 @@ def route_inter_array(circuit: Circuit, assignment,
     ready = {i for i, c in enumerate(pending) if c == 0}
 
     def arr(logical: int) -> int:
-        return int(s_arr[l2s[logical]])
+        return slot_arr[l2s[logical]]
 
     def emit(gi: int) -> None:
         g = gates[gi]
@@ -123,7 +124,7 @@ def route_inter_array(circuit: Circuit, assignment,
         t_a, t_b = target.qubits
         home = arr(t_a)
         window = blocked_window()
-        outside = [r for r in range(n) if int(s_arr[l2s[r]]) != home]
+        outside = [r for r in range(n) if slot_arr[l2s[r]] != home]
         if not outside:
             raise RuntimeError("all qubits share one array; CZ cannot be routed")
 
@@ -131,7 +132,7 @@ def route_inter_array(circuit: Circuit, assignment,
         for q in (t_a, t_b):
             q_arr = arr(q)
             for r in outside:
-                r_arr = int(s_arr[l2s[r]])
+                r_arr = slot_arr[l2s[r]]
                 cost = 0.0
                 for pos, (a, b) in enumerate(window):
                     aa = r_arr if a == q else (q_arr if a == r else arr(a))

@@ -245,6 +245,62 @@ def test_audit_command_fails_on_an_offset_that_is_not_finite(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
+def audit_edited_schedule(tmp_path, capsys, edit):
+    """`atomique audit` on a fresh 5-qubit schedule after `edit(doc)`:
+    (return code, stdout, stderr)."""
+    qasm = write_benchmark(tmp_path)
+    out = tmp_path / "out"
+    main(["compile", str(qasm), "-o", str(out)])
+    doc = json.loads((out / "schedule.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["audit", str(bad)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("pair", [[0, 15], [-1, 0], [2, 2]])
+def test_audit_command_rejects_a_cz_on_a_qubit_that_does_not_exist(tmp_path, capsys, pair):
+    # a gate-free stage: the separation scan alone matches no atom to 15
+    def edit(doc):
+        next(s for s in doc["stages"] if not s["cz"])["cz"].append(pair)
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: stage ") and err.count("\n") == 1
+    assert "cz" in err
+
+
+@pytest.mark.parametrize("qubit", [99, -1])
+def test_audit_command_rejects_a_raman_gate_on_a_qubit_that_does_not_exist(
+        tmp_path, capsys, qubit):
+    def edit(doc):
+        next(s for s in doc["stages"] if s["raman"])["raman"][0].append([qubit, 0.5, 0.0, 0.0])
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: stage ") and err.count("\n") == 1
+    assert f"raman gate on qubit {qubit}" in err
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5]])
+def test_audit_command_rejects_a_perm_that_is_not_a_permutation(tmp_path, capsys, perm):
+    def edit(doc):
+        doc["perm"] = perm
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == "error: perm is not a permutation of range(5)\n"
+
+
+def test_audit_command_rejects_an_n_qubits_that_does_not_match_the_placement(
+        tmp_path, capsys):
+    def edit(doc):
+        doc["n_qubits"] = 4
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == "error: n_qubits 4 but 5 placement entries\n"
+
+
 def test_check_command_verifies_unitary(tmp_path, capsys):
     qasm = write_benchmark(tmp_path)
     assert main(["check", str(qasm)]) == 0

@@ -1,0 +1,128 @@
+"""Golden schedule hashes: a byte-identity check for refactors.
+
+Each entry is the sha256 of ``schedule_to_dict`` (JSON, sorted keys) for one
+seeded circuit compiled under one flag set.  A change that is meant to keep
+schedules byte-identical must leave every hash as it is; a change that is
+meant to alter schedules updates the table and says why.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from atomique.arch import load_config
+from atomique.pipeline import compile_circuit
+from atomique.stage_router import schedule_to_dict
+from atomique.workloads import WorkloadSpec
+
+CIRCUITS = {
+    "qaoa-rand-30": WorkloadSpec("qaoa-rand", 30, seed=3, p=0.3),
+    "qaoa-regular-40": WorkloadSpec("qaoa-regular", 40, seed=5, d=3),
+    "qsim-rand-24": WorkloadSpec("qsim-rand", 24, seed=2, n_strings=8),
+    "random-pairs-40": WorkloadSpec("random-pairs", 40, seed=7, gates_per_qubit=4),
+    "bv-40": WorkloadSpec("bv", 40, seed=4),
+}
+
+# flag set -> (relaxed constraints, compile_circuit keywords)
+FLAGS = {
+    "default": ((), {}),
+    "relax-C1": (("C1",), {}),
+    "relax-C2": (("C2",), {}),
+    "relax-C3": (("C3",), {}),
+    "relax-C2-C3": (("C2", "C3"), {}),
+    "serial": ((), {"serial": True}),
+    "mapper-random": ((), {"mapper": "random"}),
+}
+
+GOLDEN = {
+    ("qaoa-rand-30", "default"):
+        "c600f1f3afcede73d0437610b22d8a6a40ca70aa21ad1d3b9e1478adf5b8a5c3",
+    ("qaoa-rand-30", "relax-C1"):
+        "2f72034551ce84fa198640609f949e1681c474f7da9013ab201e5a6d046789d2",
+    ("qaoa-rand-30", "relax-C2"):
+        "968738de073d6d84fca6d7ff8536bd1b219c2cb0f9fb629fd5e08cad7d6d49ca",
+    ("qaoa-rand-30", "relax-C3"):
+        "b5ad7e2f2d7c075464a9f2cc696e118cbfea3a6071b823a47d55d45534675121",
+    ("qaoa-rand-30", "relax-C2-C3"):
+        "094630b228da6284dd80054027c74ecba738ea877ac7f43007495848cb335ffb",
+    ("qaoa-rand-30", "serial"):
+        "0bd6f7ac5c823f83c7ea7181a3dccc1b1690a78c65849771a942e42d02d5b68b",
+    ("qaoa-rand-30", "mapper-random"):
+        "7bf7aac8433d7a4fd67fa79ef81acd4dcf7a3e626d307e7631caf5fe891999fa",
+    ("qaoa-regular-40", "default"):
+        "b45821fadae734dcd0f57c55ef6ee02f9fa51c9bc513e754b4f1b37628d46341",
+    ("qaoa-regular-40", "relax-C1"):
+        "b9c84a6bbcc090d40c859527d7c8ac8893feab5626cdd74d316628cc31cfd8a3",
+    ("qaoa-regular-40", "relax-C2"):
+        "3884696b9cf3035fea748e407a7c879f14cb2fb617f3aa9b8fcc31fa55410a7a",
+    ("qaoa-regular-40", "relax-C3"):
+        "48d5bdce762684d56502fb1c8df93146f406784e16481d1f7f0e8591b83d5ea0",
+    ("qaoa-regular-40", "relax-C2-C3"):
+        "9cda9b7ddaf6593ecee7ac95a5d4c8d359c7dfce0509778f97a5b16797257f79",
+    ("qaoa-regular-40", "serial"):
+        "b81be6ad3f670e6654e70d6cf29b0f6db7e381e09f074ae80fb82952fe633481",
+    ("qaoa-regular-40", "mapper-random"):
+        "6f82bdcfeb6940af19074fab44bb6d3557c35bbbea8ba978fc74cb55fd053279",
+    ("qsim-rand-24", "default"):
+        "6b4299714d4c425dbe37407622c6d625c96b5c5e82df21740318677f2409de9e",
+    ("qsim-rand-24", "relax-C1"):
+        "8c581c2bc0914643577f560115ece89a04a6bae528bde51d8ac789a590e37fda",
+    ("qsim-rand-24", "relax-C2"):
+        "a63e3cffa9a63f3de91a7dc23805bf087b5002d25b3b5df7a908e703dc28f3e5",
+    ("qsim-rand-24", "relax-C3"):
+        "946a1216783499c323a7fa620e96c053cfc0e0150bc27572761981ce32ffb3b7",
+    ("qsim-rand-24", "relax-C2-C3"):
+        "2e1d7af2b04e94d9be62921f6684e55f0dec8b3c37e1247ff5855a75a8ac4337",
+    ("qsim-rand-24", "serial"):
+        "1af5ae2bb52b82c95563c4fb8c5e7a101c2f80865ca00e126d89b9c2ff3714e7",
+    ("qsim-rand-24", "mapper-random"):
+        "baf1da68c96388470590e8f4a2607a2a73ffcfde72bf5757b1f238d630743214",
+    ("random-pairs-40", "default"):
+        "74da13477633b0942a2f9aee4bae1d7e67e914760b9bc78c8ba5485020ed6564",
+    ("random-pairs-40", "relax-C1"):
+        "3a468e18a8faf29e3917407f1d8d97bc4bce24c6fd2aec435009cae801081b48",
+    ("random-pairs-40", "relax-C2"):
+        "843e09616afa110bc9e585ff67b928af09873f42520a6e4627e2b051cb64ae2a",
+    ("random-pairs-40", "relax-C3"):
+        "358b7cc542e6778714369656564beb3a85b77ca9cc77def227e6f984dd05e8b8",
+    ("random-pairs-40", "relax-C2-C3"):
+        "aa734da6e88e73210abbeb334d0203a11b4f0a8043c171aa7b2af4c16124278b",
+    ("random-pairs-40", "serial"):
+        "eca9ba4f66e3062f608f6d70306b7d7c3d13ba3f2ee30fb88ac1eab4e19b7cf3",
+    ("random-pairs-40", "mapper-random"):
+        "f608ac8ec9d01a9a19482313a06b3362bd0f9ec7e1f3425b696443421be27c65",
+    ("bv-40", "default"):
+        "164ff9dcb6aba85298955c8b5bde135bd16768d08de696032a80a8c497b53cb5",
+    ("bv-40", "relax-C1"):
+        "84c469d96ae75d03ddf824ab00f1294827448bf0eb10944ff117d1cba58873c6",
+    ("bv-40", "relax-C2"):
+        "e6c8e2546d1e0c2f35f72bc3516156b8ce133da9e811a8ecb9b6d2af37d10424",
+    ("bv-40", "relax-C3"):
+        "ccf679040d3cdfb245c2f64420afe980705114c67da401b7f080fac68d769a25",
+    ("bv-40", "relax-C2-C3"):
+        "da8f00849850d75cd40415a04b8b25aadf6ff3cf1fabf7910c4d1a53935d4e07",
+    ("bv-40", "serial"):
+        "164ff9dcb6aba85298955c8b5bde135bd16768d08de696032a80a8c497b53cb5",
+    ("bv-40", "mapper-random"):
+        "4c04d95c49d2ace89bebc1c7d27111b4bdc08d02e1dbf823ca5273ab7685e46d",
+}
+
+
+def schedule_hash(circuit_name: str, flags: str) -> str:
+    relaxed, kwargs = FLAGS[flags]
+    cfg, params = load_config({})
+    cfg = dataclasses.replace(cfg, relaxed=frozenset(relaxed))
+    res = compile_circuit(CIRCUITS[circuit_name].generate(), cfg, params, seed=1, **kwargs)
+    blob = json.dumps(schedule_to_dict(res.schedule), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_the_golden_table_covers_every_circuit_and_flag_set():
+    assert set(GOLDEN) == {(c, f) for c in CIRCUITS for f in FLAGS}
+
+
+@pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN))
+def test_schedule_bytes_match_the_golden_hash(circuit_name, flags):
+    assert schedule_hash(circuit_name, flags) == GOLDEN[(circuit_name, flags)]

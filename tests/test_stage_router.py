@@ -22,16 +22,17 @@ from atomique.stage_router import (
     _ArrayIndex,
     _Pins,
     _gate_pins,
-    _order_ok,
     audit_schedule,
     initial_lanes,
     route,
     schedule_from_dict,
     schedule_to_circuit,
     schedule_to_dict,
+    select_parallel_gates,
     synthesize_motion,
 )
 from atomique.workloads import WorkloadSpec
+from select_reference import _conflicts, _order_ok
 
 
 def small_config(n_aod=1, rows=10):
@@ -287,8 +288,8 @@ def test_a_column_pinned_to_its_lane_with_another_offset_conflicts():
     second = _gate_pins((2, 3), placement, cfg)
     assert first.cols[(1, 1)] == second.cols[(1, 1)] == 3
     assert first.offsets[(1, 1)] != second.offsets[(1, 1)]
-    assert first.conflicts(second) and second.conflicts(first)
-    assert not first.conflicts(_gate_pins((0, 1), placement, cfg))
+    assert _conflicts(first, second) and _conflicts(second, first)
+    assert not _conflicts(first, _gate_pins((0, 1), placement, cfg))
     circ = Circuit(4)
     circ.add("cz", (0, 1))
     circ.add("cz", (2, 3))
@@ -385,6 +386,27 @@ def test_relaxing_row_order_alone_keeps_stages_legal():
     loose = compile_circuit(circ, relax(cfg, "C2"), params)
     assert audit_schedule(loose.schedule) == []
     assert loose.schedule.n_2q == strict.schedule.n_2q
+
+
+@pytest.mark.parametrize("relaxed,accepted,c3_rejections", [
+    ((), [0], 1),               # row 2 -> lane 2 crosses row 1 (C2); row 3 repeats lane 4
+    (("C2",), [0, 1], 1),       # crossing allowed; lane 4 is still taken (C3)
+    (("C2", "C3"), [0, 1, 2], 0),
+])
+def test_selection_with_crossed_rows_counts_the_shared_lane(relaxed, accepted,
+                                                            c3_rejections):
+    # AOD rows 1, 2, 3 gate SLM rows 2, 1, 2: they pin lanes 4, 2, 4, the
+    # crossed pins of test_relaxing_row_order_alone_keeps_stages_legal
+    cfg = dataclasses.replace(small_config(), relaxed=frozenset(relaxed))
+    placement = {0: AtomCoord(1, 1, 0), 1: AtomCoord(0, 2, 0),
+                 2: AtomCoord(1, 2, 1), 3: AtomCoord(0, 1, 1),
+                 4: AtomCoord(1, 3, 2), 5: AtomCoord(0, 2, 2)}
+    front = [(0, (0, 1)), (1, (2, 3)), (2, (4, 5))]
+    got, pins, rej = select_parallel_gates(front, placement, _ArrayIndex(placement, cfg),
+                                           cfg, [0, 0, 0])
+    assert [gi for gi, _ in got] == accepted
+    assert rej == c3_rejections
+    assert [pins.rows[(0, r)] for r in (1, 2, 3)[:len(accepted)]] == [4, 2, 4][:len(accepted)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,99 @@
+"""Incremental stage selection and park-lane assignment against the
+whole-stage reference in `select_reference.py`."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import select_reference as ref
+from atomique.arch import ArchConfig, AtomCoord
+from atomique.stage_router import _ArrayIndex, _assign_park_lanes, select_parallel_gates
+
+
+@st.composite
+def stage_inputs(draw):
+    """A random placement on small arrays, a front of cross-array CZs with
+    random descendant counts, a relax set and the serial flag."""
+    n_aod = draw(st.integers(1, 3))
+    side = draw(st.integers(2, 5))
+    relaxed = frozenset(draw(st.sets(st.sampled_from(["C1", "C2", "C3"]))))
+    cfg = ArchConfig(n_aod=n_aod, slm_rows=side, slm_cols=side,
+                     aod_rows=(side,) * n_aod, aod_cols=(side,) * n_aod, relaxed=relaxed)
+    sites = [(a, r, c) for a in range(n_aod + 1) for r in range(side) for c in range(side)]
+    chosen = draw(st.lists(st.sampled_from(sites), min_size=2,
+                           max_size=min(len(sites), 40), unique=True))
+    placement = {q: AtomCoord(*site) for q, site in enumerate(chosen)}
+    cross = [(a, b) for a in placement for b in placement
+             if placement[a].array != placement[b].array]
+    pairs = draw(st.lists(st.sampled_from(cross), max_size=24, unique=True)) if cross else []
+    gis = draw(st.permutations(range(len(pairs))))
+    front = sorted(zip(gis, pairs))
+    desc = draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    return placement, cfg, front, desc, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(stage_inputs())
+def test_selection_matches_the_whole_stage_reference(inputs):
+    placement, cfg, front, desc, serial = inputs
+    index = _ArrayIndex(placement, cfg)
+    got_acc, got_pins, got_rej = select_parallel_gates(front, placement, index, cfg,
+                                                       desc, serial)
+    want_acc, want_pins, want_rej = ref.select_parallel_gates(front, placement, index,
+                                                              cfg, desc, serial)
+    assert got_acc == want_acc
+    assert got_rej == want_rej
+    assert got_pins.rows == want_pins.rows
+    assert got_pins.cols == want_pins.cols
+    assert got_pins.offsets == want_pins.offsets
+
+
+@settings(max_examples=400, deadline=None)
+@given(stage_inputs())
+def test_selection_with_a_shared_gate_pin_memo_is_unchanged(inputs):
+    # route() keeps one memo for the whole run; a warm memo changes nothing
+    placement, cfg, front, desc, serial = inputs
+    index = _ArrayIndex(placement, cfg)
+    memo = {}
+    cold = select_parallel_gates(front, placement, index, cfg, desc, serial, gate_pins=memo)
+    warm = select_parallel_gates(front, placement, index, cfg, desc, serial, gate_pins=memo)
+    assert cold[0] == warm[0] and cold[2] == warm[2]
+    assert (cold[1].rows, cold[1].cols, cold[1].offsets) == \
+        (warm[1].rows, warm[1].cols, warm[1].offsets)
+    assert set(memo) <= {gi for gi, _ in front}
+    assert serial or set(memo) == {gi for gi, _ in front}
+
+
+lanes_strategy = st.sets(st.integers(-15, 15), max_size=24).map(
+    lambda s: sorted(2 * v + 1 for v in s))
+
+
+@settings(max_examples=600, deadline=None)
+@given(lanes_strategy, st.lists(st.integers(-33, 33), max_size=12), st.booleans())
+def test_park_lanes_match_the_full_table(lanes, old, sort_old):
+    # sorted `old` with repeats is what a segment holds once C3 is relaxed
+    if sort_old:
+        old = sorted(old)
+    assert _assign_park_lanes(old, lanes) == ref._assign_park_lanes(old, lanes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_park_lanes_match_the_full_table_near_the_identity(data):
+    # old lanes mostly drawn from the candidates: hits the zero-cost case
+    # and its near misses (a repeat, one lane off, one order swap)
+    lanes = data.draw(lanes_strategy.filter(bool))
+    old = sorted(data.draw(st.lists(st.sampled_from(lanes), max_size=len(lanes) + 1)))
+    tweak = data.draw(st.sampled_from(["none", "shift", "swap"]))
+    if old and tweak == "shift":
+        k = data.draw(st.integers(0, len(old) - 1))
+        old[k] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    elif len(old) > 1 and tweak == "swap":
+        k = data.draw(st.integers(0, len(old) - 2))
+        old[k], old[k + 1] = old[k + 1], old[k]
+    assert _assign_park_lanes(old, lanes) == ref._assign_park_lanes(old, lanes)
+
+
+def test_identity_assignment_returns_the_old_lanes():
+    assert _assign_park_lanes([3, 7, 11], [1, 3, 5, 7, 9, 11]) == [3, 7, 11]
+    assert _assign_park_lanes([3, 3], [1, 3, 5]) == ref._assign_park_lanes([3, 3], [1, 3, 5])
+    assert _assign_park_lanes([1, 3, 5], [1, 3]) is None
