@@ -1,17 +1,19 @@
-"""Scaling baseline: best-of-k compile and audit wall times on a fixed grid.
+"""Scaling baseline: best-of-k compile, audit and scoring wall times on a fixed grid.
 
     python3 scripts/scaling.py --label after      # into BENCH_scaling.json
     python3 scripts/scaling.py --label before -o /path/to/BENCH_scaling.json
 
 The program is imported from the ``src/`` next to this script.  Each grid
 point generates one seeded circuit (seed 0) on d x d SLM and AOD arrays,
-d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit`` and then
-``audit_schedule`` on the compiled schedule, k times each (k = 3 up to 300
+d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit``, then
+``audit_schedule`` and ``apply_schedule`` (scoring, which ``atomique sweep``
+reruns per point) on the compiled schedule, k times each (k = 3 up to 300
 qubits, 1 above), keeping the fastest.  Every compile must give the same
-schedule, whose sha256 (of its sorted-key JSON) is recorded with the
-audit's finding count, so runs of two versions can be checked for equal
-output.  The process pins itself to one CPU, the highest-numbered one it
-may use.
+schedule and stats.  The sha256 of the schedule (its sorted-key JSON) and
+of the stats (their indent-2 sorted-key JSON, as in ``stats.json``, without
+``compile_wall_time_s``) are recorded with the audit's finding count, so
+runs of two versions can be checked for equal output.  The process pins
+itself to one CPU, the highest-numbered one it may use.
 
 The run is stored under ``runs[<label>]`` of the output file; other labels
 already in the file are kept, so one file holds a before/after pair.
@@ -34,7 +36,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from atomique.arch import ArchConfig  # noqa: E402
+from atomique.arch import ArchConfig, HardwareParams  # noqa: E402
+from atomique.fidelity import apply_schedule  # noqa: E402
 from atomique.pipeline import compile_circuit  # noqa: E402
 from atomique.stage_router import audit_schedule, schedule_to_dict  # noqa: E402
 from atomique.workloads import WorkloadSpec  # noqa: E402
@@ -58,23 +61,33 @@ def best_of(k: int, fn):
     return min(times), results
 
 
+def sha256_json(payload, **dumps) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, **dumps).encode()).hexdigest()
+
+
 def run_point(family: str, kwargs: dict, n: int) -> dict:
     d = max(10, math.ceil(math.sqrt(n / 3)))
     config = ArchConfig(slm_rows=d, slm_cols=d, aod_rows=(d, d), aod_cols=(d, d))
+    params = HardwareParams()
     circuit = WorkloadSpec(family, n, seed=0, **kwargs).generate()
     k = 3 if n <= 300 else 1
-    compile_s, compiled = best_of(k, lambda: compile_circuit(circuit, config, seed=0))
-    hashes = {hashlib.sha256(json.dumps(schedule_to_dict(r.schedule), sort_keys=True)
-                             .encode()).hexdigest() for r in compiled}
-    if len(hashes) != 1:
-        raise RuntimeError(f"{family} n={n}: repeated compiles gave different schedules")
+    compile_s, compiled = best_of(k, lambda: compile_circuit(circuit, config, params, seed=0))
+    hashes = {sha256_json(schedule_to_dict(r.schedule)) for r in compiled}
+    # the bytes `atomique compile` writes to stats.json, less the wall time
+    stats_hashes = {sha256_json({key: v for key, v in r.stats.items()
+                                 if key != "compile_wall_time_s"}, indent=2)
+                    for r in compiled}
+    if len(hashes) != 1 or len(stats_hashes) != 1:
+        raise RuntimeError(f"{family} n={n}: repeated compiles gave different outputs")
     schedule = compiled[0].schedule
     audit_s, audits = best_of(k, lambda: audit_schedule(schedule))
+    score_s, _ = best_of(k, lambda: apply_schedule(schedule, params))
     return {
         "family": family, **kwargs, "n": n, "array_side": d, "k": k,
         "compile_s": round(compile_s, 4), "audit_s": round(audit_s, 4),
+        "score_s": round(score_s, 4),
         "stages": len(schedule.stages), "audit_findings": len(audits[0]),
-        "schedule_sha256": hashes.pop(),
+        "schedule_sha256": hashes.pop(), "stats_sha256": stats_hashes.pop(),
     }
 
 
@@ -91,7 +104,8 @@ def main(argv=None) -> int:
             p = points[-1]
             print(f"{family:13s} n={n:5d} d={p['array_side']:3d} k={p['k']} "
                   f"compile {p['compile_s']:9.3f} s  audit {p['audit_s']:8.3f} s  "
-                  f"{p['schedule_sha256'][:12]}", flush=True)
+                  f"score {p['score_s']:8.3f} s  {p['schedule_sha256'][:12]} "
+                  f"{p['stats_sha256'][:12]}", flush=True)
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {

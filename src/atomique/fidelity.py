@@ -6,6 +6,33 @@ shrinks steeply with move duration, hot atoms gate worse and survive moves
 less often, and an array whose atoms exceed the cooling threshold is swapped
 against a cold reserve (two CZs per atom) and starts from n_vib = 0.  The
 result is a product of seven error factors plus a wall-clock time ledger.
+
+Scoring runs as array passes and gives the same floats, bit for bit, as a
+walk that heats and multiplies one atom at a time (that walk is kept as
+``tests/score_reference.py``):
+
+* A per-stage loop keeps only the sequential state: one ``n_vib`` array over
+  all atoms, heated at once where ``distances_um > 0``, and the per-AOD
+  cooling check.  It records the post-move ``n_vib`` of the moved atoms
+  (ascending qubit order) and the ``n_vib`` pair of each CZ.  The quanta
+  each moved atom gains depend on nothing but its distance and the move
+  time, so they are computed ahead, one ``delta_nvib`` call per block of
+  stages.
+* ``delta_nvib``, ``move_survival`` and ``heating_factor`` take a float or an
+  array and evaluate each element in the scalar formula's order:
+  ``6.0 * (D * 1e-6) / (x_zpf * omega0**2 * T**2)``, then ``0.5 * x * x``,
+  then ``(n_max - n) / sqrt(2 n)``.  numpy's ``+ - * /`` and ``sqrt`` round
+  each element as the scalar operation does.
+* Survival and heating factors are formed over the recorded values in
+  blocks and multiplied in with ``math.prod(values, start=F)``, which works
+  left to right like ``F *= f`` in stage-then-qubit order.  ``np.prod``
+  pairs its terms in another order, and without a float ``start`` an empty
+  product is the int ``1``.
+* numpy has no erf, so ``math.erf`` runs per element, but only where its
+  argument is below ``ERF_ONE`` = 6.0 or is NaN: from 6.0 up ``math.erf``
+  is exactly 1.0, so the survival there is exactly 1.0 and multiplying by
+  it changes no bit.  A NaN argument still reaches ``math.erf``, so a NaN
+  (from an ``n_vib`` heated to inf) propagates into ``F_mov_loss``.
 """
 
 from __future__ import annotations
@@ -13,35 +40,51 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arch import HardwareParams
 from .stage_router import Schedule
 
+# math.erf(x) == 1.0 for every x >= ERF_ONE (tests/test_fidelity.py checks it)
+ERF_ONE = 6.0
 
-def delta_nvib(D_um: float, params: HardwareParams, T_move_s: float) -> float:
+
+def delta_nvib(D_um: float | np.ndarray, params: HardwareParams,
+               T_move_s: float) -> float | np.ndarray:
     """Vibrational quanta added by moving a distance D in one stage.
 
     Constant-jerk trajectory: dn = 1/2 * (6D / (x_zpf * w0^2 * T^2))^2,
-    evaluated in SI units; 0 for a zero-length move.
+    evaluated in SI units; 0 for a zero-length move.  Takes a float or an
+    array of distances and returns the same kind.
     """
-    if D_um <= 0.0:
-        return 0.0
-    D = D_um * 1e-6
-    x = 6.0 * D / (params.x_zpf * params.omega0 ** 2 * T_move_s ** 2)
-    return 0.5 * x * x
+    D_um = np.asarray(D_um, dtype=float)
+    x = 6.0 * (D_um * 1e-6) / (params.x_zpf * params.omega0 ** 2 * T_move_s ** 2)
+    dn = np.where(D_um <= 0.0, 0.0, 0.5 * x * x)
+    return float(dn) if dn.ndim == 0 else dn
 
 
-def heating_factor(n_eff: float, params: HardwareParams) -> float:
+def heating_factor(n_eff: float | np.ndarray, params: HardwareParams) -> float | np.ndarray:
     """CZ fidelity retention when the movable side carries n_eff quanta
-    (sum of both sides for a movable-movable pair); clamped at 0."""
-    return max(0.0, 1.0 - params.lam * (1.0 - params.f_2Q) * n_eff)
+    (sum of both sides for a movable-movable pair); clamped at 0 the way
+    ``max(0.0, f)`` clamps.  Float or array in, same kind out."""
+    f = 1.0 - params.lam * (1.0 - params.f_2Q) * np.asarray(n_eff, dtype=float)
+    f = np.where(f > 0.0, f, 0.0)
+    return float(f) if f.ndim == 0 else f
 
 
-def move_survival(n_vib: float, params: HardwareParams) -> float:
+def move_survival(n_vib: float | np.ndarray, params: HardwareParams) -> float | np.ndarray:
     """Probability an atom with n_vib quanta survives one move:
-    1/2 * (1 + erf((n_max - n) / sqrt(2 n))), 1.0 at n = 0."""
-    if n_vib <= 0.0:
-        return 1.0
-    return 0.5 * (1.0 + math.erf((params.n_vib_max - n_vib) / math.sqrt(2.0 * n_vib)))
+    1/2 * (1 + erf((n_max - n) / sqrt(2 n))), 1.0 at n = 0.  Float or array
+    in, same kind out."""
+    n = np.asarray(n_vib, dtype=float)
+    flat = n.reshape(-1)
+    p = np.ones(flat.shape)
+    hot = np.flatnonzero(~(flat <= 0.0))
+    arg = (params.n_vib_max - flat[hot]) / np.sqrt(2.0 * flat[hot])
+    need = ~(arg >= ERF_ONE)  # NaN needs erf too, to come out NaN
+    erf = np.fromiter(map(math.erf, arg[need].tolist()), float, np.count_nonzero(need))
+    p[hot[need]] = 0.5 * (1.0 + erf)
+    return float(p[0]) if n.ndim == 0 else p.reshape(n.shape)
 
 
 @dataclass
@@ -88,6 +131,9 @@ class FidelityReport:
                 for k, v in self.factors().items()}
 
 
+# float arithmetic overflows to inf and NaN without a warning, as the scalar
+# walk's Python floats do (a tiny T_per_move can heat an atom to inf quanta)
+@np.errstate(all="ignore")
 def apply_schedule(schedule: Schedule, params: HardwareParams, *,
                    T_per_move: float | None = None,
                    n_transfer: int = 0) -> tuple[FidelityReport, TimeLedger]:
@@ -102,6 +148,10 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     tick).
     N_transfer is 0 for native schedules and only non-zero when scoring
     externally produced schedules that reload atoms between stages.
+
+    Raises ValueError, naming the stage, when a stage's ``distances_um``
+    does not hold one entry per atom, a static atom has a nonzero distance,
+    or a ``cz`` names a qubit outside range(n_qubits).
     """
     placement = schedule.placement
     n_mapped = len(placement)
@@ -109,49 +159,55 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     for q, coord in placement.items():
         if coord.array > 0:
             aod_atoms.setdefault(coord.array, []).append(q)
+    aods = [(array - 1, np.array(aod_atoms[array])) for array in sorted(aod_atoms)]
+    # the AODs' atoms back to back, for one per-AOD max per stage
+    aod_order = np.array([q for array in sorted(aod_atoms) for q in aod_atoms[array]],
+                         dtype=np.int64)
+    aod_starts = np.cumsum([0] + [len(atoms) for _, atoms in aods[:-1]])
+    movable = np.zeros(n_mapped, dtype=bool)
+    movable[aod_order] = True
 
-    n_vib = {q: 0.0 for atoms in aod_atoms.values() for q in atoms}
+    n_vib = np.zeros(n_mapped)
+    # over the post-move n_vib of each moved atom, and over the n_vib pair of
+    # each CZ, in stage-then-qubit order
+    loss = _Product(lambda n: move_survival(n, params))
+    heating = _Product(lambda pairs: heating_factor(pairs[:, 0] + pairs[:, 1], params))
     ledger = TimeLedger()
     f2q, t1 = params.f_2Q, params.T1
-
-    F_mov_heating = F_mov_loss = F_mov_cooling = F_mov_deco = 1.0
+    F_mov_cooling = F_mov_deco = 1.0
     n_1q = n_2q = n_cooling = 0
     rydberg_stages = 0
     cooling: list[list[int]] = []
-
-    for stage in schedule.stages:
+    moves = _read_stages(schedule.stages, movable, params, T_per_move)
+    for stage, (move_t, moved, gain) in zip(schedule.stages, moves):
         for layer in stage.raman:
             n_1q += len(layer)
             ledger.T_1Q_total += params.t_1Q
 
-        move_t = stage.move_time_s
-        if T_per_move is not None and move_t > 0.0:
-            move_t = T_per_move
         if move_t > 0.0:
-            for q, dist in enumerate(stage.distances_um):
-                if dist > 0.0:
-                    n_vib[q] += delta_nvib(float(dist), params, move_t)
-                    F_mov_loss *= move_survival(n_vib[q], params)
+            if moved.size:
+                after = n_vib[moved] + gain
+                n_vib[moved] = after
+                loss.add(after)
             ledger.T_move_total += move_t
             F_mov_deco *= math.exp(-n_mapped * move_t / t1)
 
         if stage.cz:
             rydberg_stages += 1
             n_2q += len(stage.cz)
-            for a, b in stage.cz:
-                n_eff = n_vib.get(a, 0.0) + n_vib.get(b, 0.0)
-                F_mov_heating *= heating_factor(n_eff, params)
+            heating.add(n_vib[stage.cz])
 
+        peaks = np.maximum.reduceat(n_vib[aod_order], aod_starts).tolist() if aods else []
         cooled = []
-        for array in sorted(aod_atoms):
-            atoms = aod_atoms[array]
-            if max(n_vib[q] for q in atoms) > params.n_cool_threshold:
+        for (t, atoms), peak in zip(aods, peaks):
+            if peak > params.n_cool_threshold:
                 F_mov_cooling *= f2q ** (2 * len(atoms))
-                for q in atoms:
-                    n_vib[q] = 0.0
+                n_vib[atoms] = 0.0
                 n_cooling += 1
-                cooled.append(array - 1)
+                cooled.append(t)
         cooling.append(cooled)
+
+    F_mov_loss, F_mov_heating = loss.result(), heating.result()
 
     ledger.T_2Q_total = (rydberg_stages + 2 * n_cooling) * params.t_2Q
     ledger.T_transfer_total = n_transfer * params.T_transfer
@@ -169,3 +225,89 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
         cooling=cooling,
     )
     return report, ledger
+
+
+# Stages are read, and factors folded in, in blocks of up to BLOCK atoms or
+# BLOCK // 16 stages: enough to share numpy's per-call cost, too few to add
+# to the compile's memory peak.
+BLOCK = 1024
+
+
+def _read_stages(stages, movable: np.ndarray, params: HardwareParams,
+                 T_per_move: float | None):
+    """Check each stage and yield (move time, atoms moved, quanta each atom
+    gains).
+
+    A stage that does not move has a move time <= 0 (or NaN) and no atoms.
+    The gains of a block of stages that share one move time come from one
+    ``delta_nvib`` call."""
+    n = len(movable)
+    block, block_t, size = [], None, 0
+    for k, stage in enumerate(stages):
+        dist = np.asarray(stage.distances_um, dtype=float)
+        if dist.shape != (n,):
+            raise ValueError(f"stage {k}: distances_um has shape {dist.shape}, "
+                             f"needs one entry per atom ({n})")
+        moved = (dist > 0.0).nonzero()[0]
+        if np.count_nonzero(movable[moved]) != moved.size:
+            q = int(moved[~movable[moved]][0])
+            raise ValueError(f"stage {k}: static atom {q} has move distance "
+                             f"{float(dist[q])!r} um")
+        for a, b in stage.cz:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")
+
+        move_t = stage.move_time_s
+        if T_per_move is not None and move_t > 0.0:
+            move_t = T_per_move
+        if not move_t > 0.0:
+            moved = moved[:0]
+        elif move_t != block_t:
+            yield from _heat(block, block_t, params)
+            block, block_t, size = [], move_t, 0
+        block.append((move_t, moved, dist[moved]))
+        size += moved.size
+        if size >= BLOCK or len(block) >= BLOCK // 16:
+            yield from _heat(block, block_t, params)
+            block, size = [], 0
+    yield from _heat(block, block_t, params)
+
+
+def _heat(block: list, move_t: float | None, params: HardwareParams):
+    """Yield _read_stages' tuples for a block of stages moved for move_t."""
+    dist = np.concatenate([d for _, _, d in block]) if block else np.empty(0)
+    gain = delta_nvib(dist, params, move_t) if dist.size else dist
+    start = 0
+    for t, moved, _ in block:
+        yield t, moved, gain[start:start + moved.size]
+        start += moved.size
+
+
+class _Product:
+    """Left-to-right float product of ``factor(values)``, as a walk of
+    ``F *= f`` would take it, over value arrays added in order.  Pending
+    values are folded in once they reach ``BLOCK`` entries or ``BLOCK // 16``
+    arrays, so memory stays bounded.  Factors of exactly 1.0 are skipped:
+    multiplying by 1.0 changes no bit."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.value = 1.0
+        self.pending: list[np.ndarray] = []
+        self.size = 0
+
+    def add(self, values: np.ndarray) -> None:
+        self.pending.append(values)
+        self.size += len(values)
+        if self.size >= BLOCK or len(self.pending) >= BLOCK // 16:
+            self._fold()
+
+    def _fold(self) -> None:
+        if self.pending:
+            f = self.factor(np.concatenate(self.pending))
+            self.value = math.prod(f[f != 1.0].tolist(), start=self.value)
+            self.pending, self.size = [], 0
+
+    def result(self) -> float:
+        self._fold()
+        return self.value

@@ -1,14 +1,20 @@
 """Thermal tracking, cooling insertion, and the multiplicative fidelity model."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import score_reference
+from atomique import fidelity
 from atomique.arch import AtomCoord, load_config
 from atomique.circuit import Circuit
 from atomique.fidelity import (
+    ERF_ONE,
     FidelityReport,
     TimeLedger,
     apply_schedule,
@@ -19,7 +25,7 @@ from atomique.fidelity import (
 )
 from atomique.pipeline import compile_circuit
 from atomique.stage_router import Schedule, Stage, schedule_to_dict
-from atomique.workloads import WorkloadSpec
+from atomique.workloads import FAMILIES, WorkloadSpec
 
 CFG, PARAMS = load_config({})
 
@@ -292,3 +298,165 @@ def test_move_duration_tradeoff_has_interior_optimum():
     best = totals.index(max(totals))
     assert 0 < best < len(totals) - 1
     assert durations[best] == pytest.approx(300e-6)
+
+
+# ---------------------------------------------------------------------------
+# array passes against the scalar walk in score_reference.py
+# ---------------------------------------------------------------------------
+
+
+def score_repr(report, ledger):
+    """Every report and ledger field, exactly: repr tells apart float bits,
+    -0.0 from 0.0, and a float 1.0 from an int 1 or a numpy scalar."""
+    return repr((dataclasses.asdict(report), report.F_total,
+                 report.neg_log_breakdown(), dataclasses.asdict(ledger)))
+
+
+def assert_scores_like_the_walk(schedule, params, **kwargs):
+    got = apply_schedule(schedule, params, **kwargs)
+    want = score_reference.apply_schedule(schedule, params, **kwargs)
+    assert score_repr(*got) == score_repr(*want)
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_schedule(family, n, seed, relaxed, D_site):
+    cfg = dataclasses.replace(CFG, relaxed=relaxed, D_site=D_site)
+    return compile_circuit(WorkloadSpec(family, n, seed=seed).generate(), cfg, PARAMS,
+                           seed=seed).schedule
+
+
+@st.composite
+def scored_schedules(draw):
+    """A compiled schedule (random family, size, relax set, pitch, and
+    maybe varied move times) and the apply_schedule arguments to score it
+    with."""
+    schedule = compiled_schedule(
+        draw(st.sampled_from(FAMILIES)), 2 * draw(st.integers(2, 8)), draw(st.integers(0, 3)),
+        draw(st.frozensets(st.sampled_from(["C1", "C2", "C3"]))),
+        draw(st.sampled_from([15.0, 60.0])))  # 60 um hops force coolings
+    hw = {"n_cool_threshold": draw(st.one_of(st.just(0.0), st.floats(0.0, 32.0)))}
+    heat = draw(st.sampled_from(["default", "clamp", "random"]))
+    if heat == "clamp":  # lam * (1 - f_2Q) = 5: any n_eff above 0.2 clamps at 0
+        hw.update(f_2Q=0.5, lam=10.0)
+    elif heat == "random":
+        hw.update(f_2Q=draw(st.floats(0.5, 1.0)), lam=draw(st.floats(0.0, 20.0)))
+    if draw(st.booleans()):  # stages of an external schedule may differ in move time
+        schedule = dataclasses.replace(schedule, stages=[
+            dataclasses.replace(s, move_time_s=s.move_time_s * (1 + k % 3) / 2)
+            for k, s in enumerate(schedule.stages)])
+    T_per_move = draw(st.one_of(
+        st.none(), st.floats(1e-5, 2e-3),
+        # 1e-60 heats to ~1e223 quanta, 1e-150 overflows n_vib to inf
+        st.sampled_from([0.0, 1e-9, 1e-60, 1e-150])))
+    kwargs = {"T_per_move": T_per_move, "n_transfer": draw(st.integers(0, 5))}
+    return schedule, dataclasses.replace(PARAMS, **hw), kwargs
+
+
+@settings(max_examples=250, deadline=None)
+@given(scored_schedules(), st.sampled_from([16, 32, 1024]))
+def test_scoring_matches_the_scalar_walk_bit_for_bit(case, block):
+    schedule, params, kwargs = case
+    # a small block folds the products after every stage or two
+    default = fidelity.BLOCK
+    fidelity.BLOCK = block
+    try:
+        report, _ = assert_scores_like_the_walk(schedule, params, **kwargs)
+    finally:
+        fidelity.BLOCK = default
+    assert len(report.cooling) == len(schedule.stages)
+
+
+def test_a_move_time_that_overflows_n_vib_gives_nan_like_the_walk():
+    schedule = compiled_schedule("qaoa-rand", 10, 1, frozenset(), 15.0)
+    report, _ = assert_scores_like_the_walk(schedule, PARAMS, T_per_move=1e-150)
+    assert math.isnan(report.F_mov_loss)
+    assert report.F_mov_heating == 0.0
+
+
+def test_a_schedule_larger_than_a_block_matches_the_walk():
+    schedule = compiled_schedule("qaoa-regular", 60, 0, frozenset(), 60.0)
+    moved = sum(int((s.distances_um > 0).sum()) for s in schedule.stages)
+    assert moved > fidelity.BLOCK
+    report, _ = assert_scores_like_the_walk(schedule, PARAMS)
+    assert report.N_cooling > 0
+
+
+def test_empty_and_gate_free_schedules_score_float_ones():
+    empty = Schedule(CFG, {0: AtomCoord(0, 0, 0)}, [], [0], [[]], [[]], 0)
+    moving = compiled_schedule("qaoa-rand", 12, 0, frozenset(), 15.0)
+    no_cz = dataclasses.replace(
+        moving, stages=[dataclasses.replace(s, cz=[]) for s in moving.stages])
+    for schedule in (empty, one_move_schedule(10), no_cz):
+        report, _ = assert_scores_like_the_walk(schedule, PARAMS)
+        assert repr(report.F_mov_heating) == "1.0"
+        assert repr(report.F_mov_cooling) == "1.0"
+        assert repr(report.F_mov_loss) == "1.0"
+    # fast moves: the gate-free schedule loses atoms, but still has no CZ to heat
+    report, _ = assert_scores_like_the_walk(no_cz, PARAMS, T_per_move=5e-5)
+    assert report.F_mov_loss < 1.0
+    assert repr(report.F_mov_heating) == "1.0"
+
+
+def test_erf_is_exactly_one_from_the_cutoff_up():
+    xs = np.linspace(ERF_ONE, 60.0, 200_001).tolist()
+    assert xs[0] == ERF_ONE
+    assert all(math.erf(x) == 1.0 for x in xs)
+    assert 0.5 * (1.0 + math.erf(ERF_ONE)) == 1.0
+
+
+def test_formulas_take_arrays_and_match_their_scalars():
+    d = np.array([0.0, 7.5, 15.0, 150.0, 1e9])
+    n = np.array([0.0, 1e-3, 10.0, 27.0, 33.0, 1e6, math.inf])
+    hot = dataclasses.replace(PARAMS, f_2Q=0.5, lam=10.0)
+    assert repr(delta_nvib(d, PARAMS, 2e-4).tolist()) == repr(
+        [score_reference.delta_nvib(x, PARAMS, 2e-4) for x in d.tolist()])
+    with np.errstate(invalid="ignore"):  # inf / inf, silent in the scalar walk
+        survival = move_survival(n, PARAMS).tolist()
+    assert repr(survival) == repr(
+        [score_reference.move_survival(x, PARAMS) for x in n.tolist()])
+    for params in (PARAMS, hot):
+        assert repr(heating_factor(n, params).tolist()) == repr(
+            [score_reference.heating_factor(x, params) for x in n.tolist()])
+    assert type(delta_nvib(15.0, PARAMS, 3e-4)) is float
+    assert type(move_survival(10.0, PARAMS)) is float
+    assert type(heating_factor(1.0, PARAMS)) is float
+
+
+# ---------------------------------------------------------------------------
+# malformed in-memory schedules
+# ---------------------------------------------------------------------------
+
+
+def with_stage(schedule, k, **changes):
+    stages = list(schedule.stages)
+    stages[k] = dataclasses.replace(stages[k], **changes)
+    return dataclasses.replace(schedule, stages=stages)
+
+
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_scoring_rejects_distances_of_the_wrong_length(length):
+    schedule = single_cz_result().schedule
+    bad = with_stage(schedule, 0, distances_um=np.full(length, 15.0))
+    with pytest.raises(ValueError, match="stage 0: distances_um"):
+        apply_schedule(bad, PARAMS)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 1), (1, 7)])
+def test_scoring_rejects_a_cz_on_a_qubit_that_does_not_exist(pair):
+    schedule = single_cz_result().schedule
+    k = next(k for k, s in enumerate(schedule.stages) if s.cz)
+    bad = with_stage(schedule, k, cz=[pair])
+    with pytest.raises(ValueError, match=rf"stage {k}: cz \[{pair[0]}, {pair[1]}\]"):
+        apply_schedule(bad, PARAMS)
+
+
+def test_scoring_rejects_a_static_atom_that_moves():
+    schedule = single_cz_result().schedule
+    q = next(q for q, c in schedule.placement.items() if c.array == 0)
+    k = next(k for k, s in enumerate(schedule.stages) if s.move_time_s > 0)
+    dist = schedule.stages[k].distances_um.copy()
+    dist[q] = 15.0
+    bad = with_stage(schedule, k, distances_um=dist)
+    with pytest.raises(ValueError, match=f"stage {k}: static atom {q} has move distance 15.0"):
+        apply_schedule(bad, PARAMS)

@@ -1,18 +1,23 @@
-"""Golden schedule hashes: a byte-identity check for refactors.
+"""Golden schedule, stats and sweep hashes: a byte-identity check for refactors.
 
-Each entry is the sha256 of ``schedule_to_dict`` (JSON, sorted keys) for one
-seeded circuit compiled under one flag set.  A change that is meant to keep
-schedules byte-identical must leave every hash as it is; a change that is
-meant to alter schedules updates the table and says why.
+Each ``GOLDEN`` entry is the sha256 of ``schedule_to_dict`` (JSON, sorted
+keys) for one seeded circuit compiled under one flag set, and each
+``GOLDEN_STATS`` entry the sha256 of the same compile's ``stats.json`` bytes
+without ``compile_wall_time_s``.  ``GOLDEN_SWEEP`` pins the CSV that
+``atomique sweep`` writes for one small circuit per rescoring parameter.  A
+change that is meant to keep outputs byte-identical must leave every hash as
+it is; a change that is meant to alter them updates the table and says why.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
 import pytest
 
 from atomique.arch import load_config
+from atomique.cli import main
 from atomique.pipeline import compile_circuit
 from atomique.stage_router import schedule_to_dict
 from atomique.workloads import WorkloadSpec
@@ -110,19 +115,132 @@ GOLDEN = {
 }
 
 
-def schedule_hash(circuit_name: str, flags: str) -> str:
+GOLDEN_STATS = {
+    ("bv-40", "default"):
+        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+    ("bv-40", "mapper-random"):
+        "30d33ea4990735f078da754e6811a382e3851d07639fc38dcd76e55a8cafeb89",
+    ("bv-40", "relax-C1"):
+        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+    ("bv-40", "relax-C2"):
+        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+    ("bv-40", "relax-C2-C3"):
+        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+    ("bv-40", "relax-C3"):
+        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+    ("bv-40", "serial"):
+        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+    ("qaoa-rand-30", "default"):
+        "91e5546ca7b224fc08d4726a1739904d0efca330de133a9cd1ba7cefcd09c712",
+    ("qaoa-rand-30", "mapper-random"):
+        "b1fd17e9648759b8170459cae898b82536b8e40606fec906db37f5d5dc7877cb",
+    ("qaoa-rand-30", "relax-C1"):
+        "0b76b0bb949bf15fcfa06261a41f3c3d5fdd1850eaffc0c2e7f9f310f418aaf8",
+    ("qaoa-rand-30", "relax-C2"):
+        "4f637381e71574afde164e0123a4160670ff8b09d7788cc0cc901f1f55227bdc",
+    ("qaoa-rand-30", "relax-C2-C3"):
+        "7c5c66f6458e7d30e3d12b0679ade142f17979094bd7f91712721da0b903ceb6",
+    ("qaoa-rand-30", "relax-C3"):
+        "d2cefc4b350de57978f47531d77b5b41d0d37de9b789dfece7e223e0d75cc703",
+    ("qaoa-rand-30", "serial"):
+        "50fabbe75e1088fd41a3287a841d5fddee2903017ea84cea2fac8cfd6081d680",
+    ("qaoa-regular-40", "default"):
+        "e8877e7a87377d8cf0ffbba67f7505c1a72035f61ec2973ea833718026faddef",
+    ("qaoa-regular-40", "mapper-random"):
+        "6b8171da59a2f2f5035fa2f2158a29dbf023ee19ed2b3ba3e59b1ccd79cb923b",
+    ("qaoa-regular-40", "relax-C1"):
+        "867f468fc62dac18f881f19492ddbf78cf1673ea210ef3c882d8cfa990d854f2",
+    ("qaoa-regular-40", "relax-C2"):
+        "1de67695aa33503fa48475c0308e5203920683434c6778ce5fdf5a31bff2f593",
+    ("qaoa-regular-40", "relax-C2-C3"):
+        "931e4833cfb25e97f447fb3032346cd00de6bf09a9ff66c571fb46039035f7cc",
+    ("qaoa-regular-40", "relax-C3"):
+        "434519d2c45ac891c3af45f773090a3f6c429a5df17eaa60b8c911c2722b0f0f",
+    ("qaoa-regular-40", "serial"):
+        "823ebd319e28639dfda1702157439e3c5f3ebbeeeb108ffacfc56a28464a87a6",
+    ("qsim-rand-24", "default"):
+        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+    ("qsim-rand-24", "mapper-random"):
+        "b40587dd7032b0e0b99314f8eef69c05d29fe446226d53840345fbe8b03bb02f",
+    ("qsim-rand-24", "relax-C1"):
+        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+    ("qsim-rand-24", "relax-C2"):
+        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+    ("qsim-rand-24", "relax-C2-C3"):
+        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+    ("qsim-rand-24", "relax-C3"):
+        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+    ("qsim-rand-24", "serial"):
+        "f1b94451be500f4c43dfb524dc7fe6267010ae154f00e3e7e193229530e84cc3",
+    ("random-pairs-40", "default"):
+        "322c756dd0b615d7ca4949f5781a4183bcb5517d7ca5346c481492f15549aa4a",
+    ("random-pairs-40", "mapper-random"):
+        "6c55dbd9eceb0f7f2d755e134a438cea86d28b970138b7f1f2afdc93bc42c731",
+    ("random-pairs-40", "relax-C1"):
+        "dd867aceebd27c0e81b80188046f80596752b097c7b394633768423f5f3bcf85",
+    ("random-pairs-40", "relax-C2"):
+        "17d648691f57d8de97acd987c93710d2e84bcae5d6f02098c5d15f28bb05ff12",
+    ("random-pairs-40", "relax-C2-C3"):
+        "e11851080e05670f36c879276da1b3bedce684e05459052c9284a8ad165f3c21",
+    ("random-pairs-40", "relax-C3"):
+        "cb6166b3d075a56d514f26aee87940abe3a1b3f4efcd6e52bd8f6edfc33fb172",
+    ("random-pairs-40", "serial"):
+        "f95443763921da4bbbf89efb0b096352c2b0e75abda78eaa1c01ab133d7b19f8",
+}
+
+# sweep parameter -> values; each rescoring one compile of SWEEP_CIRCUIT
+SWEEP_CIRCUIT = ["--family", "qaoa-rand", "--n", "30", "--seed", "3", "--p", "0.3"]
+SWEEP_VALUES = {
+    "T_per_move": "30e-6,100e-6,200e-6,300e-6,600e-6,1e-3",
+    "n_cool_threshold": "0,0.001,0.01,0.1,1,15",
+    "f_2Q": "0.9,0.99,0.995,0.999,1.0",
+}
+
+GOLDEN_SWEEP = {
+    "T_per_move": "f3d200f270bca0df98da9336d0e9da2e80b23e062877ca7197e83d484d8873f4",
+    "f_2Q": "32e16c427e6792069b178f429f1c4f319bb2298fbf03cf0cab48013454a9207a",
+    "n_cool_threshold": "876460853dc74529091a71bfb33f05a7c3e80a5210f9805f79c8274584bb2731",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def compile_hashes(circuit_name: str, flags: str) -> tuple[str, str]:
+    """(schedule sha256, stats.json sha256 without compile_wall_time_s)."""
     relaxed, kwargs = FLAGS[flags]
     cfg, params = load_config({})
     cfg = dataclasses.replace(cfg, relaxed=frozenset(relaxed))
     res = compile_circuit(CIRCUITS[circuit_name].generate(), cfg, params, seed=1, **kwargs)
     blob = json.dumps(schedule_to_dict(res.schedule), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    stats = {k: v for k, v in res.stats.items() if k != "compile_wall_time_s"}
+    # the bytes `atomique compile` writes to stats.json
+    stats_blob = (json.dumps(stats, indent=2, sort_keys=True) + "\n").encode()
+    return hashlib.sha256(blob).hexdigest(), hashlib.sha256(stats_blob).hexdigest()
+
+
+def sweep_hash(param: str, out_dir) -> str:
+    path = out_dir / f"{param}.csv"
+    rc = main(["sweep", "--param", param, "--values", SWEEP_VALUES[param],
+               *SWEEP_CIRCUIT, "-o", str(path)])
+    assert rc == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_the_golden_table_covers_every_circuit_and_flag_set():
     assert set(GOLDEN) == {(c, f) for c in CIRCUITS for f in FLAGS}
+    assert set(GOLDEN_STATS) == set(GOLDEN)
+    assert set(GOLDEN_SWEEP) == set(SWEEP_VALUES)
 
 
 @pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN))
 def test_schedule_bytes_match_the_golden_hash(circuit_name, flags):
-    assert schedule_hash(circuit_name, flags) == GOLDEN[(circuit_name, flags)]
+    assert compile_hashes(circuit_name, flags)[0] == GOLDEN[(circuit_name, flags)]
+
+
+@pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN_STATS))
+def test_stats_bytes_match_the_golden_hash(circuit_name, flags):
+    assert compile_hashes(circuit_name, flags)[1] == GOLDEN_STATS[(circuit_name, flags)]
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_VALUES))
+def test_sweep_csv_bytes_match_the_golden_hash(param, tmp_path):
+    assert sweep_hash(param, tmp_path) == GOLDEN_SWEEP[param]
