@@ -180,29 +180,62 @@ def slm_position(row: int, col: int, config: ArchConfig) -> tuple[float, float]:
 
 def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
                col_offsets=None) -> np.ndarray:
-    """(n, 3) lane coordinates indexed by qubit id: x lane, x offset (um),
-    y lane.
+    """(k * n, 3) lane coordinates of k stages of n atoms, row k * n + q
+    for qubit q: x lane, x offset (um), y lane.
 
-    A static site (row, col) sits on the gate lanes (2 col, 0, 2 row); an
-    AOD atom takes its row's and column's lane from the per-AOD lists, and
-    its column's offset (zero when `col_offsets` is None).  Raises
-    ValueError when an occupied row or column has no lane (None) or a lane
-    or offset is not finite.
+    row_lanes, col_lanes and col_offsets hold one entry per stage, each a
+    list per AOD of the lane of every row or column (None = empty) or of
+    every column's x offset; col_offsets None means zero offsets.  A
+    static site (row, col) sits on the gate lanes (2 col, 0, 2 row); an
+    AOD atom takes its row's and column's lanes and its column's offset.
+    Raises ValueError when an occupied row or column has no lane (None or
+    no entry), a lane or offset is not finite, or the stages' lists differ
+    in length.
     """
-    flat = []  # one flat list: numpy converts it much faster than tuples
-    for q in range(len(placement)):
+    n, k = len(placement), len(row_lanes)
+    rows, row_at = _lane_table(row_lanes)
+    cols, col_at = _lane_table(col_lanes)
+    offs, off_at = (np.zeros_like(cols), col_at) if col_offsets is None else _lane_table(col_offsets)
+    slm, slm_lanes, aod, ri, ci, oi = [], [], [], [], [], []
+    for q in range(n):
         p = placement[q]
         if p.array == 0:
-            flat += (2 * p.col, 0.0, 2 * p.row)
-        else:
-            t = p.array - 1
-            off = col_offsets[t][p.col] if col_offsets is not None else 0.0
-            flat += (col_lanes[t][p.col], off, row_lanes[t][p.row])
-    lanes = np.array(flat, dtype=np.float64).reshape(-1, 3)
+            slm.append(q)
+            slm_lanes.append((2 * p.col, 0.0, 2 * p.row))
+            continue
+        t = p.array - 1
+        aod.append(q)
+        ri.append(row_at(t, p.row))
+        ci.append(col_at(t, p.col))
+        oi.append(off_at(t, p.col))
+    out = np.empty((k, n, 3))
+    out[:, slm] = np.array(slm_lanes, dtype=np.float64).reshape(-1, 3)
+    out[:, aod, 0] = cols[:, ci]
+    out[:, aod, 1] = offs[:, oi]
+    out[:, aod, 2] = rows[:, ri]
+    lanes = out.reshape(k * n, 3)
     if not np.isfinite(lanes).all():  # a None lane is NaN here
         raise ValueError("an occupied AOD row or column has no lane, "
                          "or a lane or offset that is not finite")
     return lanes
+
+
+def _lane_table(per_stage):
+    """(k, total) float array of each stage's per-AOD lists laid end to
+    end, and a function from (AOD, index) to the column of that entry."""
+    widths = [len(v) for v in per_stage[0]] if per_stage else []
+    if any([len(v) for v in s] != widths for s in per_stage):
+        raise ValueError("stages differ in the number of lanes of an AOD")
+    table = np.array([[x for v in s for x in v] for s in per_stage],
+                     dtype=np.float64).reshape(len(per_stage), sum(widths))
+    starts = np.cumsum([0] + widths).tolist()
+
+    def at(t: int, i: int) -> int:
+        if not (0 <= t < len(widths) and 0 <= i < widths[t]):
+            raise ValueError("an occupied AOD row or column has no lane")
+        return starts[t] + i
+
+    return table, at
 
 
 def atom_positions(lanes: np.ndarray, config: ArchConfig) -> np.ndarray:
@@ -238,19 +271,23 @@ def min_separation_audit(
     positions: np.ndarray,
     intended_pairs,
     config: ArchConfig,
+    stage=None,
 ) -> list[Violation]:
     """Report every pair violating the continuous-space separation rule.
 
     Intended pairs must sit closer than r_b; every other pair must be at
-    least 2.5 * r_b apart.  Violations are reported, not raised; a
-    non-finite position, where distances mean nothing, raises ValueError.
+    least 2.5 * r_b apart.  `stage` gives each atom's stage index (all one
+    stage when None): atoms of different stages are never compared, and
+    an intended pair names two atoms of one stage.  Violations are
+    reported, not raised; a non-finite position, where distances mean
+    nothing, raises ValueError.
     """
     m = len(positions)
     partner = np.full(m, -1, np.int64)
     for a, b in intended_pairs:
         partner[min(a, b)] = max(a, b)
     vi, vj, vd, vk = kernels.separation_scan(
-        np.asarray(positions, dtype=np.float64), partner, config.r_b, config.s_min
+        np.asarray(positions, dtype=np.float64), partner, config.r_b, config.s_min, stage
     )
     kinds = ("too_close", "pair_too_far")
     return [

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 
@@ -69,9 +71,56 @@ def _run_compile(args):
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write what json.dump(payload, indent=2, sort_keys=True) writes, then
+    a newline, byte for byte, streaming it to the file.  json.dump with an
+    indent runs the pure-Python encoder; this writer walks dicts and lists
+    itself and leaves runs of scalars to str.join and the C encoder."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        _dump(payload, fh.write, 0)
         fh.write("\n")
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _list_encoder(depth: int) -> json.JSONEncoder:
+    """Encodes a list of scalars with each item on its own line at `depth`."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _dump(obj, write, depth: int) -> None:
+    kind = type(obj)
+    if kind in _SCALARS:
+        write(_list_encoder(0).encode(obj))
+        return
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    kinds = set(map(type, obj)) if kind is dict or kind is list else None
+    if not obj and kinds is not None:
+        write("{}" if kind is dict else "[]")
+    elif kind is dict and kinds == {str}:
+        sep = "{" + inner
+        for key in sorted(obj):
+            write(f"{sep}{json.encoder.encode_basestring_ascii(key)}: ")
+            _dump(obj[key], write, depth + 1)
+            sep = "," + inner
+        write(outer + "}")
+    elif kind is list and kinds == {int}:
+        write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + outer + "]")
+    elif kind is list and kinds == {float} and all(map(math.isfinite, obj)):
+        write("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + outer + "]")
+    elif kind is list and kinds <= _SCALARS:
+        write("[" + inner + _list_encoder(depth + 1).encode(obj)[1:-1] + outer + "]")
+    elif kind is list:
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _dump(item, write, depth + 1)
+            sep = "," + inner
+        write(outer + "]")
+    else:  # json renders any other value the same at every depth, but indented
+        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", outer))
 
 
 def cmd_compile(args) -> int:

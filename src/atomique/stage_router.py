@@ -16,6 +16,9 @@ Three legality constraints govern what fits into one stage:
   C3  two rows (or columns) of one array cannot merge onto one lane.
 Any of the three can be disabled for ablation studies; the continuous
 min-separation audit remains the ground truth and is run on every stage.
+Stages are audited in blocks of up to AUDIT_BLOCK atoms, with one lane
+gather and one separation scan per block: the scan's fixed cost is paid
+per block, not per stage, and the cap bounds the block's arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .arch import (
     ArchConfig,
     AtomCoord,
+    Violation,
     arch_to_dict,
     atom_lanes,
     atom_positions,
@@ -85,8 +89,8 @@ class Schedule:
 
     def stage_positions(self, k: int) -> np.ndarray:
         s = self.stages[k]
-        return atom_positions(atom_lanes(self.placement, s.row_lanes, s.col_lanes,
-                                         s.col_offsets), self.config)
+        return atom_positions(atom_lanes(self.placement, [s.row_lanes], [s.col_lanes],
+                                         [s.col_offsets]), self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +472,47 @@ def _descendant_counts(dag) -> list[int]:
     return [r.bit_count() for r in reach]
 
 
-def stage_violations(positions: np.ndarray, cz, placement: Placement,
-                     config: ArchConfig) -> list:
-    """Separation-audit findings for one stage's atom positions and CZ
-    pairs, minus the ones a relaxed constraint deliberately permits
-    (cross-array closeness under C1, same-array lane collisions under C3)."""
-    violations = min_separation_audit(positions, cz, config)
-    keep = []
-    for v in violations:
-        ai, aj = placement[v.i].array, placement[v.j].array
+# atoms per audited block of stages (a block holds at least one stage)
+AUDIT_BLOCK = 8192
+
+
+def _stages_per_block(n: int) -> int:
+    return max(1, AUDIT_BLOCK // max(n, 1))
+
+
+def _audit_block(prev: np.ndarray, rows, cols, offsets, czs, placement: Placement,
+                 config: ArchConfig):
+    """(lanes, move distances, findings) of a block of stages.
+
+    rows, cols, offsets and czs hold one entry per stage; prev is the
+    `atom_lanes` array of the stage before the block.  Lanes and distances
+    come one stage after another, as `atom_lanes` and `move_distances` give
+    them.  Findings are (stage in block, `Violation`) pairs in pair order,
+    minus the ones a relaxed constraint deliberately permits (cross-array
+    closeness under C1, same-array lane collisions under C3).  Raises
+    ValueError on a CZ qubit outside range(n)."""
+    n = len(placement)
+    lanes = atom_lanes(placement, rows, cols, offsets)
+    moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
+    pairs = []
+    for k, cz in enumerate(czs):
+        for a, b in cz:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"cz {[a, b]} names a qubit outside range({n})")
+            pairs.append((k * n + a, k * n + b))
+    stage = np.repeat(np.arange(len(czs)), n)
+    found = []
+    for v in min_separation_audit(atom_positions(lanes, config), pairs, config, stage):
+        k = v.i // n
+        i, j = v.i - k * n, v.j - k * n
+        ai, aj = placement[i].array, placement[j].array
         if v.kind == "too_close" and "C1" in config.relaxed and ai != aj:
             continue
         if (v.kind == "too_close" and "C3" in config.relaxed and ai == aj
                 and v.distance_um < 1e-9):
             continue
-        keep.append(v)
-    return keep
+        found.append((k, Violation(i, j, v.distance_um, v.kind)))
+    return lanes, moved, found
 
 
 @dataclass(frozen=True)
@@ -499,21 +528,25 @@ def audit_schedule(schedule: Schedule) -> list:
 
     Findings are separation violations (`Violation`) and stored move
     distances that are not exactly the ones the lanes give, starting from
-    the initial lanes (`DistanceMismatch`).
+    the initial lanes (`DistanceMismatch`): per stage, its violations in
+    pair order, then its mismatches in qubit order.
     """
     placement, config = schedule.placement, schedule.config
+    n = len(placement)
+    step = _stages_per_block(n)
     findings = []
-    prev = atom_lanes(placement, schedule.initial_row_lanes, schedule.initial_col_lanes)
-    for k, s in enumerate(schedule.stages):
-        lanes = atom_lanes(placement, s.row_lanes, s.col_lanes, s.col_offsets)
-        findings += [(k, v) for v in stage_violations(atom_positions(lanes, config),
-                                                      s.cz, placement, config)]
-        moved = move_distances(prev, lanes, config)
-        wrong = s.distances_um != moved
-        if wrong.any():
-            findings += [(k, DistanceMismatch(int(q), float(s.distances_um[q]), float(moved[q])))
-                         for q in np.flatnonzero(wrong)]
-        prev = lanes
+    prev = atom_lanes(placement, [schedule.initial_row_lanes], [schedule.initial_col_lanes])
+    for k0 in range(0, len(schedule.stages), step):
+        block = schedule.stages[k0:k0 + step]
+        lanes, moved, found = _audit_block(
+            prev, [s.row_lanes for s in block], [s.col_lanes for s in block],
+            [s.col_offsets for s in block], [s.cz for s in block], placement, config)
+        stored = np.concatenate([s.distances_um for s in block])
+        found += [(w // n, DistanceMismatch(w % n, float(stored[w]), float(moved[w])))
+                  for w in np.flatnonzero(stored != moved).tolist()]
+        found.sort(key=lambda f: f[0])  # stable: violations stay before mismatches
+        findings += [(k0 + k, f) for k, f in found]
+        prev = lanes[len(lanes) - n:]
     return findings
 
 
@@ -523,7 +556,9 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
 
     Loop: execute every ready one-qubit gate in Raman layers, then pick a
     maximal legal parallel CZ set, synthesize the lane motion (dropping the
-    last accepted gate while the parked rows don't fit), audit, emit.
+    last accepted gate while the parked rows don't fit), emit.  Emitted
+    stages are audited in blocks; the first stage in violation raises
+    RuntimeError with its first four findings.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -544,77 +579,104 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     prev_rows, prev_cols = initial_lanes(config, index)
     init_rows = [list(r) for r in prev_rows]
     init_cols = [list(c) for c in prev_cols]
-    prev = atom_lanes(placement, prev_rows, prev_cols)
+    prev = atom_lanes(placement, [prev_rows], [prev_cols])
 
     stages: list[Stage] = []
     overlap_rejections = 0
     gate_pins: dict[int, _Pins] = {}  # gate index -> its lane pins
+    n = len(placement)
+    step = _stages_per_block(n)
+    queue: list[tuple] = []  # emitted, unaudited stages: (raman, cz, synthesized lanes)
 
-    while True:
-        raman_layers: list[list[Gate]] = []
-        while True:
-            fences = sorted(gi for gi in ready if gates[gi].kind == "barrier")
-            for gi in fences:
-                finish(gi)
-            ready_1q = sorted(gi for gi in ready if gates[gi].kind == "u")
-            if not ready_1q:
-                if not fences:
-                    break
-                continue
-            raman_layers.append([gates[gi] for gi in ready_1q])
-            for gi in ready_1q:
-                finish(gi)
-
-        front = []
-        for gi in sorted(ready):
-            g = gates[gi]
-            if g.kind != "cz":
-                raise ValueError(f"unsupported gate {g.kind!r} in routed circuit")
-            a, b = g.qubits
-            if placement[a].array == placement[b].array:
-                raise ValueError("routed circuit has an intra-array CZ")
-            front.append((gi, (a, b)))
-
-        if not front and not raman_layers:
-            break
-
-        accepted, pins, rej = [], _Pins(), 0
-        if front:
-            accepted, pins, rej = select_parallel_gates(
-                front, placement, index, config, desc_count, serial=serial,
-                gate_pins=gate_pins)
-            overlap_rejections += rej
-        while True:
-            # with no pins at all (raman-only stage) this parks every array
-            # and cannot fail, so the pop below never underflows
-            synth = synthesize_motion(pins, prev_rows, prev_cols, index, config)
-            if synth is not None:
-                break
-            accepted.pop()
-            pins = _Pins()
-            for gi, _ in accepted:
-                pins = pins.merged(gate_pins[gi])
-        new_rows, new_cols, new_offsets = synth
-        lanes = atom_lanes(placement, new_rows, new_cols, new_offsets)
-        distances = move_distances(prev, lanes, config)
-
-        stage = Stage(
-            raman=raman_layers,
-            cz=[pair for _, pair in accepted],
-            row_lanes=[list(r) for r in new_rows],
-            col_lanes=[list(c) for c in new_cols],
-            col_offsets=[list(o) for o in new_offsets],
-            distances_um=distances,
-            move_time_s=config.T_per_move if (accepted or distances.any()) else 0.0,
-        )
-        violations = stage_violations(atom_positions(lanes, config), stage.cz,
-                                      placement, config)
-        if violations:
+    def flush() -> None:
+        """Gather the queued stages' atom lanes and move distances as one
+        block, audit them, and append them to `stages`; raise for the first
+        stage in violation."""
+        nonlocal prev
+        if not queue:
+            return
+        block = queue[:]
+        queue.clear()
+        rows, cols, offsets = zip(*(q[2] for q in block))
+        lanes, moved, found = _audit_block(prev, rows, cols, offsets, [q[1] for q in block],
+                                           placement, config)
+        prev = lanes[len(lanes) - n:]
+        if found:
+            violations = [v for k, v in found if k == found[0][0]]
             raise RuntimeError(f"stage geometry violates separation: {violations[:4]}")
-        stages.append(stage)
-        for gi, _ in accepted:
-            finish(gi)
-        prev_rows, prev_cols, prev = new_rows, new_cols, lanes
+        moved = moved.reshape(len(block), n)
+        for (raman, cz, _), r, c, o, distances, moving in zip(
+                block, rows, cols, offsets, moved, moved.any(axis=1)):
+            stages.append(Stage(
+                raman=raman,
+                cz=cz,
+                row_lanes=[list(x) for x in r],
+                col_lanes=[list(x) for x in c],
+                col_offsets=[list(x) for x in o],
+                distances_um=distances,
+                move_time_s=config.T_per_move if (cz or moving) else 0.0,
+            ))
+
+    # stages are audited per block; an error raised before a block is
+    # audited gives way to a violation in an earlier stage, as it would if
+    # every stage were audited as soon as it was emitted
+    try:
+        while True:
+            raman_layers: list[list[Gate]] = []
+            while True:
+                fences = sorted(gi for gi in ready if gates[gi].kind == "barrier")
+                for gi in fences:
+                    finish(gi)
+                ready_1q = sorted(gi for gi in ready if gates[gi].kind == "u")
+                if not ready_1q:
+                    if not fences:
+                        break
+                    continue
+                raman_layers.append([gates[gi] for gi in ready_1q])
+                for gi in ready_1q:
+                    finish(gi)
+
+            front = []
+            for gi in sorted(ready):
+                g = gates[gi]
+                if g.kind != "cz":
+                    raise ValueError(f"unsupported gate {g.kind!r} in routed circuit")
+                a, b = g.qubits
+                if placement[a].array == placement[b].array:
+                    raise ValueError("routed circuit has an intra-array CZ")
+                front.append((gi, (a, b)))
+
+            if not front and not raman_layers:
+                break
+
+            accepted, pins, rej = [], _Pins(), 0
+            if front:
+                accepted, pins, rej = select_parallel_gates(
+                    front, placement, index, config, desc_count, serial=serial,
+                    gate_pins=gate_pins)
+                overlap_rejections += rej
+            while True:
+                # with no pins at all (raman-only stage) this parks every array
+                # and cannot fail, so the pop below never underflows
+                synth = synthesize_motion(pins, prev_rows, prev_cols, index, config)
+                if synth is not None:
+                    break
+                accepted.pop()
+                pins = _Pins()
+                for gi, _ in accepted:
+                    pins = pins.merged(gate_pins[gi])
+            # synthesize_motion gives every occupied row and column a finite
+            # lane, so gathering the block's lanes in flush() cannot fail
+            queue.append((raman_layers, [pair for _, pair in accepted], synth))
+            if len(queue) >= step:
+                flush()
+            for gi, _ in accepted:
+                finish(gi)
+            prev_rows, prev_cols, _ = synth
+        flush()
+    except Exception:
+        flush()
+        raise
 
     return Schedule(config, dict(placement), stages, list(routed.perm),
                     init_rows, init_cols, overlap_rejections)

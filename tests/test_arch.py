@@ -83,7 +83,7 @@ def test_hardware_validation():
 def test_atom_positions_mixed():
     cfg = ArchConfig()
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(1, 0, 0)}
-    lanes = atom_lanes(placement, [[1], [None]], [[3], [None]], [[-0.5], [0.0]])
+    lanes = atom_lanes(placement, [[[1], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
     assert lanes.tolist() == [[4.0, 0.0, 2.0], [3.0, -0.5, 1.0]]
     pos = atom_positions(lanes, cfg)
     assert pos[0] == pytest.approx([30.0, 15.0])
@@ -94,16 +94,35 @@ def test_atom_positions_mixed():
 
 def test_atom_lanes_rejects_an_occupied_row_without_a_lane():
     with pytest.raises(ValueError):
-        atom_lanes({0: AtomCoord(1, 0, 0)}, [[None]], [[1]])
+        atom_lanes({0: AtomCoord(1, 0, 0)}, [[[None]]], [[[1]]])
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_atom_lanes_rejects_a_lane_or_offset_that_is_not_finite(bad):
     placement = {0: AtomCoord(1, 0, 0)}
-    for rows, cols, offsets in (([[bad]], [[1]], None), ([[1]], [[bad]], None),
-                                ([[1]], [[1]], [[bad]])):
+    for rows, cols, offsets in (([[[bad]]], [[[1]]], None), ([[[1]]], [[[bad]]], None),
+                                ([[[1]]], [[[1]]], [[[bad]]])):
         with pytest.raises(ValueError, match="not finite"):
             atom_lanes(placement, rows, cols, offsets)
+
+
+def test_atom_lanes_of_a_block_stack_its_stages():
+    placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(2, 1, 0), 2: AtomCoord(1, 0, 1)}
+    stages = [([[1], [None, 5]], [[None, 3], [7]], [[0.0, -0.5], [0.25]]),
+              ([[9], [None, 11]], [[None, 13], [15]], [[0.0, 0.5], [-0.0]])]
+    block = atom_lanes(placement, *zip(*stages))
+    one_by_one = [atom_lanes(placement, [r], [c], [o]) for r, c, o in stages]
+    assert block.tobytes() == np.concatenate(one_by_one).tobytes()
+    assert block.tolist() == [[4.0, 0.0, 2.0], [7.0, 0.25, 5.0], [3.0, -0.5, 1.0],
+                              [4.0, 0.0, 2.0], [15.0, -0.0, 11.0], [13.0, 0.5, 9.0]]
+
+
+def test_atom_lanes_rejects_lane_lists_that_do_not_line_up():
+    placement = {0: AtomCoord(1, 0, 0), 1: AtomCoord(2, 1, 0)}
+    with pytest.raises(ValueError, match="differ"):  # same total, other split
+        atom_lanes(placement, [[[1], [3, 5]], [[1, 3], [5]]], [[[1], [3]]] * 2)
+    with pytest.raises(ValueError, match="no lane"):  # AOD 2 has no row 1
+        atom_lanes(placement, [[[1], [3]]], [[[1], [3]]])
 
 
 def test_move_distances_come_from_lane_deltas():
@@ -111,8 +130,8 @@ def test_move_distances_come_from_lane_deltas():
     # differences of positions round differently
     cfg = ArchConfig(D_site=16.3)
     placement = {0: AtomCoord(0, 0, 0), 1: AtomCoord(1, 0, 0)}
-    prev = atom_lanes(placement, [[7], [None]], [[1], [None]])
-    new = atom_lanes(placement, [[7], [None]], [[3], [None]], [[-0.5], [0.0]])
+    prev = atom_lanes(placement, [[[7], [None]]], [[[1], [None]]])
+    new = atom_lanes(placement, [[[7], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
     got = move_distances(prev, new, cfg)
     assert got[0] == 0.0
     assert got[1] == 2 * 8.15 - 0.5 == 15.8

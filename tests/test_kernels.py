@@ -183,6 +183,85 @@ def test_scan_empty_and_single():
         assert i.size == 0
 
 
+# ---------------------------------------------------------------------------
+# many stages in one scan
+# ---------------------------------------------------------------------------
+
+
+def per_stage_dense(pos, partner, stage):
+    """The all-pairs reference run stage by stage (stages laid out one after
+    another, partners global), its findings mapped back to global indices."""
+    out = [[], [], [], []]
+    for k in np.unique(stage):
+        at = np.flatnonzero(stage == k)
+        lo = at[0]
+        local = np.where(partner[at] >= 0, partner[at] - lo, -1)
+        i, j, d, kind = dense_separation_scan(pos[at], local, R_B, S_MIN)
+        for part, value in zip(out, (i + lo, j + lo, d, kind)):
+            part.append(value)
+    return tuple(np.concatenate(p) if p else np.empty(0, t)
+                 for p, t in zip(out, (np.int64, np.int64, np.float64, np.int64)))
+
+
+def blocks(geometries):
+    pos = np.concatenate([g[0].reshape(-1, 2) for g in geometries])
+    stage = np.repeat(np.arange(len(geometries)), [len(g[0]) for g in geometries])
+    starts = np.cumsum([0] + [len(g[0]) for g in geometries])
+    partner = np.concatenate([np.where(g[1] >= 0, g[1] + lo, -1)
+                              for g, lo in zip(geometries, starts)]).astype(np.int64)
+    return pos, partner, stage
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(stage_geometries(), min_size=1, max_size=5))
+def test_scan_of_many_stages_matches_each_stage_scanned_alone(geometries):
+    pos, partner, stage = blocks(geometries)
+    got = separation_scan(pos, partner, R_B, S_MIN, stage)
+    assert_same_findings(got, per_stage_dense(pos, partner, stage))
+
+
+def test_scan_never_pairs_atoms_of_different_stages():
+    # one point, three atoms in each of three adjacent stages
+    pos = np.zeros((9, 2))
+    stage = np.repeat([0, 1, 2], 3)
+    i, j, d, k = separation_scan(pos, np.full(9, -1, np.int64), R_B, S_MIN, stage)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
+                                                  (4, 5), (6, 7), (6, 8), (7, 8)]
+    assert d.tolist() == [0.0] * 9
+
+
+@pytest.mark.parametrize("far", [1e300, -1e300])
+def test_scan_clamped_positions_in_neighbouring_stages_match_each_stage(far):
+    # clamping puts every huge coordinate in the outermost cell of its
+    # stage, where the neighbour runs reach furthest toward the next stage
+    stage_atoms = [[far, far], [far, far], [far, -far], [0.0, 0.0], [far, far + 3.0]]
+    pos = np.array(stage_atoms * 3)
+    partner = np.full(15, -1, np.int64)
+    partner[[3, 8]] = [4, 9]
+    stage = np.repeat([0, 1, 2], 5)
+    with np.errstate(over="ignore"):  # both square the huge gaps
+        want = per_stage_dense(pos, partner, stage)
+        got = separation_scan(pos, partner, R_B, S_MIN, stage)
+    assert_same_findings(got, want)
+    assert set(zip(want[0].tolist(), want[1].tolist())) >= {(0, 1), (5, 6), (10, 11)}
+
+
+def test_scan_reports_a_far_intended_pair_in_its_own_stage():
+    # stage 1's intended pair sits 100 um apart; stage 0 has atoms on the
+    # same two points that are no pair
+    pos = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 0.0], [100.0, 0.0]])
+    partner = np.array([-1, -1, 3, -1], np.int64)
+    i, j, d, k = separation_scan(pos, partner, R_B, S_MIN, np.array([0, 0, 1, 1]))
+    assert (i.tolist(), j.tolist(), d.tolist(), k.tolist()) == ([2], [3], [100.0], [1])
+
+
+@pytest.mark.parametrize("bad", [-1, 2**20])
+def test_scan_rejects_a_stage_index_out_of_range(bad):
+    with pytest.raises(ValueError, match="stage"):
+        separation_scan(np.zeros((2, 2)), np.full(2, -1, np.int64), R_B, S_MIN,
+                        np.array([0, bad]))
+
+
 def test_kcut_two_vertices():
     w = np.array([[0.0, 3.0], [3.0, 0.0]])
     best, labels = kcut_exhaustive(w, 2)

@@ -6,10 +6,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from atomique.arch import load_config
 from atomique.circuit import Circuit, parse_qasm, to_qasm
-from atomique.cli import main
+from atomique.cli import _write_json, main
 from atomique.oracle import equivalent_up_to_permutation
 from atomique.pipeline import compile_circuit, random_assignment
 from atomique.stage_router import audit_schedule, schedule_to_circuit
@@ -158,6 +160,28 @@ def test_compile_command_outputs(tmp_path, capsys):
     routed = parse_qasm((out / "routed.qasm").read_text())
     assert sum(g.kind == "cz" for g in routed.gates) == stats["n_2q"]
     assert "two-qubit gates" in capsys.readouterr().out
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2**300, 2**300) | st.floats() | st.text()
+                | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"),
+                                   "\u00e9\u6f22\U0001f600", "\n\"\\"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()) | st.lists(st.floats())
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(max_size=6), children, max_size=6),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=JSON_VALUES)
+def test_write_json_writes_the_json_module_bytes(payload, tmp_path):
+    path = tmp_path / "out.json"
+    _write_json(str(path), payload)
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_compile_reruns_are_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from atomique.arch import load_config
+from atomique.circuit import to_qasm
 from atomique.cli import main
 from atomique.pipeline import compile_circuit
 from atomique.stage_router import schedule_to_dict
@@ -188,6 +189,17 @@ GOLDEN_STATS = {
         "f95443763921da4bbbf89efb0b096352c2b0e75abda78eaa1c01ab133d7b19f8",
 }
 
+# flag set -> the `atomique compile` arguments that select it
+CLI_FLAGS = {
+    "default": [],
+    "relax-C1": ["--relax", "C1"],
+    "relax-C2": ["--relax", "C2"],
+    "relax-C3": ["--relax", "C3"],
+    "relax-C2-C3": ["--relax", "C2", "--relax", "C3"],
+    "serial": ["--serial-router"],
+    "mapper-random": ["--mapper", "random"],
+}
+
 # sweep parameter -> values; each rescoring one compile of SWEEP_CIRCUIT
 SWEEP_CIRCUIT = ["--family", "qaoa-rand", "--n", "30", "--seed", "3", "--p", "0.3"]
 SWEEP_VALUES = {
@@ -244,3 +256,28 @@ def test_stats_bytes_match_the_golden_hash(circuit_name, flags):
 @pytest.mark.parametrize("param", sorted(SWEEP_VALUES))
 def test_sweep_csv_bytes_match_the_golden_hash(param, tmp_path):
     assert sweep_hash(param, tmp_path) == GOLDEN_SWEEP[param]
+
+
+@pytest.mark.parametrize("circuit_name,flags", [
+    ("qaoa-rand-30", "default"), ("qsim-rand-24", "relax-C2-C3"),
+    ("random-pairs-40", "serial"), ("bv-40", "mapper-random"),
+])
+def test_compile_command_writes_the_json_module_bytes(circuit_name, flags, tmp_path):
+    # the files `atomique compile` writes, not only json.dumps of the payload
+    qasm = tmp_path / "in.qasm"
+    qasm.write_text(to_qasm(CIRCUITS[circuit_name].generate()))
+    out = tmp_path / "out"
+    assert main(["compile", str(qasm), "-o", str(out), "--seed", "1",
+                 *CLI_FLAGS[flags]]) == 0
+    schedule_bytes = (out / "schedule.json").read_bytes()
+    schedule = json.loads(schedule_bytes)
+    assert schedule_bytes == (json.dumps(schedule, indent=2, sort_keys=True) + "\n").encode()
+    assert (hashlib.sha256(json.dumps(schedule, sort_keys=True).encode()).hexdigest()
+            == GOLDEN[(circuit_name, flags)])
+    stats_lines = (out / "stats.json").read_bytes().splitlines(keepends=True)
+    stats = json.loads(b"".join(stats_lines))
+    del stats["compile_wall_time_s"]
+    want = (json.dumps(stats, indent=2, sort_keys=True) + "\n").encode()
+    assert b"".join(line for line in stats_lines
+                    if not line.startswith(b'  "compile_wall_time_s": ')) == want
+    assert hashlib.sha256(want).hexdigest() == GOLDEN_STATS[(circuit_name, flags)]

@@ -1,11 +1,15 @@
 """Movement scheduling: lane assignment, parallel gate selection, stages."""
 
+import copy
 import dataclasses
+import functools
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from atomique.arch import (
     AtomCoord,
@@ -14,6 +18,7 @@ from atomique.arch import (
     load_config,
     min_separation_audit,
 )
+from atomique import stage_router
 from atomique.circuit import Circuit
 from atomique.pipeline import compile_circuit
 from atomique.swap_router import RoutedCircuit
@@ -32,6 +37,7 @@ from atomique.stage_router import (
     synthesize_motion,
 )
 from atomique.workloads import WorkloadSpec
+from audit_reference import audit_schedule as reference_audit
 from select_reference import _conflicts, _order_ok
 
 
@@ -90,7 +96,7 @@ def test_initial_positions_pass_separation_audit():
     # raman-free, gate-free circuit: whatever stages exist must be clean,
     # and the parked starting geometry itself must be clean too
     assert audit_schedule(sched) == []
-    lanes = atom_lanes(placement, sched.initial_row_lanes, sched.initial_col_lanes)
+    lanes = atom_lanes(placement, [sched.initial_row_lanes], [sched.initial_col_lanes])
     pos = atom_positions(lanes, cfg)
     assert min_separation_audit(pos, [], cfg) == []
 
@@ -496,3 +502,96 @@ def test_schedule_dict_roundtrip():
         assert np.allclose(back.stage_positions(k), res.schedule.stage_positions(k))
     with pytest.raises(ValueError):
         schedule_from_dict({**d, "schema_version": 99})
+
+
+# ---------------------------------------------------------------------------
+# the audit in blocks of stages
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def compiled(family: str, n: int, relaxed: tuple):
+    cfg, params = load_config({"relaxed": list(relaxed)})
+    return compile_circuit(WorkloadSpec(family, n, seed=n).generate(), cfg, params,
+                           seed=1).schedule
+
+
+@st.composite
+def corrupted_schedules(draw):
+    """A compiled schedule with a few stages corrupted: a row or column
+    lane moved (often onto another lane of the stage), an x offset changed,
+    the CZ pairs redrawn, or one bit of a stored move distance flipped."""
+    family, n = draw(st.sampled_from([("qaoa-rand", 6), ("random-pairs", 9),
+                                      ("qaoa-rand", 14)]))
+    relaxed = draw(st.sampled_from([(), ("C1",), ("C3",), ("C1", "C3")]))
+    sched = copy.deepcopy(compiled(family, n, relaxed))
+    for _ in range(draw(st.integers(1, 6))):
+        stage = sched.stages[draw(st.integers(0, len(sched.stages) - 1))]
+        what = draw(st.sampled_from(["row", "col", "offset", "cz", "distance"]))
+        if what in ("row", "col"):
+            lanes = stage.row_lanes if what == "row" else stage.col_lanes
+            t = draw(st.integers(0, len(lanes) - 1))
+            i = draw(st.integers(0, len(lanes[t]) - 1))
+            used = [lane for per_aod in lanes for lane in per_aod if lane is not None]
+            lanes[t][i] = draw(st.sampled_from(used) | st.integers(-3, 50))
+        elif what == "offset":
+            t = draw(st.integers(0, len(stage.col_offsets) - 1))
+            c = draw(st.integers(0, len(stage.col_offsets[t]) - 1))
+            stage.col_offsets[t][c] = draw(st.sampled_from([0.0, -0.5, 0.5, 2.5, -3.0, 7.5])
+                                           | st.floats(-20.0, 20.0))
+        elif what == "cz":
+            qubit = st.integers(0, n - 1)
+            stage.cz = draw(st.lists(st.tuples(qubit, qubit), max_size=4))
+        else:
+            q = draw(st.integers(0, n - 1))
+            bits = stage.distances_um[q:q + 1].view(np.uint64)
+            bits ^= np.uint64(1) << np.uint64(draw(st.integers(0, 63)))
+    return sched
+
+
+@pytest.mark.parametrize("block", [16, 64])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sched=corrupted_schedules())
+def test_block_audit_matches_the_per_stage_audit(block, sched, monkeypatch):
+    # small blocks, so the stages and findings of one schedule straddle them
+    monkeypatch.setattr(stage_router, "AUDIT_BLOCK", block)
+    assert repr(audit_schedule(sched)) == repr(reference_audit(sched))
+
+
+# the error the router raised with every stage audited as soon as it was
+# emitted, for the fourth stage of the circuit below with AOD 0's rows
+# collapsed onto one lane
+COLLAPSED = ("stage geometry violates separation: ["
+             "Violation(i=1, j=2, distance_um=22.5055548698538, kind='pair_too_far'), "
+             "Violation(i=1, j=6, distance_um=0.0, kind='too_close'), "
+             "Violation(i=1, j=13, distance_um=0.0, kind='too_close'), "
+             "Violation(i=6, j=13, distance_um=0.0, kind='too_close')]")
+
+
+@pytest.mark.parametrize("block", [None, 30, 90])
+@pytest.mark.parametrize("later_error", [False, True])
+def test_route_raises_for_the_first_stage_in_violation(block, later_error, monkeypatch):
+    real = stage_router.synthesize_motion
+    emitted = []
+
+    def collapse_stage_4(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out is not None:
+            emitted.append(out)
+            if len(emitted) == 4:
+                rows = out[0][0]
+                occupied = [r for r, lane in enumerate(rows) if lane is not None]
+                for r in occupied:
+                    rows[r] = rows[occupied[0]]
+            if len(emitted) == 6 and later_error:
+                raise ValueError("a later stage failed")
+        return out
+
+    monkeypatch.setattr(stage_router, "synthesize_motion", collapse_stage_4)
+    if block is not None:
+        monkeypatch.setattr(stage_router, "AUDIT_BLOCK", block)
+    cfg, params = load_config({})
+    with pytest.raises(RuntimeError) as err:
+        compile_circuit(WorkloadSpec("qaoa-rand", 30, seed=2).generate(), cfg, params, seed=1)
+    assert str(err.value) == COLLAPSED
