@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BASIS_KINDS = ("u", "cz", "barrier")
-
 
 class ParseError(ValueError):
     pass

@@ -16,9 +16,9 @@ Three legality constraints govern what fits into one stage:
   C3  two rows (or columns) of one array cannot merge onto one lane.
 Any of the three can be disabled for ablation studies; the continuous
 min-separation audit remains the ground truth and is run on every stage.
-Stages are audited in blocks of up to AUDIT_BLOCK atoms, with one lane
-gather and one separation scan per block: the scan's fixed cost is paid
-per block, not per stage, and the cap bounds the block's arrays.
+One walk audits the stages of `route` and `audit_schedule` in blocks of
+up to AUDIT_BLOCK atoms, one lane gather and separation scan per block:
+the scan's fixed cost is paid per block, and the cap bounds its arrays.
 """
 
 from __future__ import annotations
@@ -476,43 +476,42 @@ def _descendant_counts(dag) -> list[int]:
 AUDIT_BLOCK = 8192
 
 
-def _stages_per_block(n: int) -> int:
-    return max(1, AUDIT_BLOCK // max(n, 1))
-
-
-def _audit_block(prev: np.ndarray, rows, cols, offsets, czs, placement: Placement,
-                 config: ArchConfig):
-    """(lanes, move distances, findings) of a block of stages.
-
-    rows, cols, offsets and czs hold one entry per stage; prev is the
-    `atom_lanes` array of the stage before the block.  Lanes and distances
-    come one stage after another, as `atom_lanes` and `move_distances` give
-    them.  Findings are (stage in block, `Violation`) pairs in pair order,
-    minus the ones a relaxed constraint deliberately permits (cross-array
-    closeness under C1, same-array lane collisions under C3).  Raises
-    ValueError on a CZ qubit outside range(n)."""
+def _audit_walk(placement: Placement, config: ArchConfig, initial_rows, initial_cols,
+                stages):
+    """Audit `stages`, one (cz, row_lanes, col_lanes, col_offsets) each, in
+    blocks of up to AUDIT_BLOCK atoms.  Yields (first stage index, (k, n)
+    move distances from the lanes before, findings) per block of k stages.
+    Findings are (stage index, `Violation`) pairs in pair order, minus the
+    ones a relaxed constraint deliberately permits (cross-array closeness
+    under C1, same-array lane collisions under C3).  Raises ValueError on a
+    CZ qubit outside range(n)."""
     n = len(placement)
-    lanes = atom_lanes(placement, rows, cols, offsets)
-    moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
-    pairs = []
-    for k, cz in enumerate(czs):
-        for a, b in cz:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"cz {[a, b]} names a qubit outside range({n})")
-            pairs.append((k * n + a, k * n + b))
-    stage = np.repeat(np.arange(len(czs)), n)
-    found = []
-    for v in min_separation_audit(atom_positions(lanes, config), pairs, config, stage):
-        k = v.i // n
-        i, j = v.i - k * n, v.j - k * n
-        ai, aj = placement[i].array, placement[j].array
-        if v.kind == "too_close" and "C1" in config.relaxed and ai != aj:
-            continue
-        if (v.kind == "too_close" and "C3" in config.relaxed and ai == aj
-                and v.distance_um < 1e-9):
-            continue
-        found.append((k, Violation(i, j, v.distance_um, v.kind)))
-    return lanes, moved, found
+    per_block = max(1, AUDIT_BLOCK // max(n, 1))
+    prev = atom_lanes(placement, [initial_rows], [initial_cols])
+    for k0 in range(0, len(stages), per_block):
+        czs, rows, cols, offsets = zip(*stages[k0:k0 + per_block])
+        lanes = atom_lanes(placement, rows, cols, offsets)
+        moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
+        pairs = []
+        for k, cz in enumerate(czs):
+            for a, b in cz:
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"cz {[a, b]} names a qubit outside range({n})")
+                pairs.append((k * n + a, k * n + b))
+        stage = np.repeat(np.arange(len(czs)), n)
+        found = []
+        for v in min_separation_audit(atom_positions(lanes, config), pairs, config, stage):
+            k = v.i // n
+            i, j = v.i - k * n, v.j - k * n
+            ai, aj = placement[i].array, placement[j].array
+            if v.kind == "too_close" and "C1" in config.relaxed and ai != aj:
+                continue
+            if (v.kind == "too_close" and "C3" in config.relaxed and ai == aj
+                    and v.distance_um < 1e-9):
+                continue
+            found.append((k0 + k, Violation(i, j, v.distance_um, v.kind)))
+        yield k0, moved.reshape(len(czs), n), found
+        prev = lanes[len(lanes) - n:]
 
 
 @dataclass(frozen=True)
@@ -531,22 +530,16 @@ def audit_schedule(schedule: Schedule) -> list:
     the initial lanes (`DistanceMismatch`): per stage, its violations in
     pair order, then its mismatches in qubit order.
     """
-    placement, config = schedule.placement, schedule.config
-    n = len(placement)
-    step = _stages_per_block(n)
-    findings = []
-    prev = atom_lanes(placement, [schedule.initial_row_lanes], [schedule.initial_col_lanes])
-    for k0 in range(0, len(schedule.stages), step):
-        block = schedule.stages[k0:k0 + step]
-        lanes, moved, found = _audit_block(
-            prev, [s.row_lanes for s in block], [s.col_lanes for s in block],
-            [s.col_offsets for s in block], [s.cz for s in block], placement, config)
-        stored = np.concatenate([s.distances_um for s in block])
-        found += [(w // n, DistanceMismatch(w % n, float(stored[w]), float(moved[w])))
-                  for w in np.flatnonzero(stored != moved).tolist()]
+    stages, findings = schedule.stages, []
+    per_stage = [(s.cz, s.row_lanes, s.col_lanes, s.col_offsets) for s in stages]
+    for k0, moved, found in _audit_walk(schedule.placement, schedule.config,
+                                        schedule.initial_row_lanes,
+                                        schedule.initial_col_lanes, per_stage):
+        stored = np.array([s.distances_um for s in stages[k0:k0 + len(moved)]])
+        found += [(k0 + k, DistanceMismatch(q, float(stored[k, q]), float(moved[k, q])))
+                  for k, q in np.argwhere(stored != moved).tolist()]
         found.sort(key=lambda f: f[0])  # stable: violations stay before mismatches
-        findings += [(k0 + k, f) for k, f in found]
-        prev = lanes[len(lanes) - n:]
+        findings += found
     return findings
 
 
@@ -556,9 +549,10 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
 
     Loop: execute every ready one-qubit gate in Raman layers, then pick a
     maximal legal parallel CZ set, synthesize the lane motion (dropping the
-    last accepted gate while the parked rows don't fit), emit.  Emitted
-    stages are audited in blocks; the first stage in violation raises
-    RuntimeError with its first four findings.
+    last accepted gate while the parked rows don't fit), emit.  Then the
+    emitted stages are audited in blocks: the first stage in violation
+    raises RuntimeError with its first four findings, also when routing
+    failed after emitting it.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -576,50 +570,22 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             if pending[s] == 0:
                 ready.add(s)
 
-    prev_rows, prev_cols = initial_lanes(config, index)
-    init_rows = [list(r) for r in prev_rows]
-    init_cols = [list(c) for c in prev_cols]
-    prev = atom_lanes(placement, [prev_rows], [prev_cols])
-
-    stages: list[Stage] = []
+    prev_rows, prev_cols = initial = initial_lanes(config, index)
+    emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
     overlap_rejections = 0
     gate_pins: dict[int, _Pins] = {}  # gate index -> its lane pins
-    n = len(placement)
-    step = _stages_per_block(n)
-    queue: list[tuple] = []  # emitted, unaudited stages: (raman, cz, synthesized lanes)
 
-    def flush() -> None:
-        """Gather the queued stages' atom lanes and move distances as one
-        block, audit them, and append them to `stages`; raise for the first
-        stage in violation."""
-        nonlocal prev
-        if not queue:
-            return
-        block = queue[:]
-        queue.clear()
-        rows, cols, offsets = zip(*(q[2] for q in block))
-        lanes, moved, found = _audit_block(prev, rows, cols, offsets, [q[1] for q in block],
-                                           placement, config)
-        prev = lanes[len(lanes) - n:]
-        if found:
-            violations = [v for k, v in found if k == found[0][0]]
-            raise RuntimeError(f"stage geometry violates separation: {violations[:4]}")
-        moved = moved.reshape(len(block), n)
-        for (raman, cz, _), r, c, o, distances, moving in zip(
-                block, rows, cols, offsets, moved, moved.any(axis=1)):
-            stages.append(Stage(
-                raman=raman,
-                cz=cz,
-                row_lanes=[list(x) for x in r],
-                col_lanes=[list(x) for x in c],
-                col_offsets=[list(x) for x in o],
-                distances_um=distances,
-                move_time_s=config.T_per_move if (cz or moving) else 0.0,
-            ))
+    def audit() -> list[np.ndarray]:
+        """Move distances per emitted stage; RuntimeError for the first in violation."""
+        distances = []
+        for _, moved, found in _audit_walk(placement, config, *initial,
+                                           [e[1:] for e in emitted]):
+            if found:
+                violations = [v for k, v in found if k == found[0][0]]
+                raise RuntimeError(f"stage geometry violates separation: {violations[:4]}")
+            distances.extend(moved)
+        return distances
 
-    # stages are audited per block; an error raised before a block is
-    # audited gives way to a violation in an earlier stage, as it would if
-    # every stage were audited as soon as it was emitted
     try:
         while True:
             raman_layers: list[list[Gate]] = []
@@ -666,20 +632,21 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 for gi, _ in accepted:
                     pins = pins.merged(gate_pins[gi])
             # synthesize_motion gives every occupied row and column a finite
-            # lane, so gathering the block's lanes in flush() cannot fail
-            queue.append((raman_layers, [pair for _, pair in accepted], synth))
-            if len(queue) >= step:
-                flush()
+            # lane, so the audit's lane gather cannot fail; its lists are
+            # fresh on every call, so each stage owns the ones it is given
+            emitted.append((raman_layers, [pair for _, pair in accepted], *synth))
             for gi, _ in accepted:
                 finish(gi)
             prev_rows, prev_cols, _ = synth
-        flush()
     except Exception:
-        flush()
+        audit()
         raise
 
+    stages = [Stage(raman, cz, rows, cols, offsets, distances,
+                    config.T_per_move if (cz or distances.any()) else 0.0)
+              for (raman, cz, rows, cols, offsets), distances in zip(emitted, audit())]
     return Schedule(config, dict(placement), stages, list(routed.perm),
-                    init_rows, init_cols, overlap_rejections)
+                    *initial, overlap_rejections)
 
 
 def schedule_to_circuit(schedule: Schedule) -> Circuit:
@@ -734,13 +701,18 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
+def _is_index(x, bound: int) -> bool:
+    """Whether x is an int (a bool is not) in range(bound)."""
+    return type(x) is int and 0 <= x < bound
+
+
 def schedule_from_dict(d: dict) -> Schedule:
     """Rebuild a Schedule from its JSON form (audit / render / check).
 
-    Raises ValueError when the gates or the permutation name qubits the
-    placement does not have: a `cz` or `raman` qubit outside
-    range(n_qubits), a `cz` on one qubit twice, or a `perm` that is not a
-    permutation of range(n_qubits)."""
+    Raises ValueError on a `cz` or `raman` qubit that is not an int in
+    range(n_qubits), a qubit named twice by one stage's `cz` pairs, a
+    `cooling` entry that is not an int in range(n_aod), or a `perm` that
+    is not a permutation of range(n_qubits)."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
@@ -755,18 +727,21 @@ def schedule_from_dict(d: dict) -> Schedule:
     for k, s in enumerate(d["stages"]):
         if len(s["distances_um"]) != n:
             raise ValueError(f"stage {k}: distances_um needs one entry per qubit")
-        cz = [(int(a), int(b)) for a, b in s["cz"]]
-        raman = [[Gate("u", (int(q),), tuple(params)) for q, *params in layer]
+        cz, named = [], set()
+        for a, b in s["cz"]:
+            if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
+                raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct int qubits "
+                                 f"in range({n}) that no other cz of the stage names")
+            named |= {a, b}
+            cz.append((a, b))
+        raman = [[Gate("u", (q,), tuple(params)) for q, *params in layer]
                  for layer in s["raman"]]
-        for a, b in cz:
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct qubits "
-                                 f"in range({n})")
-        for layer in raman:
-            for g in layer:
-                if not 0 <= g.qubits[0] < n:
-                    raise ValueError(f"stage {k}: raman gate on qubit {g.qubits[0]}, "
-                                     f"not in range({n})")
+        for q in (g.qubits[0] for layer in raman for g in layer):
+            if not _is_index(q, n):
+                raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
+        if not all(_is_index(t, config.n_aod) for t in s["cooling"]):
+            raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
+                             f"indices in range({config.n_aod})")
         stages.append(Stage(
             raman=raman,
             cz=cz,
@@ -775,7 +750,7 @@ def schedule_from_dict(d: dict) -> Schedule:
             col_offsets=[list(a["col_offsets_um"]) for a in s["aod"]],
             distances_um=np.asarray(s["distances_um"], dtype=float),
             move_time_s=float(s["move_time_s"]),
-            cooling=[int(t) for t in s["cooling"]],
+            cooling=list(s["cooling"]),
         ))
     return Schedule(
         config=config,

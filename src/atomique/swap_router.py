@@ -21,6 +21,9 @@ from .circuit import Circuit, Gate, build_dag, _FIXED_1Q
 
 _H = _FIXED_1Q["h"]
 
+LOOKAHEAD_WINDOW = 20
+DECAY = 0.7
+
 
 def _lowered_swap(s: int, t: int) -> list[Gate]:
     """SWAP as 3 CZ + 6 one-qubit gates (CX conjugated by H, fused)."""
@@ -44,16 +47,14 @@ class RoutedCircuit:
                    if g.kind == "cz" and a[g.qubits[0]] == a[g.qubits[1]])
 
 
-def route_inter_array(circuit: Circuit, assignment,
-                      lookahead_window: int = 20,
-                      decay: float = 0.7) -> RoutedCircuit:
+def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
     """Eliminate intra-array CZ gates by inserting SWAPs.
 
     Front-layer loop: every ready gate whose endpoints sit in different
     arrays is emitted.  When only blocked gates remain ready, the earliest
     one picks a SWAP(q, r) between one of its endpoints q and a logical r
     currently held in another array.  The winning candidate minimizes
-    sum(decay^pos) over the next `lookahead_window` blocked CZs that would
+    sum(DECAY^pos) over the next LOOKAHEAD_WINDOW blocked CZs that would
     *stay* co-array after the swap; ties fall to fewer remaining gates on r,
     then lower r, then the later gate endpoint.
     """
@@ -102,7 +103,7 @@ def route_inter_array(circuit: Circuit, assignment,
             a, b = g.qubits
             if arr(a) == arr(b):
                 win.append((a, b))
-                if len(win) == lookahead_window:
+                if len(win) == LOOKAHEAD_WINDOW:
                     break
         return win
 
@@ -138,7 +139,7 @@ def route_inter_array(circuit: Circuit, assignment,
                     aa = r_arr if a == q else (q_arr if a == r else arr(a))
                     bb = r_arr if b == q else (q_arr if b == r else arr(b))
                     if aa == bb:
-                        cost += decay ** pos
+                        cost += DECAY ** pos
                 key = (cost, future[r], r, 0 if q == t_b else 1)
                 if best_key is None or key < best_key:
                     best_key, best = key, (q, r)

@@ -285,7 +285,7 @@ def audit_edited_schedule(tmp_path, capsys, edit):
     return rc, captured.out, captured.err
 
 
-@pytest.mark.parametrize("pair", [[0, 15], [-1, 0], [2, 2]])
+@pytest.mark.parametrize("pair", [[0, 15], [-1, 0], [2, 2], [0.9, 1], [True, 1]])
 def test_audit_command_rejects_a_cz_on_a_qubit_that_does_not_exist(tmp_path, capsys, pair):
     # a gate-free stage: the separation scan alone matches no atom to 15
     def edit(doc):
@@ -296,7 +296,7 @@ def test_audit_command_rejects_a_cz_on_a_qubit_that_does_not_exist(tmp_path, cap
     assert "cz" in err
 
 
-@pytest.mark.parametrize("qubit", [99, -1])
+@pytest.mark.parametrize("qubit", [99, -1, 1.0, True])
 def test_audit_command_rejects_a_raman_gate_on_a_qubit_that_does_not_exist(
         tmp_path, capsys, qubit):
     def edit(doc):
@@ -305,6 +305,25 @@ def test_audit_command_rejects_a_raman_gate_on_a_qubit_that_does_not_exist(
     assert rc == 1 and out == ""
     assert err.startswith("error: stage ") and err.count("\n") == 1
     assert f"raman gate on qubit {qubit}" in err
+
+
+@pytest.mark.parametrize("second", [[0, 1], [1, 0], [1, 2]])
+def test_audit_command_rejects_a_qubit_named_by_two_czs_of_one_stage(tmp_path, capsys, second):
+    def edit(doc):
+        next(s for s in doc["stages"] if not s["cz"])["cz"] += [[0, 1], second]
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: stage ") and err.count("\n") == 1
+    assert f"cz {second}" in err
+
+
+@pytest.mark.parametrize("aod", [2, -1, 0.0, True])
+def test_audit_command_rejects_a_cooling_entry_that_is_not_an_aod(tmp_path, capsys, aod):
+    def edit(doc):
+        doc["stages"][0]["cooling"] = [aod]
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == f"error: stage 0: cooling [{aod}] needs int AOD indices in range(2)\n"
 
 
 @pytest.mark.parametrize("perm", [[0, 1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5]])

@@ -595,3 +595,44 @@ def test_route_raises_for_the_first_stage_in_violation(block, later_error, monke
     with pytest.raises(RuntimeError) as err:
         compile_circuit(WorkloadSpec("qaoa-rand", 30, seed=2).generate(), cfg, params, seed=1)
     assert str(err.value) == COLLAPSED
+
+
+def test_route_lets_a_keyboard_interrupt_through_without_an_audit(monkeypatch):
+    # the fourth stage is in violation, so an audit would raise RuntimeError
+    real = stage_router.synthesize_motion
+    emitted = []
+
+    def collapse_stage_4_then_interrupt(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out is not None:
+            emitted.append(out)
+            if len(emitted) == 4:
+                rows = out[0][0]
+                occupied = [r for r, lane in enumerate(rows) if lane is not None]
+                for r in occupied:
+                    rows[r] = rows[occupied[0]]
+            if len(emitted) == 6:
+                raise KeyboardInterrupt
+        return out
+
+    monkeypatch.setattr(stage_router, "synthesize_motion", collapse_stage_4_then_interrupt)
+    cfg, params = load_config({})
+    with pytest.raises(KeyboardInterrupt):
+        compile_circuit(WorkloadSpec("qaoa-rand", 30, seed=2).generate(), cfg, params, seed=1)
+
+
+def test_each_routed_stage_owns_its_lane_lists():
+    cfg, params = load_config({})
+    sched = compile_circuit(WorkloadSpec("qaoa-rand", 10, seed=2).generate(), cfg, params).schedule
+
+    def lanes():
+        return ([sched.initial_row_lanes, sched.initial_col_lanes]
+                + [[s.row_lanes, s.col_lanes, s.col_offsets] for s in sched.stages])
+
+    want = copy.deepcopy(lanes())
+    for k, stage in enumerate(sched.stages):
+        for per_aod in (stage.row_lanes, stage.col_lanes, stage.col_offsets):
+            for lane_list in per_aod:
+                lane_list[:] = [-7] * len(lane_list)
+        want[k + 2] = copy.deepcopy([stage.row_lanes, stage.col_lanes, stage.col_offsets])
+        assert lanes() == want
