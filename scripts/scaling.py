@@ -17,6 +17,11 @@ itself to one CPU, the highest-numbered one it may use.
 
 The run is stored under ``runs[<label>]`` of the output file; other labels
 already in the file are kept, so one file holds a before/after pair.
+
+The timings have no CPU-speed correction: back-to-back runs of identical
+code have differed by up to 40% per point on a shared 2-CPU VM.  So the
+file shows trends and, through the hashes, equal output; a claimed speed
+gain needs the paired, probe-rescaled runs of ``perfbench/run.py``.
 """
 
 from __future__ import annotations

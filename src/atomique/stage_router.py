@@ -384,6 +384,29 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
     return accepted, pins, overlap_rejections
 
 
+def _past_free(lane: int, k: int, step: int, taken) -> int:
+    """The odd lane one `step` (+2 or -2) past the k-th odd lane not in
+    `taken`, walking outward from `lane` (included if odd).
+
+    Walked from the outermost old lane of a segment's open side (or its
+    anchor's, if further out), this bounds that side exactly.  Given the
+    free lanes u_1..u_k found, an assignment parking a row past u_k is
+    beaten by moving its rows at or past `lane` back onto u_1, u_2, ...
+    in order: none costs more and the outermost costs strictly less.  So
+    no optimum uses a lane past u_k.  The backtrack of `_assign_park_lanes`
+    picks the optimum whose lanes are lowest, top row first, which depends
+    only on the set of optima, so ties resolve as over any longer range.
+    """
+    if lane % 2 == 0:
+        lane += step // 2
+    while True:
+        if lane not in taken:
+            k -= 1
+            if not k:
+                return lane + step
+        lane += step
+
+
 def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                       config: ArchConfig):
     """Assign every occupied row/column a lane: pinned ones as demanded,
@@ -394,8 +417,9 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
     impossible by construction.  Unless C3 is relaxed, a park lane is also
     never one this array already holds: crossed anchors (C2 relaxed) make
     the lane ranges of neighbouring segments overlap.  Returns (row_lanes,
-    col_lanes, col_offsets) or None when some gap cannot host its parked
-    rows.
+    col_lanes, col_offsets), or None when a gap between two pinned
+    anchors of one array cannot host its parked rows: an open side (no
+    anchor) is bounded by `_past_free` and always fits.
     """
     merge_ok = "C3" in config.relaxed
 
@@ -403,49 +427,44 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
         new = [[None] * len(prev[t]) for t in range(config.n_aod)]
         all_pinned_lanes = set(axis_pins.values())
         for t in range(config.n_aod):
-            occupied = occupied_per_t[t]
-            forbidden = set(all_pinned_lanes)
+            # lanes no parked row may take: every pinned lane, the other
+            # arrays' lanes and, unless C3 is relaxed, this array's park lanes
+            taken = set(all_pinned_lanes)
             for s in range(config.n_aod):
                 if s == t:
                     continue
                 source = new[s] if s < t else prev[s]
-                forbidden.update(l for l in source if l is not None)
-            # split unpinned occupied indices into segments between anchors
-            segments, seg, lo_a, own_pins = [], [], None, set()
-            for i in occupied:
+                taken.update(l for l in source if l is not None)
+            # split unpinned occupied indices into segments between anchor lanes
+            segments, seg, lo_a = [], [], None
+            for i in occupied_per_t[t]:
                 lane = axis_pins.get((t, i))
                 if lane is None:
                     seg.append(i)
                     continue
                 new[t][i] = lane
-                own_pins.add(lane)
                 if seg:
-                    segments.append((lo_a, (i, lane), seg))
+                    segments.append((lo_a, lane, seg))
                     seg = []
-                lo_a = (i, lane)
+                lo_a = lane
             if seg:
                 segments.append((lo_a, None, seg))
-            forbidden -= own_pins  # own anchors bound the gaps instead
-            held = set()  # park lanes already given to this array's rows
             for lo_a, hi_a, seg in segments:
                 old = [prev[t][i] for i in seg]
-                need = len(seg)
-                margin = 2 * (need + len(forbidden) + 4)
-                lo_lane = lo_a[1] if lo_a else min(old + ([hi_a[1]] if hi_a else [])) - margin
-                hi_lane = hi_a[1] if hi_a else max(old + ([lo_a[1]] if lo_a else [])) + margin
-                if hi_a and lo_a and hi_lane < lo_lane:  # crossed anchors (C2 off)
+                ends = old + [a for a in (lo_a, hi_a) if a is not None]
+                lo_lane = lo_a if lo_a is not None else _past_free(min(ends), len(seg), -2, taken)
+                hi_lane = hi_a if hi_a is not None else _past_free(max(ends), len(seg), 2, taken)
+                if hi_lane < lo_lane:  # crossed anchors (C2 off)
                     lo_lane, hi_lane = hi_lane, lo_lane
                 cand = [l for l in range(lo_lane + 1 + lo_lane % 2, hi_lane, 2)  # odd
-                        if l not in forbidden and l not in own_pins
-                        and (merge_ok or l not in held)]
+                        if l not in taken]
                 got = _assign_park_lanes(old, cand)
                 if got is None:
-                    if lo_a and hi_a:
-                        return None  # interior gap too tight
-                    raise RuntimeError("park margin exhausted")  # pragma: no cover
+                    return None
                 for i, lane in zip(seg, got):
                     new[t][i] = lane
-                held.update(got)
+                if not merge_ok:
+                    taken.update(got)
         return new
 
     new_rows = solve_axis(pins.rows, prev_rows, index.occ_rows)
@@ -622,8 +641,8 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                     gate_pins=gate_pins)
                 overlap_rejections += rej
             while True:
-                # with no pins at all (raman-only stage) this parks every array
-                # and cannot fail, so the pop below never underflows
+                # only an interior gap fails, and with no pins there is none,
+                # so the pop below never underflows
                 synth = synthesize_motion(pins, prev_rows, prev_cols, index, config)
                 if synth is not None:
                     break
@@ -709,15 +728,22 @@ def _is_index(x, bound: int) -> bool:
 def schedule_from_dict(d: dict) -> Schedule:
     """Rebuild a Schedule from its JSON form (audit / render / check).
 
-    Raises ValueError on a `cz` or `raman` qubit that is not an int in
-    range(n_qubits), a qubit named twice by one stage's `cz` pairs, a
-    `cooling` entry that is not an int in range(n_aod), or a `perm` that
-    is not a permutation of range(n_qubits)."""
+    Raises ValueError on a `placement` entry whose array is not an int in
+    range(n_arrays) or whose row or col is not an int inside that array, a
+    `cz` or `raman` qubit that is not an int in range(n_qubits), a qubit
+    named twice by one stage's `cz` pairs, a `cooling` entry that is not an
+    int in range(n_aod), or a `perm` that is not a permutation of
+    range(n_qubits)."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
-    placement = {q: AtomCoord(a, r, c)
-                 for q, (a, r, c) in enumerate(d["placement"])}
+    placement = {}
+    for q, (a, r, c) in enumerate(d["placement"]):
+        if not (_is_index(a, config.n_arrays)
+                and all(map(_is_index, (r, c), config.array_shape(a)))):
+            raise ValueError(f"placement {q}: {[a, r, c]!r} needs an int array in "
+                             f"range({config.n_arrays}) and an int row and col inside it")
+        placement[q] = AtomCoord(a, r, c)
     n = len(placement)
     if d["n_qubits"] != n:
         raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")

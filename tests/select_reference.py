@@ -1,11 +1,13 @@
-"""Reference stage selection and park-lane assignment.
+"""Reference stage selection, park-lane assignment and lane synthesis.
 
-The whole-stage versions of `atomique.stage_router.select_parallel_gates`
-and `_assign_park_lanes`, kept only as test oracles: every candidate CZ is
-checked by re-sorting all pins of the arrays it touches (`_order_ok`),
-walking every pinned row x pinned column (`_cells_ok`) and rescanning every
-gap (`_parkable`), and every park-lane assignment runs the full DP table.
-The package's incremental versions must return the same values.
+The whole-stage versions of `atomique.stage_router.select_parallel_gates`,
+`_assign_park_lanes` and `synthesize_motion`, kept only as test oracles:
+every candidate CZ is checked by re-sorting all pins of the arrays it
+touches (`_order_ok`), walking every pinned row x pinned column
+(`_cells_ok`) and rescanning every gap (`_parkable`), every park-lane
+assignment runs the full DP table, and the open side of a segment lists
+every free odd lane out to a margin that no optimum reaches.  The
+package's versions must return the same values.
 """
 
 from atomique.arch import ArchConfig
@@ -37,6 +39,82 @@ def _assign_park_lanes(old, lanes):
         out[i - 1] = lanes[j - 1]
         j -= 1
     return out
+
+
+def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
+                      config: ArchConfig):
+    """Assign every occupied row/column a lane: pinned ones as demanded,
+    the rest parked on odd lanes preserving order, nearest previous first.
+
+    Arrays are processed in id order; a park lane is eligible only if no
+    other array has (or keeps) a lane there, so cross-array collisions are
+    impossible by construction.  Unless C3 is relaxed, a park lane is also
+    never one this array already holds: crossed anchors (C2 relaxed) make
+    the lane ranges of neighbouring segments overlap.  Returns (row_lanes,
+    col_lanes, col_offsets) or None when some gap cannot host its parked
+    rows.
+    """
+    merge_ok = "C3" in config.relaxed
+
+    def solve_axis(axis_pins: dict, prev, occupied_per_t):
+        new = [[None] * len(prev[t]) for t in range(config.n_aod)]
+        all_pinned_lanes = set(axis_pins.values())
+        for t in range(config.n_aod):
+            occupied = occupied_per_t[t]
+            forbidden = set(all_pinned_lanes)
+            for s in range(config.n_aod):
+                if s == t:
+                    continue
+                source = new[s] if s < t else prev[s]
+                forbidden.update(l for l in source if l is not None)
+            # split unpinned occupied indices into segments between anchors
+            segments, seg, lo_a, own_pins = [], [], None, set()
+            for i in occupied:
+                lane = axis_pins.get((t, i))
+                if lane is None:
+                    seg.append(i)
+                    continue
+                new[t][i] = lane
+                own_pins.add(lane)
+                if seg:
+                    segments.append((lo_a, (i, lane), seg))
+                    seg = []
+                lo_a = (i, lane)
+            if seg:
+                segments.append((lo_a, None, seg))
+            forbidden -= own_pins  # own anchors bound the gaps instead
+            held = set()  # park lanes already given to this array's rows
+            for lo_a, hi_a, seg in segments:
+                old = [prev[t][i] for i in seg]
+                need = len(seg)
+                margin = 2 * (need + len(forbidden) + 4)
+                lo_lane = lo_a[1] if lo_a else min(old + ([hi_a[1]] if hi_a else [])) - margin
+                hi_lane = hi_a[1] if hi_a else max(old + ([lo_a[1]] if lo_a else [])) + margin
+                if hi_a and lo_a and hi_lane < lo_lane:  # crossed anchors (C2 off)
+                    lo_lane, hi_lane = hi_lane, lo_lane
+                cand = [l for l in range(lo_lane + 1 + lo_lane % 2, hi_lane, 2)  # odd
+                        if l not in forbidden and l not in own_pins
+                        and (merge_ok or l not in held)]
+                got = _assign_park_lanes(old, cand)
+                if got is None:
+                    if lo_a and hi_a:
+                        return None  # interior gap too tight
+                    raise RuntimeError("park margin exhausted")  # pragma: no cover
+                for i, lane in zip(seg, got):
+                    new[t][i] = lane
+                held.update(got)
+        return new
+
+    new_rows = solve_axis(pins.rows, prev_rows, index.occ_rows)
+    if new_rows is None:
+        return None
+    new_cols = solve_axis(pins.cols, prev_cols, index.occ_cols)
+    if new_cols is None:
+        return None
+    offsets = [[0.0] * len(prev_cols[t]) for t in range(config.n_aod)]
+    for (t, c), off in pins.offsets.items():
+        offsets[t][c] = off
+    return new_rows, new_cols, offsets
 
 
 def _conflicts(pins: _Pins, other: _Pins) -> bool:

@@ -326,6 +326,19 @@ def test_audit_command_rejects_a_cooling_entry_that_is_not_an_aod(tmp_path, caps
     assert err == f"error: stage 0: cooling [{aod}] needs int AOD indices in range(2)\n"
 
 
+@pytest.mark.parametrize("site", [[0, 400, 400], [0, 0.5, 3], [0, 10, 0], [0, 0, -1],
+                                  [3, 0, 0], [-1, 0, 0], [1.0, 0, 0], [True, 0, 0],
+                                  [1, False, 0], [2, 0, 10]])
+def test_audit_command_rejects_a_placement_outside_every_array(tmp_path, capsys, site):
+    # an idle atom on a site no array has would otherwise pass the audit
+    def edit(doc):
+        doc["placement"][0] = site
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == (f"error: placement 0: {site!r} needs an int array in range(3) "
+                   "and an int row and col inside it\n")
+
+
 @pytest.mark.parametrize("perm", [[0, 1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5]])
 def test_audit_command_rejects_a_perm_that_is_not_a_permutation(tmp_path, capsys, perm):
     def edit(doc):

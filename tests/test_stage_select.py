@@ -1,12 +1,19 @@
-"""Incremental stage selection and park-lane assignment against the
-whole-stage reference in `select_reference.py`."""
+"""Incremental stage selection, park-lane assignment and lane synthesis
+against the whole-stage reference in `select_reference.py`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import select_reference as ref
 from atomique.arch import ArchConfig, AtomCoord
-from atomique.stage_router import _ArrayIndex, _assign_park_lanes, select_parallel_gates
+from atomique.stage_router import (
+    _ArrayIndex,
+    _assign_park_lanes,
+    _Pins,
+    initial_lanes,
+    select_parallel_gates,
+    synthesize_motion,
+)
 
 
 @st.composite
@@ -61,6 +68,54 @@ def test_selection_with_a_shared_gate_pin_memo_is_unchanged(inputs):
         (warm[1].rows, warm[1].cols, warm[1].offsets)
     assert set(memo) <= {gi for gi, _ in front}
     assert serial or set(memo) == {gi for gi, _ in front}
+
+
+@settings(max_examples=400, deadline=None)
+@given(stage_inputs(), st.data())
+def test_synthesis_matches_the_full_range_reference(inputs, data):
+    # previous lanes: the initial ones, or random ints (even, odd, crossing)
+    placement, cfg, front, desc, _ = inputs  # not serial: one gate leaves no interior gap
+    index = _ArrayIndex(placement, cfg)
+    _, pins, _ = select_parallel_gates(front, placement, index, cfg, desc)
+    prev = initial_lanes(cfg, index)
+    if data.draw(st.booleans()):
+        lanes = st.integers(-3, 2 * cfg.slm_rows + 3)
+        prev = tuple([[None if lane is None else data.draw(lanes) for lane in per_t]
+                      for per_t in axis] for axis in prev)
+    got = synthesize_motion(pins, *prev, index, cfg)
+    assert got == ref.synthesize_motion(pins, *prev, index, cfg)
+    # route() drops gates until synthesis succeeds; with no pins it must
+    assert synthesize_motion(_Pins(), *prev, index, cfg) is not None
+
+
+@st.composite
+def lane_inputs(draw):
+    """Full AODs, random pins in any order (anchors cross, gaps are tight)
+    and random previous lanes, all on a few lanes."""
+    n_aod = draw(st.integers(1, 3))
+    side = draw(st.integers(2, 6))
+    relaxed = frozenset(draw(st.sets(st.sampled_from(["C1", "C2", "C3"]))))
+    cfg = ArchConfig(n_aod=n_aod, slm_rows=side, slm_cols=side,
+                     aod_rows=(side,) * n_aod, aod_cols=(side,) * n_aod, relaxed=relaxed)
+    placement = {q: AtomCoord(1 + q // side, q % side, q % side) for q in range(n_aod * side)}
+    lanes = st.integers(-2, 2 * side + 2)
+    pins = _Pins()
+    for axis in (pins.rows, pins.cols):
+        for t in range(n_aod):
+            for i in range(side):
+                if draw(st.booleans()):
+                    axis[(t, i)] = draw(lanes)
+    prev = [[[draw(lanes) for _ in range(side)] for _ in range(n_aod)] for _ in range(2)]
+    return pins, prev, _ArrayIndex(placement, cfg), cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(lane_inputs())
+def test_synthesis_matches_the_full_range_reference_on_crossed_pins(inputs):
+    # selected pins rarely cross or leave a tight gap; these do both often
+    pins, prev, index, cfg = inputs
+    assert synthesize_motion(pins, *prev, index, cfg) == \
+        ref.synthesize_motion(pins, *prev, index, cfg)
 
 
 lanes_strategy = st.sets(st.integers(-15, 15), max_size=24).map(
