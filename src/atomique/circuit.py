@@ -313,9 +313,6 @@ class CircuitDag:
     def n_nodes(self) -> int:
         return len(self.preds)
 
-    def two_qubit_depth(self) -> int:
-        return len({self.layer[i] for i, g in enumerate(self.circuit.gates) if g.kind == "cz"})
-
 
 def build_dag(c: Circuit) -> CircuitDag:
     n_nodes = len(c.gates)

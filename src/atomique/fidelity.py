@@ -11,23 +11,27 @@ Scoring runs as array passes and gives the same floats, bit for bit, as a
 walk that heats and multiplies one atom at a time (that walk is kept as
 ``tests/score_reference.py``):
 
-* A per-stage loop keeps only the sequential state: one ``n_vib`` array over
-  all atoms, heated at once where ``distances_um > 0``, and the per-AOD
-  cooling check.  It records the post-move ``n_vib`` of the moved atoms
-  (ascending qubit order) and the ``n_vib`` pair of each CZ.  The quanta
+* One loop runs over blocks of stages that share a move time.  The quanta
   each moved atom gains depend on nothing but its distance and the move
-  time, so they are computed ahead, one ``delta_nvib`` call per block of
-  stages.
+  time, so one ``delta_nvib`` call heats a whole block.  A walk over the
+  block's stages then keeps only the sequential state: one ``n_vib`` array
+  over all atoms, heated at once where ``distances_um > 0``, and the per-AOD
+  cooling check.  It records the post-move ``n_vib`` of the moved atoms
+  (ascending qubit order) and the ``n_vib`` pair of each CZ.
+* The cooling check runs only after a stage that moves an atom: ``n_vib``
+  starts at 0, rises only by a move, and every check leaves each AOD at or
+  below the (non-negative) threshold.
 * ``delta_nvib``, ``move_survival`` and ``heating_factor`` take a float or an
   array and evaluate each element in the scalar formula's order:
   ``6.0 * (D * 1e-6) / (x_zpf * omega0**2 * T**2)``, then ``0.5 * x * x``,
   then ``(n_max - n) / sqrt(2 n)``.  numpy's ``+ - * /`` and ``sqrt`` round
   each element as the scalar operation does.
-* Survival and heating factors are formed over the recorded values in
-  blocks and multiplied in with ``math.prod(values, start=F)``, which works
-  left to right like ``F *= f`` in stage-then-qubit order.  ``np.prod``
-  pairs its terms in another order, and without a float ``start`` an empty
-  product is the int ``1``.
+* Each block's survival factors, and its heating factors, are folded in
+  with one ``math.prod(values, start=F)`` each, which works left to right
+  like ``F *= f`` in stage-then-qubit order, so where the blocks end
+  changes no bit.  Factors of exactly 1.0 are left out, as multiplying by
+  them changes no bit.  ``np.prod`` pairs its terms in another order, and
+  without a float ``start`` an empty product is the int ``1``.
 * numpy has no erf, so ``math.erf`` runs per element, but only where its
   argument is below ``ERF_ONE`` = 6.0 or is NaN: from 6.0 up ``math.erf``
   is exactly 1.0, so the survival there is exactly 1.0 and multiplying by
@@ -168,46 +172,54 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     movable[aod_order] = True
 
     n_vib = np.zeros(n_mapped)
-    # over the post-move n_vib of each moved atom, and over the n_vib pair of
-    # each CZ, in stage-then-qubit order
-    loss = _Product(lambda n: move_survival(n, params))
-    heating = _Product(lambda pairs: heating_factor(pairs[:, 0] + pairs[:, 1], params))
     ledger = TimeLedger()
     f2q, t1 = params.f_2Q, params.T1
-    F_mov_cooling = F_mov_deco = 1.0
+    F_mov_heating = F_mov_loss = F_mov_cooling = F_mov_deco = 1.0
     n_1q = n_2q = n_cooling = 0
     rydberg_stages = 0
     cooling: list[list[int]] = []
-    moves = _read_stages(schedule.stages, movable, params, T_per_move)
-    for stage, (move_t, moved, gain) in zip(schedule.stages, moves):
-        for layer in stage.raman:
-            n_1q += len(layer)
-            ledger.T_1Q_total += params.t_1Q
+    for move_t, block in _read_stages(schedule.stages, movable, T_per_move):
+        dist = np.concatenate([d for *_, d in block])
+        gain = delta_nvib(dist, params, move_t) if dist.size else dist
+        # the post-move n_vib of each moved atom, and the n_vib pair of each
+        # CZ, in stage-then-qubit order
+        after, pairs, start = [], [], 0
+        for stage, t, moved, _ in block:
+            for layer in stage.raman:
+                n_1q += len(layer)
+                ledger.T_1Q_total += params.t_1Q
 
-        if move_t > 0.0:
             if moved.size:
-                after = n_vib[moved] + gain
-                n_vib[moved] = after
-                loss.add(after)
-            ledger.T_move_total += move_t
-            F_mov_deco *= math.exp(-n_mapped * move_t / t1)
+                after.append(n_vib[moved] + gain[start:start + moved.size])
+                n_vib[moved] = after[-1]
+                start += moved.size
+            if t > 0.0:
+                ledger.T_move_total += t
+                F_mov_deco *= math.exp(-n_mapped * t / t1)
 
-        if stage.cz:
-            rydberg_stages += 1
-            n_2q += len(stage.cz)
-            heating.add(n_vib[stage.cz])
+            if stage.cz:
+                rydberg_stages += 1
+                n_2q += len(stage.cz)
+                pairs.append(n_vib[stage.cz])
 
-        peaks = np.maximum.reduceat(n_vib[aod_order], aod_starts).tolist() if aods else []
-        cooled = []
-        for (t, atoms), peak in zip(aods, peaks):
-            if peak > params.n_cool_threshold:
-                F_mov_cooling *= f2q ** (2 * len(atoms))
-                n_vib[atoms] = 0.0
-                n_cooling += 1
-                cooled.append(t)
-        cooling.append(cooled)
+            cooled = []
+            if moved.size:  # only a move can call for a cooling
+                peaks = np.maximum.reduceat(n_vib[aod_order], aod_starts).tolist()
+                for (aod, atoms), peak in zip(aods, peaks):
+                    if peak > params.n_cool_threshold:
+                        F_mov_cooling *= f2q ** (2 * len(atoms))
+                        n_vib[atoms] = 0.0
+                        n_cooling += 1
+                        cooled.append(aod)
+            cooling.append(cooled)
 
-    F_mov_loss, F_mov_heating = loss.result(), heating.result()
+        if after:
+            f = move_survival(np.concatenate(after), params)
+            F_mov_loss = math.prod(f[f != 1.0].tolist(), start=F_mov_loss)
+        if pairs:
+            cz_n = np.concatenate(pairs)
+            f = heating_factor(cz_n[:, 0] + cz_n[:, 1], params)
+            F_mov_heating = math.prod(f[f != 1.0].tolist(), start=F_mov_heating)
 
     ledger.T_2Q_total = (rydberg_stages + 2 * n_cooling) * params.t_2Q
     ledger.T_transfer_total = n_transfer * params.T_transfer
@@ -227,20 +239,18 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     return report, ledger
 
 
-# Stages are read, and factors folded in, in blocks of up to BLOCK atoms or
-# BLOCK // 16 stages: enough to share numpy's per-call cost, too few to add
-# to the compile's memory peak.
+# Stages are read, and their factors folded in, in blocks of up to BLOCK
+# moved atoms or BLOCK // 16 stages: enough to share numpy's per-call cost,
+# too few to add to the compile's memory peak.
 BLOCK = 1024
 
 
-def _read_stages(stages, movable: np.ndarray, params: HardwareParams,
-                 T_per_move: float | None):
-    """Check each stage and yield (move time, atoms moved, quanta each atom
-    gains).
+def _read_stages(stages, movable: np.ndarray, T_per_move: float | None):
+    """Check each stage and yield blocks of stages that share one move time,
+    as (move time, [(stage, its move time, atoms moved, their distances)]).
 
-    A stage that does not move has a move time <= 0 (or NaN) and no atoms.
-    The gains of a block of stages that share one move time come from one
-    ``delta_nvib`` call."""
+    A stage that does not move has a move time <= 0 (or NaN) and no atoms,
+    and joins the open block."""
     n = len(movable)
     block, block_t, size = [], None, 0
     for k, stage in enumerate(stages):
@@ -263,51 +273,13 @@ def _read_stages(stages, movable: np.ndarray, params: HardwareParams,
         if not move_t > 0.0:
             moved = moved[:0]
         elif move_t != block_t:
-            yield from _heat(block, block_t, params)
+            if block:
+                yield block_t, block
             block, block_t, size = [], move_t, 0
-        block.append((move_t, moved, dist[moved]))
+        block.append((stage, move_t, moved, dist[moved]))
         size += moved.size
         if size >= BLOCK or len(block) >= BLOCK // 16:
-            yield from _heat(block, block_t, params)
+            yield block_t, block
             block, size = [], 0
-    yield from _heat(block, block_t, params)
-
-
-def _heat(block: list, move_t: float | None, params: HardwareParams):
-    """Yield _read_stages' tuples for a block of stages moved for move_t."""
-    dist = np.concatenate([d for _, _, d in block]) if block else np.empty(0)
-    gain = delta_nvib(dist, params, move_t) if dist.size else dist
-    start = 0
-    for t, moved, _ in block:
-        yield t, moved, gain[start:start + moved.size]
-        start += moved.size
-
-
-class _Product:
-    """Left-to-right float product of ``factor(values)``, as a walk of
-    ``F *= f`` would take it, over value arrays added in order.  Pending
-    values are folded in once they reach ``BLOCK`` entries or ``BLOCK // 16``
-    arrays, so memory stays bounded.  Factors of exactly 1.0 are skipped:
-    multiplying by 1.0 changes no bit."""
-
-    def __init__(self, factor):
-        self.factor = factor
-        self.value = 1.0
-        self.pending: list[np.ndarray] = []
-        self.size = 0
-
-    def add(self, values: np.ndarray) -> None:
-        self.pending.append(values)
-        self.size += len(values)
-        if self.size >= BLOCK or len(self.pending) >= BLOCK // 16:
-            self._fold()
-
-    def _fold(self) -> None:
-        if self.pending:
-            f = self.factor(np.concatenate(self.pending))
-            self.value = math.prod(f[f != 1.0].tolist(), start=self.value)
-            self.pending, self.size = [], 0
-
-    def result(self) -> float:
-        self._fold()
-        return self.value
+    if block:
+        yield block_t, block

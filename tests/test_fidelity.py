@@ -328,9 +328,9 @@ def compiled_schedule(family, n, seed, relaxed, D_site):
 
 @st.composite
 def scored_schedules(draw):
-    """A compiled schedule (random family, size, relax set, pitch, and
-    maybe varied move times) and the apply_schedule arguments to score it
-    with."""
+    """A compiled schedule (random family, size, relax set, pitch, maybe
+    varied move times, and maybe a few stages that do not move) and the
+    apply_schedule arguments to score it with."""
     schedule = compiled_schedule(
         draw(st.sampled_from(FAMILIES)), 2 * draw(st.integers(2, 8)), draw(st.integers(0, 3)),
         draw(st.frozensets(st.sampled_from(["C1", "C2", "C3"]))),
@@ -345,6 +345,13 @@ def scored_schedules(draw):
         schedule = dataclasses.replace(schedule, stages=[
             dataclasses.replace(s, move_time_s=s.move_time_s * (1 + k % 3) / 2)
             for k, s in enumerate(schedule.stages)])
+    # stages that do not move, among moving ones: they sit inside a block
+    # without heating it, and only a move may call for a cooling
+    still = draw(st.dictionaries(st.integers(1, max(1, len(schedule.stages) - 2)),
+                                 st.sampled_from([0.0, math.nan]), max_size=4))
+    schedule = dataclasses.replace(schedule, stages=[
+        dataclasses.replace(s, move_time_s=still.get(k, s.move_time_s))
+        for k, s in enumerate(schedule.stages)])
     T_per_move = draw(st.one_of(
         st.none(), st.floats(1e-5, 2e-3),
         # 1e-60 heats to ~1e223 quanta, 1e-150 overflows n_vib to inf
