@@ -9,8 +9,9 @@ d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit``, then
 ``audit_schedule`` and ``apply_schedule`` (scoring, which ``atomique sweep``
 reruns per point) on the compiled schedule, k times each (k = 3 up to 300
 qubits, 1 above), keeping the fastest.  Every compile must give the same
-schedule and stats.  The sha256 of the schedule (its sorted-key JSON) and
-of the stats (their indent-2 sorted-key JSON, as in ``stats.json``, without
+schedule and stats.  The sha256 of the schedule (its sorted-key JSON: the
+bytes of ``schedule.json`` less the final newline) and of the stats (their
+indent-2 sorted-key JSON, as in ``stats.json``, without
 ``compile_wall_time_s``) are recorded with the audit's finding count, so
 runs of two versions can be checked for equal output.  The process pins
 itself to one CPU, the highest-numbered one it may use.

@@ -37,17 +37,15 @@ class ArchConfig:
         return 2.5 * self.r_b
 
     def __post_init__(self):
+        for key in ("n_aod", "slm_rows", "slm_cols"):
+            if not _is_size(getattr(self, key)):
+                raise ValueError(f"{key} must be an int >= 1")
         object.__setattr__(self, "aod_rows", _per_aod(self.aod_rows, self.n_aod, "aod_rows"))
         object.__setattr__(self, "aod_cols", _per_aod(self.aod_cols, self.n_aod, "aod_cols"))
-        if self.n_aod < 1:
-            raise ValueError("n_aod must be >= 1")
-        for key in ("slm_rows", "slm_cols"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
         for key in ("D_site", "r_b", "T_per_move"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:  # NaN fails too
                 raise ValueError(f"{key} must be positive")
-        if self.delta <= 0 or self.delta >= self.r_b:
+        if not 0 < self.delta < self.r_b:
             raise ValueError("delta must satisfy 0 < delta < r_b")
         if self.D_site / 2 - self.delta < self.s_min:
             raise ValueError("D_site/2 - delta must be >= s_min (lanes too dense)")
@@ -73,14 +71,17 @@ class ArchConfig:
         return self.n_aod + 1
 
 
+def _is_size(v) -> bool:
+    """Whether v is an int (a bool is not) >= 1."""
+    return type(v) is int and v >= 1
+
+
 def _per_aod(value, n_aod: int, key: str) -> tuple[int, ...]:
-    if isinstance(value, int):
-        value = (value,) * n_aod
-    value = tuple(int(v) for v in value)
+    value = tuple(value) if isinstance(value, (list, tuple)) else (value,) * n_aod
     if len(value) != n_aod:
         raise ValueError(f"{key} must have one entry per AOD array ({n_aod})")
-    if any(v < 1 for v in value):
-        raise ValueError(f"{key} entries must be >= 1")
+    if not all(map(_is_size, value)):
+        raise ValueError(f"{key} entries must be ints >= 1, not {list(value)!r}")
     return value
 
 
@@ -109,11 +110,11 @@ class HardwareParams:
         if not 0.0 <= self.P_loss_transfer < 1.0:
             raise ValueError("P_loss_transfer must be in [0, 1)")
         for key in ("t_1Q", "t_2Q", "T1", "x_zpf", "omega0", "n_vib_max"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:  # NaN fails too
                 raise ValueError(f"{key} must be positive")
         for key in ("T_transfer", "lam", "n_cool_threshold"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative")
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{'lambda' if key == 'lam' else key} must be non-negative")
         if self.n_cool_threshold >= self.n_vib_max:
             raise ValueError("n_cool_threshold must be below n_vib_max")
 
@@ -143,10 +144,6 @@ def load_config(path_or_dict) -> tuple[ArchConfig, HardwareParams]:
             hw_kw[key] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if "aod_rows" in arch_kw and isinstance(arch_kw["aod_rows"], list):
-        arch_kw["aod_rows"] = tuple(arch_kw["aod_rows"])
-    if "aod_cols" in arch_kw and isinstance(arch_kw["aod_cols"], list):
-        arch_kw["aod_cols"] = tuple(arch_kw["aod_cols"])
     if "relaxed" in arch_kw:
         arch_kw["relaxed"] = frozenset(arch_kw["relaxed"])
     return ArchConfig(**arch_kw), HardwareParams(**hw_kw)

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
-import math
 import os
 import sys
 
@@ -70,57 +68,25 @@ def _run_compile(args):
     )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Write what json.dump(payload, indent=2, sort_keys=True) writes, then
-    a newline, byte for byte, streaming it to the file.  json.dump with an
-    indent runs the pure-Python encoder; this writer walks dicts and lists
-    itself and leaves runs of scalars to str.join and the C encoder."""
+def _write_json(path: str, payload: dict[str, object]) -> None:
+    """Write json.dumps(payload, sort_keys=True) and a newline, encoding one
+    top-level value, or one item of a top-level list, at a time.  Without
+    an indent, json runs its C encoder; piece by piece, the file is never
+    one string in memory."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
-        _dump(payload, fh.write, 0)
-        fh.write("\n")
-
-
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-@functools.cache
-def _list_encoder(depth: int) -> json.JSONEncoder:
-    """Encodes a list of scalars with each item on its own line at `depth`."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
-def _dump(obj, write, depth: int) -> None:
-    kind = type(obj)
-    if kind in _SCALARS:
-        write(_list_encoder(0).encode(obj))
-        return
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    kinds = set(map(type, obj)) if kind is dict or kind is list else None
-    if not obj and kinds is not None:
-        write("{}" if kind is dict else "[]")
-    elif kind is dict and kinds == {str}:
-        sep = "{" + inner
-        for key in sorted(obj):
-            write(f"{sep}{json.encoder.encode_basestring_ascii(key)}: ")
-            _dump(obj[key], write, depth + 1)
-            sep = "," + inner
-        write(outer + "}")
-    elif kind is list and kinds == {int}:
-        write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + outer + "]")
-    elif kind is list and kinds == {float} and all(map(math.isfinite, obj)):
-        write("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + outer + "]")
-    elif kind is list and kinds <= _SCALARS:
-        write("[" + inner + _list_encoder(depth + 1).encode(obj)[1:-1] + outer + "]")
-    elif kind is list:
-        sep = "[" + inner
-        for item in obj:
-            write(sep)
-            _dump(item, write, depth + 1)
-            sep = "," + inner
-        write(outer + "]")
-    else:  # json renders any other value the same at every depth, but indented
-        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", outer))
+        fh.write("{")
+        for i, key in enumerate(sorted(payload)):
+            value = payload[key]
+            fh.write(f"{', ' if i else ''}{encode(key)}: ")
+            if type(value) is list:
+                fh.write("[")
+                fh.writelines(f"{', ' if j else ''}{encode(item)}"
+                              for j, item in enumerate(value))
+                fh.write("]")
+            else:
+                fh.write(encode(value))
+        fh.write("}\n")
 
 
 def cmd_compile(args) -> int:
@@ -128,7 +94,8 @@ def cmd_compile(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(os.path.join(args.out_dir, "schedule.json"),
                 schedule_to_dict(res.schedule))
-    _write_json(os.path.join(args.out_dir, "stats.json"), res.stats)
+    with open(os.path.join(args.out_dir, "stats.json"), "w") as fh:
+        fh.write(json.dumps(res.stats, indent=2, sort_keys=True) + "\n")
     if args.emit_qasm:
         with open(os.path.join(args.out_dir, "routed.qasm"), "w") as fh:
             fh.write(to_qasm(res.routed.circuit))

@@ -732,8 +732,9 @@ def schedule_from_dict(d: dict) -> Schedule:
     range(n_arrays) or whose row or col is not an int inside that array, a
     `cz` or `raman` qubit that is not an int in range(n_qubits), a qubit
     named twice by one stage's `cz` pairs, a `cooling` entry that is not an
-    int in range(n_aod), or a `perm` that is not a permutation of
-    range(n_qubits)."""
+    int in range(n_aod), an `n_qubits` that is not the int count of
+    `placement`, or a `perm` that is not a permutation of range(n_qubits)
+    by int entries."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
@@ -745,9 +746,9 @@ def schedule_from_dict(d: dict) -> Schedule:
                              f"range({config.n_arrays}) and an int row and col inside it")
         placement[q] = AtomCoord(a, r, c)
     n = len(placement)
-    if d["n_qubits"] != n:
+    if type(d["n_qubits"]) is not int or d["n_qubits"] != n:
         raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
-    if sorted(d["perm"]) != list(range(n)):
+    if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
         raise ValueError(f"perm is not a permutation of range({n})")
     stages = []
     for k, s in enumerate(d["stages"]):

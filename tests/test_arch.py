@@ -80,6 +80,19 @@ def test_hardware_validation():
         HardwareParams(n_cool_threshold=40.0)  # above n_vib_max
 
 
+@pytest.mark.parametrize("key,value", [
+    *((key, float("nan")) for key in (
+        "D_site", "r_b", "delta", "T_per_move", "f_1Q", "f_2Q", "t_1Q", "t_2Q", "T1",
+        "P_loss_transfer", "T_transfer", "x_zpf", "omega0", "lambda", "n_vib_max",
+        "n_cool_threshold")),
+    ("aod_rows", [2.7, 3]), ("aod_cols", 2.0), ("aod_rows", [True, 3]),
+    ("n_aod", 2.0), ("slm_rows", True), ("slm_cols", 10.5),
+])
+def test_load_config_rejects_a_nan_or_a_non_int_size(key, value):
+    with pytest.raises(ValueError, match=key):
+        load_config({key: value})
+
+
 def test_atom_positions_mixed():
     cfg = ArchConfig()
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(1, 0, 0)}

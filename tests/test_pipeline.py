@@ -176,11 +176,11 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(payload=JSON_VALUES)
+@given(payload=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
 def test_write_json_writes_the_json_module_bytes(payload, tmp_path):
     path = tmp_path / "out.json"
     _write_json(str(path), payload)
-    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    want = json.dumps(payload, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode()
 
 
@@ -339,7 +339,8 @@ def test_audit_command_rejects_a_placement_outside_every_array(tmp_path, capsys,
                    "and an int row and col inside it\n")
 
 
-@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5]])
+@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5],
+                                  [0.0, 1.0, 2.0, 3.0, 4.0], [False, True, 2, 3, 4]])
 def test_audit_command_rejects_a_perm_that_is_not_a_permutation(tmp_path, capsys, perm):
     def edit(doc):
         doc["perm"] = perm
@@ -350,11 +351,12 @@ def test_audit_command_rejects_a_perm_that_is_not_a_permutation(tmp_path, capsys
 
 def test_audit_command_rejects_an_n_qubits_that_does_not_match_the_placement(
         tmp_path, capsys):
-    def edit(doc):
-        doc["n_qubits"] = 4
-    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
-    assert rc == 1 and out == ""
-    assert err == "error: n_qubits 4 but 5 placement entries\n"
+    for n_qubits in (4, 5.0):
+        def edit(doc):
+            doc["n_qubits"] = n_qubits
+        rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+        assert rc == 1 and out == ""
+        assert err == f"error: n_qubits {n_qubits!r} but 5 placement entries\n"
 
 
 def test_check_command_verifies_unitary(tmp_path, capsys):
@@ -379,6 +381,31 @@ def test_render_command_writes_one_svg_per_stage(tmp_path, capsys):
     files = sorted(f.name for f in frames.iterdir())
     assert files == [f"stage_{k:03d}.svg" for k in range(n_stages)]
     assert "<svg" in (frames / files[0]).read_text()
+
+
+def test_audit_and_render_read_an_indent_2_schedule_as_the_compact_one(tmp_path, capsys):
+    # schedule.json files written in the indented form keep working
+    qasm = write_benchmark(tmp_path, n=12, family="qaoa-regular", secret=None)
+    main(["compile", str(qasm), "-o", str(tmp_path)])
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    bad = json.loads(json.dumps(doc))
+    moving = next(s for s in bad["stages"] if any(s["distances_um"]))
+    moving["distances_um"][moving["distances_um"].index(0.0)] = 0.5
+
+    def run(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        capsys.readouterr()
+        rc = main(["audit", str(path)])
+        audit = capsys.readouterr().out
+        assert main(["render", str(path), "-o", str(tmp_path / f"frames-{name}")]) == 0
+        return rc, audit, {f.name: f.read_bytes() for f in (tmp_path / f"frames-{name}").iterdir()}
+
+    for name, d, want_rc in (("fresh", doc, 0), ("bad", bad, 1)):
+        compact = run(f"{name}.json", json.dumps(d, sort_keys=True) + "\n")
+        indented = run(f"{name}-indented.json", json.dumps(d, indent=2, sort_keys=True) + "\n")
+        assert compact[0] == want_rc and compact[2]
+        assert indented == compact
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
