@@ -370,31 +370,13 @@ class CircuitStats:
     n_qubits: int
     n_1q: int
     n_2q: int
-    two_qubit_depth: int
-    gates_per_qubit: float
-    degree_per_qubit: float
 
 
 def circuit_stats(c: Circuit) -> CircuitStats:
-    n_1q = sum(1 for g in c.gates if g.kind == "u")
-    two_q = [g for g in c.gates if g.kind in ("cz", "cx", "swap")]
-    partners: list[set[int]] = [set() for _ in range(c.n_qubits)]
-    for g in two_q:
-        a, b = g.qubits
-        partners[a].add(b)
-        partners[b].add(a)
-    dag = build_dag(c)
-    depth = len(
-        {dag.layer[i] for i, g in enumerate(c.gates) if g.kind in ("cz", "cx", "swap")}
-    )
-    n = max(c.n_qubits, 1)
     return CircuitStats(
         n_qubits=c.n_qubits,
-        n_1q=n_1q,
-        n_2q=len(two_q),
-        two_qubit_depth=depth,
-        gates_per_qubit=2.0 * len(two_q) / n,
-        degree_per_qubit=sum(len(p) for p in partners) / n,
+        n_1q=sum(1 for g in c.gates if g.kind == "u"),
+        n_2q=sum(1 for g in c.gates if g.kind in ("cz", "cx", "swap")),
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -118,12 +119,7 @@ def initial_lanes(config: ArchConfig, index: "_ArrayIndex"):
 
 def _odd_between(lo: int, hi: int) -> int:
     """Count odd integers strictly between lo and hi."""
-    if hi <= lo + 1:
-        return 0
-    first = lo + 1 if (lo + 1) % 2 else lo + 2
-    if first >= hi:
-        return 0
-    return (hi - 1 - first) // 2 + 1
+    return max(0, hi // 2 - (lo + 1) // 2)
 
 
 def _assign_park_lanes(old, lanes):
@@ -168,18 +164,18 @@ def _assign_park_lanes(old, lanes):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class _Pins:
     """Required (array, index) -> lane bindings for one candidate set;
     pinned columns also carry an x offset (um)."""
+    rows: dict[tuple[int, int], int] = field(default_factory=dict)
+    cols: dict[tuple[int, int], int] = field(default_factory=dict)
+    offsets: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def __init__(self, rows=None, cols=None, offsets=None):
-        self.rows: dict[tuple[int, int], int] = rows or {}
-        self.cols: dict[tuple[int, int], int] = cols or {}
-        self.offsets: dict[tuple[int, int], float] = offsets or {}
-
-    def merged(self, other: "_Pins") -> "_Pins":
-        return _Pins({**self.rows, **other.rows}, {**self.cols, **other.cols},
-                     {**self.offsets, **other.offsets})
+    def add(self, other: "_Pins") -> None:
+        self.rows.update(other.rows)
+        self.cols.update(other.cols)
+        self.offsets.update(other.offsets)
 
 
 def _gate_pins(pair, placement: Placement, config: ArchConfig) -> _Pins:
@@ -226,17 +222,15 @@ class _ArrayIndex:
 # ---------------------------------------------------------------------------
 
 
-def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
-                          config: ArchConfig, desc_count, serial: bool = False,
-                          gate_pins: dict | None = None):
+def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
+                          config: ArchConfig):
     """Greedy maximal legal parallel CZ set.
 
-    `front` holds (gate_index, (a, b)) for every ready CZ.  Candidates are
-    tried by descending DAG-descendant count (ties: lower gate index); each
-    either merges its lane pins into the stage or is rejected back to the
-    next stage.  `gate_pins` memoizes `_gate_pins` by gate index across
-    calls.  Returns (accepted list of (gate_index, pair), pins,
-    C3 rejections).
+    `order` holds (gate_index, (a, b)) for the CZs to try, in the order
+    `route` chose; `gate_pins` maps each gate index to its `_gate_pins`.
+    Each candidate either adds its lane pins to the stage or is rejected
+    back to the next stage.  Returns (accepted list of (gate_index, pair),
+    pins, C3 rejections).
 
     The accepted pins always satisfy every enabled constraint, so a
     candidate is checked only against what it adds: at most one new pin
@@ -250,15 +244,15 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
           in (array, rows-before-columns) order, as a whole-array scan
           would report it;
       (c) C1 checks only the cells the new pins create: a new row times
-          its array's pinned columns, pinned rows times a new column;
+          its array's pinned columns, pinned rows times a new column.  An
+          atom added to a cell sits on a newly pinned row or column, so it
+          is in no accepted pair: a two-atom cell is legal only as the
+          candidate's own pair;
       (d) the pigeonhole check covers the two gaps beside each new anchor.
     """
     relaxed = config.relaxed
     check_c1 = "C1" not in relaxed
     strict_c2, strict_c3 = "C2" not in relaxed, "C3" not in relaxed
-    if gate_pins is None:
-        gate_pins = {}
-    order = sorted(front, key=lambda fg: (-desc_count[fg[0]], fg[0]))
     pins = _Pins()
     axis_pins = (pins.rows, pins.cols)
     occupied = (index.occ_rows, index.occ_cols)
@@ -267,12 +261,11 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
     pinned_lanes = tuple([set() for _ in range(config.n_aod)] for _ in range(2))
     cells: dict[tuple[int, int], list[int]] = {}  # gate cell -> AOD atoms on it
     accepted: list[tuple[int, tuple[int, int]]] = []
-    intended: set[frozenset] = set()
     overlap_rejections = 0
 
-    def order_verdict(axis, t, i, lane, at):
-        """C2/C3 verdict of pinning index i of (t, axis) to `lane`; `at`
-        is i's insertion point in the pinned list."""
+    def order_verdict(axis, t, lane, at):
+        """C2/C3 verdict of pinning an index of (t, axis) to `lane`; `at`
+        is its insertion point in the pinned list."""
         if not strict_c2:
             return "C3" if strict_c3 and lane in pinned_lanes[axis][t] else None
         plist, lanes = pinned[axis][t], axis_pins[axis]
@@ -291,11 +284,8 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
     def gaps_fit(axis, t, i, lane, at) -> bool:
         """Pigeonhole: the occupied indices between the new anchor and
         each pinned neighbour fit on the odd lanes between their lanes."""
-        plist, occ = pinned[axis][t], occupied[axis][t]
-        for j in (plist[at - 1] if at else None,
-                  plist[at] if at < len(plist) else None):
-            if j is None:
-                continue
+        occ = occupied[axis][t]
+        for j in pinned[axis][t][max(at - 1, 0):at + 1]:
             lo_i, hi_i = (j, i) if j < i else (i, j)
             between = bisect_left(occ, hi_i) - bisect_right(occ, lo_i)
             lj = axis_pins[axis][(t, j)]
@@ -304,9 +294,7 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
         return True
 
     for gi, pair in order:
-        gate = gate_pins.get(gi)
-        if gate is None:
-            gate = gate_pins[gi] = _gate_pins(pair, placement, config)
+        gate = gate_pins[gi]
         # (a) a row/col already pinned to a different lane or offset; the
         # others are new pins: (array, axis, index, lane, insertion point)
         new, clash = [], False
@@ -324,8 +312,8 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
         new.sort()
         # (b) per-array lane order
         verdict = None
-        for t, axis, i, lane, at in new:
-            verdict = order_verdict(axis, t, i, lane, at)
+        for t, axis, _, lane, at in new:
+            verdict = order_verdict(axis, t, lane, at)
             if verdict:
                 break
         if verdict:
@@ -352,15 +340,13 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
                     q = occ.get((r, i))
                     if q is not None:
                         added.setdefault((lane_r, lane), []).append(q)
-            pair_set = frozenset(pair)
             clash = False
             for cell, atoms in added.items():
                 atoms = cells.get(cell, []) + atoms
                 slm_q = index.slm_cells.get(cell)
                 if slm_q is not None:
                     atoms.append(slm_q)
-                if len(atoms) > 2 or (len(atoms) == 2 and frozenset(atoms) != pair_set
-                                      and frozenset(atoms) not in intended):
+                if len(atoms) > 2 or (len(atoms) == 2 and set(atoms) != set(pair)):
                     clash = True
                     break
             if clash:
@@ -368,9 +354,7 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
         # (d) parked rows must still fit between the anchors
         if not all(gaps_fit(axis, t, i, lane, at) for t, axis, i, lane, at in new):
             continue
-        pins.rows.update(gate.rows)
-        pins.cols.update(gate.cols)
-        pins.offsets.update(gate.offsets)
+        pins.add(gate)
         for t, axis, i, lane, at in new:
             pinned[axis][t].insert(at, i)
             pinned_lanes[axis][t].add(lane)
@@ -378,9 +362,6 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
             for cell, atoms in added.items():
                 cells.setdefault(cell, []).extend(atoms)
         accepted.append((gi, pair))
-        intended.add(frozenset(pair))
-        if serial:
-            break
     return accepted, pins, overlap_rejections
 
 
@@ -566,8 +547,11 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
           serial: bool = False) -> Schedule:
     """Schedule a routed circuit into audited movement stages.
 
-    Loop: execute every ready one-qubit gate in Raman layers, then pick a
-    maximal legal parallel CZ set, synthesize the lane motion (dropping the
+    ValueError first on a gate other than u, cz and barrier, or on an
+    intra-array CZ.  Loop: execute every ready one-qubit gate in Raman
+    layers, then offer the ready CZs by descending DAG-descendant count
+    (ties: lower gate index; only the first if `serial`) to
+    `select_parallel_gates`, synthesize the lane motion (dropping the
     last accepted gate while the parked rows don't fit), emit.  Then the
     emitted stages are audited in blocks: the first stage in violation
     raises RuntimeError with its first four findings, also when routing
@@ -578,6 +562,15 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     dag = build_dag(circuit)
     desc_count = _descendant_counts(dag)
     index = _ArrayIndex(placement, config)
+    gate_pins: dict[int, _Pins] = {}  # CZ gate index -> its lane pins
+    for gi, g in enumerate(gates):
+        if g.kind == "cz":
+            a, b = g.qubits
+            if placement[a].array == placement[b].array:
+                raise ValueError("routed circuit has an intra-array CZ")
+            gate_pins[gi] = _gate_pins(g.qubits, placement, config)
+        elif g.kind not in ("u", "barrier"):
+            raise ValueError(f"unsupported gate {g.kind!r} in routed circuit")
 
     pending = [len(p) for p in dag.preds]
     ready = {i for i, c in enumerate(pending) if c == 0}
@@ -592,7 +585,6 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     prev_rows, prev_cols = initial = initial_lanes(config, index)
     emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
     overlap_rejections = 0
-    gate_pins: dict[int, _Pins] = {}  # gate index -> its lane pins
 
     def audit() -> list[np.ndarray]:
         """Move distances per emitted stage; RuntimeError for the first in violation."""
@@ -621,25 +613,14 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 for gi in ready_1q:
                     finish(gi)
 
-            front = []
-            for gi in sorted(ready):
-                g = gates[gi]
-                if g.kind != "cz":
-                    raise ValueError(f"unsupported gate {g.kind!r} in routed circuit")
-                a, b = g.qubits
-                if placement[a].array == placement[b].array:
-                    raise ValueError("routed circuit has an intra-array CZ")
-                front.append((gi, (a, b)))
-
-            if not front and not raman_layers:
+            if not ready and not raman_layers:
                 break
-
-            accepted, pins, rej = [], _Pins(), 0
-            if front:
-                accepted, pins, rej = select_parallel_gates(
-                    front, placement, index, config, desc_count, serial=serial,
-                    gate_pins=gate_pins)
-                overlap_rejections += rej
+            # only CZs are left ready
+            order = [(gi, gates[gi].qubits)
+                     for gi in sorted(ready, key=lambda gi: (-desc_count[gi], gi))]
+            accepted, pins, rej = select_parallel_gates(
+                order[:1] if serial else order, gate_pins, index, config)
+            overlap_rejections += rej
             while True:
                 # only an interior gap fails, and with no pins there is none,
                 # so the pop below never underflows
@@ -649,7 +630,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 accepted.pop()
                 pins = _Pins()
                 for gi, _ in accepted:
-                    pins = pins.merged(gate_pins[gi])
+                    pins.add(gate_pins[gi])
             # synthesize_motion gives every occupied row and column a finite
             # lane, so the audit's lane gather cannot fail; its lists are
             # fresh on every call, so each stage owns the ones it is given
@@ -725,6 +706,25 @@ def _is_index(x, bound: int) -> bool:
     return type(x) is int and 0 <= x < bound
 
 
+_NUMBER = {int, float}         # JSON value types of a number (a bool is not one)
+_LANE = {int, type(None)}      # ... and of a lane: an int, or null for an empty row
+
+
+def _aod_lists(where: str, aods, n_aod: int, *keys: str) -> list:
+    """Per key, its list from each of the n_aod entries of `aods`: lanes are
+    ints or null, `col_offsets_um` entries numbers.  ValueError naming
+    `where` and the key otherwise."""
+    if len(aods) != n_aod:
+        raise ValueError(f"{where}: aod needs {n_aod} entries, one per AOD, not {len(aods)}")
+    out = [[list(a[key]) for a in aods] for key in keys]
+    for key, lists in zip(keys, out):
+        types, what = ((_NUMBER, "numbers") if key == "col_offsets_um"
+                       else (_LANE, "int or null lanes"))
+        if not set(map(type, chain.from_iterable(lists))) <= types:
+            raise ValueError(f"{where}: {key} needs {what}")
+    return out
+
+
 def schedule_from_dict(d: dict) -> Schedule:
     """Rebuild a Schedule from its JSON form (audit / render / check).
 
@@ -734,7 +734,10 @@ def schedule_from_dict(d: dict) -> Schedule:
     named twice by one stage's `cz` pairs, a `cooling` entry that is not an
     int in range(n_aod), an `n_qubits` that is not the int count of
     `placement`, or a `perm` that is not a permutation of range(n_qubits)
-    by int entries."""
+    by int entries; also on a non-number `move_time_s`, `distances_um` or
+    `col_offsets_um` entry, a lane neither int nor null, an `aod` list of
+    other than n_aod entries, a raman gate without three numeric angles,
+    or an `overlap_rejections` not an int >= 0 (a bool is no int)."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
@@ -752,8 +755,10 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError(f"perm is not a permutation of range({n})")
     stages = []
     for k, s in enumerate(d["stages"]):
-        if len(s["distances_um"]) != n:
-            raise ValueError(f"stage {k}: distances_um needs one entry per qubit")
+        if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
+            raise ValueError(f"stage {k}: distances_um needs one number per qubit")
+        if type(s["move_time_s"]) not in _NUMBER:
+            raise ValueError(f"stage {k}: move_time_s {s['move_time_s']!r} is not a number")
         cz, named = [], set()
         for a, b in s["cz"]:
             if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
@@ -766,25 +771,20 @@ def schedule_from_dict(d: dict) -> Schedule:
         for q in (g.qubits[0] for layer in raman for g in layer):
             if not _is_index(q, n):
                 raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
+        angles = [g.params for layer in raman for g in layer]
+        if (set(map(len, angles)) - {3}
+                or not set(map(type, chain.from_iterable(angles))) <= _NUMBER):
+            raise ValueError(f"stage {k}: raman gates need three numeric angles each")
         if not all(_is_index(t, config.n_aod) for t in s["cooling"]):
             raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
                              f"indices in range({config.n_aod})")
-        stages.append(Stage(
-            raman=raman,
-            cz=cz,
-            row_lanes=[list(a["row_lanes"]) for a in s["aod"]],
-            col_lanes=[list(a["col_lanes"]) for a in s["aod"]],
-            col_offsets=[list(a["col_offsets_um"]) for a in s["aod"]],
-            distances_um=np.asarray(s["distances_um"], dtype=float),
-            move_time_s=float(s["move_time_s"]),
-            cooling=list(s["cooling"]),
-        ))
-    return Schedule(
-        config=config,
-        placement=placement,
-        stages=stages,
-        perm=list(d["perm"]),
-        initial_row_lanes=[list(a["row_lanes"]) for a in d["initial"]["aod"]],
-        initial_col_lanes=[list(a["col_lanes"]) for a in d["initial"]["aod"]],
-        overlap_rejections=int(d["metrics"]["overlap_rejections"]),
-    )
+        lanes = _aod_lists(f"stage {k}", s["aod"], config.n_aod,
+                           "row_lanes", "col_lanes", "col_offsets_um")
+        stages.append(Stage(raman, cz, *lanes, np.asarray(s["distances_um"], dtype=float),
+                            float(s["move_time_s"]), list(s["cooling"])))
+    rejections = d["metrics"]["overlap_rejections"]
+    if type(rejections) is not int or rejections < 0:
+        raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
+    return Schedule(config, placement, stages, list(d["perm"]),
+                    *_aod_lists("initial", d["initial"]["aod"], config.n_aod,
+                                "row_lanes", "col_lanes"), rejections)

@@ -197,7 +197,8 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
         # (a) a row/col already pinned to a different lane or offset
         if _conflicts(pins, gate):
             continue
-        trial = pins.merged(gate)
+        trial = _Pins({**pins.rows, **gate.rows}, {**pins.cols, **gate.cols},
+                      {**pins.offsets, **gate.offsets})
         # (b) per-array strict lane order
         verdict = None
         touched = {t for t, _ in (*gate.rows, *gate.cols)}

@@ -359,6 +359,82 @@ def test_audit_command_rejects_an_n_qubits_that_does_not_match_the_placement(
         assert err == f"error: n_qubits {n_qubits!r} but 5 placement entries\n"
 
 
+@pytest.mark.parametrize("value", ["3e-4", True, None, [1]])
+def test_audit_command_rejects_a_move_time_that_is_not_a_number(tmp_path, capsys, value):
+    def edit(doc):
+        doc["stages"][0]["move_time_s"] = value
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == f"error: stage 0: move_time_s {value!r} is not a number\n"
+
+
+@pytest.mark.parametrize("value", ["0.0", True, None])
+def test_audit_command_rejects_a_distance_that_is_not_a_number(tmp_path, capsys, value):
+    def edit(doc):
+        doc["stages"][0]["distances_um"][0] = value
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == "error: stage 0: distances_um needs one number per qubit\n"
+
+
+@pytest.mark.parametrize("where", ["stage 0", "initial"])
+@pytest.mark.parametrize("key,value", [("row_lanes", "3"), ("col_lanes", True),
+                                       ("row_lanes", 3.0)])
+def test_audit_command_rejects_a_lane_that_is_not_an_int_or_null(tmp_path, capsys, where,
+                                                                    key, value):
+    def edit(doc):
+        part = doc["stages"][0] if where == "stage 0" else doc["initial"]
+        part["aod"][0][key][0] = value
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == f"error: {where}: {key} needs int or null lanes\n"
+
+
+@pytest.mark.parametrize("value", ["0", None, False])
+def test_audit_command_rejects_an_offset_that_is_not_a_number(tmp_path, capsys, value):
+    def edit(doc):
+        doc["stages"][0]["aod"][1]["col_offsets_um"][0] = value
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == "error: stage 0: col_offsets_um needs numbers\n"
+
+
+@pytest.mark.parametrize("where,n", [("stage 0", 3), ("initial", 1)])
+def test_audit_command_rejects_an_aod_list_without_one_entry_per_aod(tmp_path, capsys,
+                                                                      where, n):
+    def edit(doc):
+        part = doc["stages"][0] if where == "stage 0" else doc["initial"]
+        part["aod"] = (part["aod"] * 2)[:n]
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == f"error: {where}: aod needs 2 entries, one per AOD, not {n}\n"
+
+
+@pytest.mark.parametrize("angles", [["1", "x", None], [0.5, 0.0], [0.5, 0.0, 0.0, 0.0],
+                                    [True, 0.0, 0.0]])
+def test_audit_command_rejects_a_raman_gate_without_three_numeric_angles(tmp_path, capsys,
+                                                                         angles):
+    stage = []
+
+    def edit(doc):
+        k, s = next((k, s) for k, s in enumerate(doc["stages"]) if s["raman"])
+        s["raman"][0][0][1:] = angles
+        stage.append(k)
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == f"error: stage {stage[0]}: raman gates need three numeric angles each\n"
+
+
+@pytest.mark.parametrize("value", ["7", -1, True, 1.0])
+def test_audit_command_rejects_overlap_rejections_that_are_not_a_count(tmp_path, capsys,
+                                                                       value):
+    def edit(doc):
+        doc["metrics"]["overlap_rejections"] = value
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert rc == 1 and out == ""
+    assert err == f"error: metrics: overlap_rejections {value!r} is not an int >= 0\n"
+
+
 def test_check_command_verifies_unitary(tmp_path, capsys):
     qasm = write_benchmark(tmp_path)
     assert main(["check", str(qasm)]) == 0

@@ -155,6 +155,34 @@ def test_one_qubit_only_circuit_needs_no_motion():
     assert all(not s.distances_um.any() for s in sched.stages)
 
 
+def test_route_rejects_an_intra_array_cz():
+    cfg = small_config()
+    placement = {0: AtomCoord(1, 0, 0), 1: AtomCoord(1, 1, 1)}
+    circ = Circuit(2)
+    circ.add("cz", (0, 1))
+    with pytest.raises(ValueError, match="^routed circuit has an intra-array CZ$"):
+        route(as_routed(circ, placement), placement, cfg)
+
+
+def test_route_rejects_an_unsupported_gate_before_routing_any_stage(monkeypatch):
+    # the cx becomes ready only after the first stage; it fails before it
+    real, calls = stage_router.synthesize_motion, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stage_router, "synthesize_motion", spy)
+    cfg = small_config()
+    placement = {0: AtomCoord(0, 2, 3), 1: AtomCoord(1, 0, 0)}
+    circ = Circuit(2)
+    circ.add("cz", (0, 1))
+    circ.add("cx", (0, 1))
+    with pytest.raises(ValueError, match="^unsupported gate 'cx' in routed circuit$"):
+        route(as_routed(circ, placement), placement, cfg)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # parallel selection: what one stage may hold
 # ---------------------------------------------------------------------------
@@ -408,8 +436,8 @@ def test_selection_with_crossed_rows_counts_the_shared_lane(relaxed, accepted,
                  2: AtomCoord(1, 2, 1), 3: AtomCoord(0, 1, 1),
                  4: AtomCoord(1, 3, 2), 5: AtomCoord(0, 2, 2)}
     front = [(0, (0, 1)), (1, (2, 3)), (2, (4, 5))]
-    got, pins, rej = select_parallel_gates(front, placement, _ArrayIndex(placement, cfg),
-                                           cfg, [0, 0, 0])
+    gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
+    got, pins, rej = select_parallel_gates(front, gate_pins, _ArrayIndex(placement, cfg), cfg)
     assert [gi for gi, _ in got] == accepted
     assert rej == c3_rejections
     assert [pins.rows[(0, r)] for r in (1, 2, 3)[:len(accepted)]] == [4, 2, 4][:len(accepted)]

@@ -224,7 +224,7 @@ def test_random_pairs_hits_target_density():
     c = gen_random_pairs(100, 10.0, seed=3)
     assert sum(g.kind == "cz" for g in c.gates) == 500
     stats = circuit_stats(c)
-    assert stats.gates_per_qubit == pytest.approx(10.0)
+    assert 2 * stats.n_2q / stats.n_qubits == pytest.approx(10.0)
     for g in c.gates:
         a, b = g.qubits
         assert a < b
