@@ -154,5 +154,7 @@ def place_atoms(circuit: Circuit, assignment, config: ArchConfig) -> Placement:
     placement = map_slm(slm_qubits, circuit, config)
     placement = map_aod_aligned(assignment, placement, circuit, config)
     for q, coord in placement.items():
-        assert coord.array == int(assignment[q])
+        if coord.array != int(assignment[q]):
+            raise RuntimeError(f"qubit {q} placed in array {coord.array}, "
+                               f"assigned to array {int(assignment[q])}")
     return placement

@@ -77,14 +77,6 @@ class Schedule:
         return sum(len(s.raman) for s in self.stages)
 
     @property
-    def n_1q(self) -> int:
-        return sum(len(layer) for s in self.stages for layer in s.raman)
-
-    @property
-    def n_2q(self) -> int:
-        return sum(len(s.cz) for s in self.stages)
-
-    @property
     def total_distance_um(self) -> float:
         return float(sum(s.distances_um.sum() for s in self.stages))
 

@@ -57,6 +57,14 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
     sum(DECAY^pos) over the next LOOKAHEAD_WINDOW blocked CZs that would
     *stay* co-array after the swap; ties fall to fewer remaining gates on r,
     then lower r, then the later gate endpoint.
+
+    The cost of (q, r) reads r only through r's array, except at window
+    gates that name r.  So every r that no window gate names gets, bit for
+    bit, the cost of any other such r in its array: the same terms, added
+    in the same order.  That cost is summed once per (q, array), and the
+    full window sum runs only for the at most 2 * LOOKAHEAD_WINDOW qubits
+    the window names.  Every r still gets its own key, so ties resolve as
+    if each cost had been summed apart.
     """
     s_arr = np.asarray(assignment, dtype=np.int64)
     n = circuit.n_qubits
@@ -65,22 +73,21 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
     gates = circuit.gates
     dag = build_dag(circuit)
 
-    slot_arr = s_arr.tolist()  # slot -> array id, as Python ints
     l2s = list(range(n))  # logical -> slot
+    l2a = s_arr.tolist()  # logical -> array id of its slot, as Python ints
     future = [0] * n      # remaining CZ count per logical qubit
     for g in gates:
         if g.kind == "cz":
             future[g.qubits[0]] += 1
             future[g.qubits[1]] += 1
+    weights = [DECAY ** pos for pos in range(LOOKAHEAD_WINDOW)]
 
     out = Circuit(n)
     added_cx = 0
     executed = [False] * len(gates)
+    first = 0  # every gate before this one has been emitted
     pending = [len(p) for p in dag.preds]
     ready = {i for i, c in enumerate(pending) if c == 0}
-
-    def arr(logical: int) -> int:
-        return slot_arr[l2s[logical]]
 
     def emit(gi: int) -> None:
         g = gates[gi]
@@ -95,17 +102,31 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
             if pending[s] == 0:
                 ready.add(s)
 
-    def blocked_window() -> list[tuple[int, int]]:
+    def blocked_window() -> list[tuple[int, int, int]]:
+        """(a, b, array of both) for the next LOOKAHEAD_WINDOW blocked CZs."""
+        nonlocal first
+        while executed[first]:
+            first += 1
         win = []
-        for gi, g in enumerate(gates):
+        for gi in range(first, len(gates)):
+            g = gates[gi]
             if executed[gi] or g.kind != "cz":
                 continue
             a, b = g.qubits
-            if arr(a) == arr(b):
-                win.append((a, b))
+            if l2a[a] == l2a[b]:
+                win.append((a, b, l2a[a]))
                 if len(win) == LOOKAHEAD_WINDOW:
                     break
         return win
+
+    def window_cost(window, q: int, r: int, q_arr: int, r_arr: int) -> float:
+        cost = 0.0
+        for (a, b, c), w in zip(window, weights):
+            aa = r_arr if a == q else (q_arr if a == r else c)
+            bb = r_arr if b == q else (q_arr if b == r else c)
+            if aa == bb:
+                cost += w
+        return cost
 
     while True:
         progress = True
@@ -113,7 +134,7 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
             progress = False
             for gi in sorted(ready):
                 g = gates[gi]
-                if g.kind == "cz" and arr(g.qubits[0]) == arr(g.qubits[1]):
+                if g.kind == "cz" and l2a[g.qubits[0]] == l2a[g.qubits[1]]:
                     continue
                 emit(gi)
                 progress = True
@@ -123,24 +144,26 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
         # everything ready is a blocked CZ; unblock the earliest one
         target = gates[min(ready)]
         t_a, t_b = target.qubits
-        home = arr(t_a)
+        home = l2a[t_a]
         window = blocked_window()
-        outside = [r for r in range(n) if slot_arr[l2s[r]] != home]
+        named = {x for a, b, _ in window for x in (a, b)}
+        outside = [r for r in range(n) if l2a[r] != home]
         if not outside:
             raise RuntimeError("all qubits share one array; CZ cannot be routed")
 
         best_key, best = None, None
         for q in (t_a, t_b):
-            q_arr = arr(q)
+            tie = 0 if q == t_b else 1
+            unnamed_cost: dict[int, float] = {}  # array -> cost of an r no gate names
             for r in outside:
-                r_arr = slot_arr[l2s[r]]
-                cost = 0.0
-                for pos, (a, b) in enumerate(window):
-                    aa = r_arr if a == q else (q_arr if a == r else arr(a))
-                    bb = r_arr if b == q else (q_arr if b == r else arr(b))
-                    if aa == bb:
-                        cost += DECAY ** pos
-                key = (cost, future[r], r, 0 if q == t_b else 1)
+                r_arr = l2a[r]
+                if r in named:
+                    cost = window_cost(window, q, r, home, r_arr)
+                else:
+                    cost = unnamed_cost.get(r_arr)
+                    if cost is None:
+                        cost = unnamed_cost[r_arr] = window_cost(window, q, -1, home, r_arr)
+                key = (cost, future[r], r, tie)
                 if best_key is None or key < best_key:
                     best_key, best = key, (q, r)
 
@@ -149,7 +172,10 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
         out.gates.extend(_lowered_swap(sq, sr))
         added_cx += 3
         l2s[q], l2s[r] = sr, sq
+        l2a[q], l2a[r] = l2a[r], l2a[q]
 
     routed = RoutedCircuit(out, s_arr, list(l2s), added_cx)
-    assert routed.intra_array_cz() == 0
+    left = routed.intra_array_cz()
+    if left:
+        raise RuntimeError(f"routing left {left} intra-array CZ gate(s)")
     return routed

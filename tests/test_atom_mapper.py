@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from atomique import atom_mapper
 from atomique.arch import ArchConfig, AtomCoord
 from atomique.atom_mapper import (
     map_aod_aligned,
@@ -78,6 +79,22 @@ def test_aod_partner_gets_identical_slot():
     placement = place_atoms(c, assignment, cfg)
     assert placement[0].array == 0 and placement[1].array == 1
     assert (placement[0].row, placement[0].col) == (placement[1].row, placement[1].col)
+
+
+def test_place_atoms_raises_when_a_step_misplaces_an_array(monkeypatch):
+    # a broken AOD step that files qubit 1 under the wrong array must stop
+    # placement with an error that `python -O` keeps
+    cfg = ArchConfig(n_aod=2, slm_rows=3, slm_cols=3, aod_rows=(3, 3), aod_cols=(3, 3))
+    real = atom_mapper.map_aod_aligned
+
+    def misplaced(assignment, placement, circuit, config):
+        out = real(assignment, placement, circuit, config)
+        out[1] = AtomCoord(2, out[1].row, out[1].col)
+        return out
+
+    monkeypatch.setattr(atom_mapper, "map_aod_aligned", misplaced)
+    with pytest.raises(RuntimeError, match="qubit 1 placed in array 2, assigned to array 1"):
+        place_atoms(_cz_circuit(2, [(0, 1)]), np.array([0, 1]), cfg)
 
 
 def test_aod_occupied_slot_falls_to_nearest():

@@ -52,6 +52,14 @@ def relax(cfg, name):
     return dataclasses.replace(cfg, relaxed=cfg.relaxed | {name})
 
 
+def n_1q(sched):
+    return sum(len(layer) for s in sched.stages for layer in s.raman)
+
+
+def n_2q(sched):
+    return sum(len(s.cz) for s in sched.stages)
+
+
 def as_routed(circ, placement):
     assign = np.array([placement[q].array for q in range(circ.n_qubits)])
     return RoutedCircuit(circ, assign, list(range(circ.n_qubits)), 0)
@@ -149,8 +157,8 @@ def test_one_qubit_only_circuit_needs_no_motion():
     circ.add("u", (0,), (0.5, 0.1, -0.2))
     circ.add("u", (1,), (1.5, 0.0, 0.0))
     sched = route(as_routed(circ, placement), placement, cfg)
-    assert sched.depth == 0 and sched.n_2q == 0
-    assert sched.n_1q == 2
+    assert sched.depth == 0 and n_2q(sched) == 0
+    assert n_1q(sched) == 2
     assert all(s.move_time_s == 0.0 for s in sched.stages)
     assert all(not s.distances_um.any() for s in sched.stages)
 
@@ -253,7 +261,7 @@ def test_relaxing_lane_exclusivity_merges_the_rows():
     assert sched.overlap_rejections == 0
     lanes = sched.stages[0].row_lanes[0]
     assert lanes[4] == lanes[5] == 6
-    assert sched.n_2q == 2  # relaxation never changes the gate count
+    assert n_2q(sched) == 2  # relaxation never changes the gate count
 
 
 def test_aligned_independent_gates_share_one_stage():
@@ -394,7 +402,7 @@ def test_parallel_never_deeper_than_serial():
         par = compile_circuit(circ, cfg, params, seed=seed)
         ser = compile_circuit(circ, cfg, params, seed=seed, serial=True)
         assert par.schedule.depth <= ser.schedule.depth
-        assert par.schedule.n_2q == ser.schedule.n_2q
+        assert n_2q(par.schedule) == n_2q(ser.schedule)
 
 
 def test_relaxation_never_increases_depth_or_changes_gates():
@@ -404,7 +412,7 @@ def test_relaxation_never_increases_depth_or_changes_gates():
     for name in ("C1", "C2", "C3"):
         loose = compile_circuit(circ, relax(cfg, name), params)
         assert loose.schedule.depth <= strict.schedule.depth
-        assert loose.schedule.n_2q == strict.schedule.n_2q
+        assert n_2q(loose.schedule) == n_2q(strict.schedule)
 
 
 def test_relaxing_row_order_alone_keeps_stages_legal():
@@ -419,7 +427,7 @@ def test_relaxing_row_order_alone_keeps_stages_legal():
     strict = compile_circuit(circ, cfg, params)
     loose = compile_circuit(circ, relax(cfg, "C2"), params)
     assert audit_schedule(loose.schedule) == []
-    assert loose.schedule.n_2q == strict.schedule.n_2q
+    assert n_2q(loose.schedule) == n_2q(strict.schedule)
 
 
 @pytest.mark.parametrize("relaxed,accepted,c3_rejections", [

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import swap_reference
+from atomique import swap_router
 from atomique.circuit import Circuit, circuit_stats, gate_frequency_graph, to_basis
 from atomique.oracle import equivalent_up_to_permutation, simulate
-from atomique.swap_router import _lowered_swap, route_inter_array
+from atomique.swap_router import LOOKAHEAD_WINDOW, _lowered_swap, route_inter_array
 from atomique.arch import ArchConfig
 from atomique.array_mapper import assign_arrays
 from atomique.pipeline import random_assignment
@@ -118,3 +122,98 @@ def test_greedy_assignment_beats_worst_random():
             for s in range(5)
         )
         assert greedy_added <= worst
+
+
+@st.composite
+def routing_inputs(draw):
+    n = draw(st.integers(2, 10))
+    qubit = st.integers(0, n - 1)
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 80))):
+        kind = draw(st.sampled_from(["cz", "cz", "cz", "u", "barrier"]))
+        if kind == "cz":
+            a = draw(qubit)
+            b = draw(qubit.filter(lambda x: x != a))
+            c.add("cz", (a, b))
+        elif kind == "u":
+            angle = st.floats(-3.0, 3.0, allow_nan=False)
+            c.add("u", (draw(qubit),), (draw(angle), draw(angle), draw(angle)))
+        else:
+            c.add("barrier", tuple(sorted(draw(st.sets(qubit, min_size=1)))))
+    n_arrays = draw(st.integers(2, 4))
+    assignment = draw(st.lists(st.integers(0, n_arrays - 1), min_size=n, max_size=n))
+    return c, np.array(assignment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(routing_inputs())
+def test_router_matches_the_reference(inputs):
+    c, assignment = inputs
+    try:
+        want = swap_reference.route_inter_array(c, assignment)
+    except RuntimeError as e:
+        with pytest.raises(RuntimeError, match=str(e)):
+            route_inter_array(c, assignment)
+        return
+    got = route_inter_array(c, assignment)
+    assert got.circuit.gates == want.circuit.gates
+    assert got.perm == want.perm
+    assert got.added_cx == want.added_cx
+
+
+def test_a_named_outside_qubit_costs_apart_from_its_array():
+    # A = {0, 1}, B = {2, 3, 4}.  Window: cz(0, 1), then cz(3, 4).  Moving 3
+    # or 4 out of B splits cz(3, 4) (cost 0); moving 2, which no window gate
+    # names, leaves it co-array (cost DECAY).  Were 3 priced like 2, the
+    # fewer remaining gates on 2 would win.
+    c = Circuit(5)
+    c.add("cz", (0, 1))
+    c.add("cz", (3, 4))
+    assignment = np.array([0, 0, 1, 1, 1])
+    r = route_inter_array(c, assignment)
+    assert r.circuit.gates[:9] == _lowered_swap(1, 3)
+    assert r.added_cx == 3
+    assert r.perm == [0, 3, 2, 1, 4]
+
+
+@pytest.mark.parametrize("pos", [1, 5, LOOKAHEAD_WINDOW - 1, LOOKAHEAD_WINDOW,
+                                 LOOKAHEAD_WINDOW + 1])
+def test_the_window_ends_after_lookahead_window_blocked_gates(pos):
+    # A = {0, 1, 2, 3}, B = {4, ..., 8}.  The window is cz(0, 1), pos - 1
+    # copies of cz(2, 3), which cost every SWAP the same, then cz(7, 8) at
+    # position pos.  Moving 7 out of B splits cz(7, 8), which outweighs the
+    # one gate left on 7 only while cz(7, 8) is in the window.
+    c = Circuit(9)
+    c.add("cz", (0, 1))
+    for _ in range(pos - 1):
+        c.add("cz", (2, 3))
+    c.add("cz", (7, 8))
+    routed = route_inter_array(c, np.array([0, 0, 0, 0, 1, 1, 1, 1, 1]))
+    r = 7 if pos < LOOKAHEAD_WINDOW else 4
+    assert routed.circuit.gates[:9] == _lowered_swap(1, r)
+
+
+@pytest.mark.parametrize("later, r", [
+    ([(0, 2), (0, 3)], 4),          # 4 alone has no gates left
+    ([], 2),                        # no r has gates left: the lowest r
+    ([(0, 2), (0, 3), (0, 4)], 2),  # one gate left on each r: the lowest r
+])
+def test_tied_candidates_fall_to_future_then_r_then_the_later_endpoint(later, r):
+    # A = {0, 1}, B = {2, 3, 4}; the window is cz(0, 1) alone, so every
+    # SWAP(q, r) costs 0, and q = 1 (the later endpoint) wins over q = 0
+    c = Circuit(5)
+    c.add("cz", (0, 1))
+    for a, b in later:
+        c.add("cz", (a, b))
+    routed = route_inter_array(c, np.array([0, 0, 1, 1, 1]))
+    assert routed.circuit.gates[:9] == _lowered_swap(1, r)
+
+
+def test_router_raises_when_a_swap_leaves_an_intra_array_cz(monkeypatch):
+    # a broken lowering that swaps slots 0 and 1, both in array 0, instead of
+    # the chosen pair; the postcondition must survive `python -O`
+    monkeypatch.setattr(swap_router, "_lowered_swap", lambda s, t: _lowered_swap(0, 1))
+    c = Circuit(3)
+    c.add("cz", (0, 1))
+    with pytest.raises(RuntimeError, match="routing left 3 intra-array CZ gate"):
+        route_inter_array(c, np.array([0, 0, 1]))
