@@ -49,21 +49,27 @@ def greedy_max_kcut(
             raise ValueError(f"capacities sum to {sum(caps)} < {n} vertices")
 
     if order == "weight":
-        incident = w.sum(axis=1)
+        incident = w.sum(axis=1).tolist()
         visit = sorted(range(n), key=lambda i: (-incident[i], i))
     elif order == "index":
         visit = list(range(n))
     else:
         raise ValueError(f"unknown vertex order {order!r}")
 
-    labels = np.full(n, -1, dtype=np.int64)
+    # each vertex's (neighbour, weight) pairs in ascending neighbour order,
+    # so the sums below add the same floats in the same order as a scan of
+    # the dense row
+    rows, cols = np.nonzero(w)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    pairs = list(zip(cols.tolist(), w[rows, cols].tolist()))
+    labels = [-1] * n
     sizes = [0] * k
     for i in visit:
-        into = np.zeros(k)
-        for q in range(n):
-            if labels[q] >= 0 and w[i, q] != 0.0:
-                into[labels[q]] += w[i, q]
-        placed_total = float(into.sum())
+        into = [0.0] * k
+        for q, x in pairs[bounds[i]:bounds[i + 1]]:
+            if labels[q] >= 0:
+                into[labels[q]] += x
+        placed_total = float(np.sum(into))  # numpy's summation order: labels hang on these floats
         best_j, best_cut = -1, -1.0
         for j in range(k):
             if sizes[j] >= caps[j]:
@@ -75,7 +81,7 @@ def greedy_max_kcut(
             raise RuntimeError("no partition with remaining capacity")
         labels[i] = best_j
         sizes[best_j] += 1
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def bind_partitions(labels, config: ArchConfig) -> np.ndarray:

@@ -23,9 +23,11 @@ the scan's fixed cost is paid per block, and the cap bounds its arrays.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
+from operator import lt
 
 import numpy as np
 
@@ -119,18 +121,16 @@ def _assign_park_lanes(old, lanes):
     the sorted, distinct candidate `lanes`, minimizing total |shift|; None
     if they don't fit.
 
-    Rows that all keep their lanes are the unique zero-cost assignment.
-    Otherwise a DP over (row i, lane j) fills only the band j - i in
-    [0, m - k]: the backtrack reads no other cell, since i rows must fit
-    below row i's lane and k - 1 - i above it.  Costs are integers, so
-    ties, and with them the backtrack's choices, are those of the full
-    table.
+    A DP over (row i, lane j) fills only the band j - i in [0, m - k]:
+    the backtrack reads no other cell, since i rows must fit below row
+    i's lane and k - 1 - i above it.  Costs are integers, so ties, and
+    with them the backtrack's choices, are those of the full table.
+    (`synthesize_motion` keeps a segment's lanes before it gets here when
+    they are the unique zero-cost assignment.)
     """
     k, m = len(old), len(lanes)
     if k > m:
         return None
-    if all(a < b for a, b in zip(old, old[1:])) and set(old) <= set(lanes):
-        return list(old)
     # table[i][d]: least cost of rows < i on lanes < i + d  (band offset d)
     width = m - k + 1
     table = [[0] * width]
@@ -168,6 +168,16 @@ class _Pins:
         self.rows.update(other.rows)
         self.cols.update(other.cols)
         self.offsets.update(other.offsets)
+
+    @cached_property
+    def table(self) -> tuple:
+        """The pins as (array, axis, index, lane, x offset) entries sorted by
+        (array, axis), rows (axis 0, offset None) before columns.  Built on
+        first use and kept, so only for pins that no longer change: one
+        CZ's, which bind at most one row and one column per array."""
+        return tuple(sorted(
+            [(t, 0, i, lane, None) for (t, i), lane in self.rows.items()]
+            + [(t, 1, i, lane, self.offsets[t, i]) for (t, i), lane in self.cols.items()]))
 
 
 def _gate_pins(pair, placement: Placement, config: ArchConfig) -> _Pins:
@@ -226,15 +236,18 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
 
     The accepted pins always satisfy every enabled constraint, so a
     candidate is checked only against what it adds: at most one new pin
-    per (array, axis), since a CZ touches one row and one column of each of
-    its at most two AODs.  The stage keeps, per (array, axis), the sorted
-    pinned indices and the set of pinned lanes, plus the AOD atoms on each
-    gate cell.  Then
-      (a) pin conflicts are dict lookups over the gate's keys;
-      (b) C2/C3 compare the new lane with its index neighbours' lanes
-          (with C2 relaxed, C3 is lane-set membership), first violation
-          in (array, rows-before-columns) order, as a whole-array scan
-          would report it;
+    per (axis, array), since a CZ touches one row and one column of each of
+    its at most two AODs.  The stage keeps, per (axis, array), the sorted
+    pinned indices, an index -> lane dict and the set of pinned lanes,
+    plus each array's column offsets and the AOD atoms on each gate cell.
+    A candidate walks its own pin table (`_Pins.table`: arrays ascending,
+    rows before columns), and each step below follows that order:
+      (a) pin conflicts: an index already pinned to another lane or offset;
+      (b) C2/C3 compare each new lane with its index neighbours' lanes
+          (with C2 relaxed, C3 is lane-set membership), (pred, new) before
+          (new, succ): the first violation a whole-array scan would report.
+          (a) and (b) share one walk, and a conflict anywhere in the table
+          rejects the candidate without counting a C3 verdict;
       (c) C1 checks only the cells the new pins create: a new row times
           its array's pinned columns, pinned rows times a new column.  An
           atom added to a cell sits on a newly pinned row or column, so it
@@ -246,68 +259,52 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
     check_c1 = "C1" not in relaxed
     strict_c2, strict_c3 = "C2" not in relaxed, "C3" not in relaxed
     pins = _Pins()
-    axis_pins = (pins.rows, pins.cols)
     occupied = (index.occ_rows, index.occ_cols)
-    # axis (0 rows, 1 columns) -> array -> sorted pinned indices / lane set
-    pinned = tuple([[] for _ in range(config.n_aod)] for _ in range(2))
-    pinned_lanes = tuple([set() for _ in range(config.n_aod)] for _ in range(2))
+    # axis (0 rows, 1 columns) -> array -> (sorted pinned indices, index ->
+    # lane, lane set); array -> pinned column -> x offset
+    state = tuple([([], {}, set()) for _ in range(config.n_aod)] for _ in range(2))
+    col_offset = [{} for _ in range(config.n_aod)]
     cells: dict[tuple[int, int], list[int]] = {}  # gate cell -> AOD atoms on it
     accepted: list[tuple[int, tuple[int, int]]] = []
     overlap_rejections = 0
 
-    def order_verdict(axis, t, lane, at):
-        """C2/C3 verdict of pinning an index of (t, axis) to `lane`; `at`
-        is its insertion point in the pinned list."""
-        if not strict_c2:
-            return "C3" if strict_c3 and lane in pinned_lanes[axis][t] else None
-        plist, lanes = pinned[axis][t], axis_pins[axis]
-        pairs = []
-        if at:
-            pairs.append((lanes[(t, plist[at - 1])], lane))
-        if at < len(plist):
-            pairs.append((lane, lanes[(t, plist[at])]))
-        for la, lb in pairs:
-            if la == lb and strict_c3:
-                return "C3"
-            if la > lb:
-                return "C2"
-        return None
-
-    def gaps_fit(axis, t, i, lane, at) -> bool:
-        """Pigeonhole: the occupied indices between the new anchor and
-        each pinned neighbour fit on the odd lanes between their lanes."""
-        occ = occupied[axis][t]
-        for j in pinned[axis][t][max(at - 1, 0):at + 1]:
-            lo_i, hi_i = (j, i) if j < i else (i, j)
-            between = bisect_left(occ, hi_i) - bisect_right(occ, lo_i)
-            lj = axis_pins[axis][(t, j)]
-            if between > _odd_between(min(lane, lj), max(lane, lj)):
-                return False
-        return True
-
     for gi, pair in order:
-        gate = gate_pins[gi]
-        # (a) a row/col already pinned to a different lane or offset; the
-        # others are new pins: (array, axis, index, lane, insertion point)
-        new, clash = [], False
-        for axis, theirs in enumerate((gate.rows, gate.cols)):
-            mine = axis_pins[axis]
-            for key, lane in theirs.items():
-                have = mine.get(key)
-                if have is None:
-                    t, i = key
-                    new.append((t, axis, i, lane, bisect_left(pinned[axis][t], i)))
-                elif have != lane or (axis and pins.offsets[key] != gate.offsets[key]):
+        # (a) and (b) in one walk of the gate's table: an entry pinned to
+        # another lane or offset is a clash, which rejects the gate whatever
+        # verdict came first.  The others are new pins, kept with their
+        # insertion points; the first of them out of lane order is the verdict.
+        new, clash, verdict = [], False, None
+        for entry in gate_pins[gi].table:
+            t, axis, i, lane, off = entry
+            plist, held, lanes = state[axis][t]
+            have = held.get(i)
+            if have is not None:
+                if have != lane or (axis and col_offset[t][i] != off):
                     clash = True
+                    break
+                continue
+            if verdict:
+                continue
+            at = bisect_left(plist, i)
+            new.append((entry, at))
+            if not strict_c2:
+                if strict_c3 and lane in lanes:
+                    verdict = "C3"
+                continue
+            if at:
+                pred = held[plist[at - 1]]
+                if pred > lane:
+                    verdict = "C2"
+                elif pred == lane and strict_c3:
+                    verdict = "C3"
+            if not verdict and at < len(plist):
+                succ = held[plist[at]]
+                if lane > succ:
+                    verdict = "C2"
+                elif lane == succ and strict_c3:
+                    verdict = "C3"
         if clash:
             continue
-        new.sort()
-        # (b) per-array lane order
-        verdict = None
-        for t, axis, _, lane, at in new:
-            verdict = order_verdict(axis, t, lane, at)
-            if verdict:
-                break
         if verdict:
             if verdict == "C3":
                 overlap_rejections += 1
@@ -316,16 +313,16 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
         if check_c1:
             added: dict[tuple[int, int], list[int]] = {}
             new_row = {}  # array -> this gate's new (row, lane) there
-            for t, axis, i, lane, _ in new:
+            for (t, axis, i, lane, _), _ in new:
                 occ = index.occ[t]
                 if axis == 0:
                     new_row[t] = (i, lane)
-                    for c in pinned[1][t]:
+                    for c, lane_c in state[1][t][1].items():
                         q = occ.get((i, c))
                         if q is not None:
-                            added.setdefault((lane, pins.cols[(t, c)]), []).append(q)
+                            added.setdefault((lane, lane_c), []).append(q)
                     continue
-                rows = [(r, pins.rows[(t, r)]) for r in pinned[0][t]]
+                rows = list(state[0][t][1].items())
                 if t in new_row:
                     rows.append(new_row[t])
                 for r, lane_r in rows:
@@ -343,13 +340,35 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
                     break
             if clash:
                 continue
-        # (d) parked rows must still fit between the anchors
-        if not all(gaps_fit(axis, t, i, lane, at) for t, axis, i, lane, at in new):
+        # (d) parked rows must still fit between the anchors: the occupied
+        # indices strictly between the new anchor and each pinned neighbour
+        # need as many odd lanes strictly between their lanes
+        fits = True
+        for (t, axis, i, lane, _), at in new:
+            occ = occupied[axis][t]
+            plist, held, _ = state[axis][t]
+            if at:
+                j = plist[at - 1]
+                if (bisect_left(occ, i) - bisect_right(occ, j)
+                        > _odd_between(min(lane, held[j]), max(lane, held[j]))):
+                    fits = False
+                    break
+            if at < len(plist):
+                j = plist[at]
+                if (bisect_left(occ, j) - bisect_right(occ, i)
+                        > _odd_between(min(lane, held[j]), max(lane, held[j]))):
+                    fits = False
+                    break
+        if not fits:
             continue
-        pins.add(gate)
-        for t, axis, i, lane, at in new:
-            pinned[axis][t].insert(at, i)
-            pinned_lanes[axis][t].add(lane)
+        pins.add(gate_pins[gi])
+        for (t, axis, i, lane, off), at in new:
+            plist, held, lanes = state[axis][t]
+            plist.insert(at, i)
+            held[i] = lane
+            lanes.add(lane)
+            if axis:
+                col_offset[t][i] = off
         if check_c1:
             for cell, atoms in added.items():
                 cells.setdefault(cell, []).extend(atoms)
@@ -393,11 +412,21 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
     col_lanes, col_offsets), or None when a gap between two pinned
     anchors of one array cannot host its parked rows: an open side (no
     anchor) is bounded by `_past_free` and always fits.
+
+    The parked rows between two anchors (a segment) keep their old lanes
+    when those are strictly increasing, odd, not taken and strictly inside
+    the anchors (crossed anchors swapped): that is the unique zero-cost
+    assignment, checked in O(rows) before any candidate list is built.
+    Only the other segments list their free lanes and run the DP of
+    `_assign_park_lanes`.
     """
     merge_ok = "C3" in config.relaxed
 
     def solve_axis(axis_pins: dict, prev, occupied_per_t):
         new = [[None] * len(prev[t]) for t in range(config.n_aod)]
+        pinned = [{} for _ in range(config.n_aod)]  # array -> index -> pinned lane
+        for (t, i), lane in axis_pins.items():
+            pinned[t][i] = lane
         all_pinned_lanes = set(axis_pins.values())
         for t in range(config.n_aod):
             # lanes no parked row may take: every pinned lane, the other
@@ -407,35 +436,45 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                 if s == t:
                     continue
                 source = new[s] if s < t else prev[s]
-                taken.update(l for l in source if l is not None)
+                taken.update(source)
+            taken.discard(None)
             # split unpinned occupied indices into segments between anchor lanes
             segments, seg, lo_a = [], [], None
+            pins_t, prev_t, new_t = pinned[t], prev[t], new[t]
             for i in occupied_per_t[t]:
-                lane = axis_pins.get((t, i))
+                lane = pins_t.get(i)
                 if lane is None:
                     seg.append(i)
                     continue
-                new[t][i] = lane
+                new_t[i] = lane
                 if seg:
                     segments.append((lo_a, lane, seg))
                     seg = []
                 lo_a = lane
             if seg:
                 segments.append((lo_a, None, seg))
-            for lo_a, hi_a, seg in segments:
-                old = [prev[t][i] for i in seg]
-                ends = old + [a for a in (lo_a, hi_a) if a is not None]
-                lo_lane = lo_a if lo_a is not None else _past_free(min(ends), len(seg), -2, taken)
-                hi_lane = hi_a if hi_a is not None else _past_free(max(ends), len(seg), 2, taken)
-                if hi_lane < lo_lane:  # crossed anchors (C2 off)
-                    lo_lane, hi_lane = hi_lane, lo_lane
-                cand = [l for l in range(lo_lane + 1 + lo_lane % 2, hi_lane, 2)  # odd
-                        if l not in taken]
-                got = _assign_park_lanes(old, cand)
-                if got is None:
-                    return None
+            for lo, hi, seg in segments:
+                got = [prev_t[i] for i in seg]
+                if lo is not None and hi is not None and hi < lo:  # crossed anchors (C2 off)
+                    lo, hi = hi, lo
+                # old lanes in order, odd, free and strictly inside the anchors
+                # stay: the unique zero-cost assignment (an open side's bound
+                # lies past every old lane).  Otherwise run the DP over the
+                # free odd lanes strictly inside the bounds.
+                if not ((lo is None or lo < got[0]) and (hi is None or got[-1] < hi)
+                        and taken.isdisjoint(got) and all(l % 2 for l in got)
+                        and all(map(lt, got, got[1:]))):
+                    ends = got + [a for a in (lo, hi) if a is not None]
+                    if lo is None:
+                        lo = _past_free(min(ends), len(seg), -2, taken)
+                    if hi is None:
+                        hi = _past_free(max(ends), len(seg), 2, taken)
+                    got = _assign_park_lanes(got, [l for l in range(lo + 1 + lo % 2, hi, 2)
+                                                   if l not in taken])
+                    if got is None:
+                        return None
                 for i, lane in zip(seg, got):
-                    new[t][i] = lane
+                    new_t[i] = lane
                 if not merge_ok:
                     taken.update(got)
         return new
@@ -544,10 +583,12 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     layers, then offer the ready CZs by descending DAG-descendant count
     (ties: lower gate index; only the first if `serial`) to
     `select_parallel_gates`, synthesize the lane motion (dropping the
-    last accepted gate while the parked rows don't fit), emit.  Then the
-    emitted stages are audited in blocks: the first stage in violation
-    raises RuntimeError with its first four findings, also when routing
-    failed after emitting it.
+    last accepted gate while the parked rows don't fit), emit.  Retiring
+    a gate files each gate it frees by kind, so the ready CZs stay sorted
+    and no pass rescans the front; a barrier retires as soon as it is
+    ready.  Then the emitted stages are audited in blocks: the first stage
+    in violation raises RuntimeError with its first four findings, also
+    when routing failed after emitting it.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -564,16 +605,36 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
         elif g.kind not in ("u", "barrier"):
             raise ValueError(f"unsupported gate {g.kind!r} in routed circuit")
 
+    # the ready front: one-qubit gates in the order they became ready, and
+    # CZs as (-descendants, gate index), kept sorted
+    ready_1q: list[int] = []
+    ready_cz: list[tuple[int, int]] = []
     pending = [len(p) for p in dag.preds]
-    ready = {i for i, c in enumerate(pending) if c == 0}
 
-    def finish(gi: int) -> None:
-        ready.discard(gi)
+    def retire(gi: int) -> list[int]:
+        """Retire gate gi: the gates it leaves with no pending predecessor."""
+        freed = []
         for s in dag.succs[gi]:
             pending[s] -= 1
             if pending[s] == 0:
-                ready.add(s)
+                freed.append(s)
+        return freed
 
+    def release(freed: list[int]) -> None:
+        """File newly ready gates by kind.  A barrier retires at once: when it
+        is ready every gate before it has run and none after it is ready, so
+        it waits for nothing, and the gates it frees are filed in turn."""
+        while freed:
+            gi = freed.pop()
+            kind = gates[gi].kind
+            if kind == "u":
+                ready_1q.append(gi)
+            elif kind == "cz":
+                insort(ready_cz, (-desc_count[gi], gi))
+            else:
+                freed += retire(gi)
+
+    release([gi for gi, c in enumerate(pending) if c == 0])
     prev_rows, prev_cols = initial = initial_lanes(config, index)
     emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
     overlap_rejections = 0
@@ -592,26 +653,17 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     try:
         while True:
             raman_layers: list[list[Gate]] = []
-            while True:
-                fences = sorted(gi for gi in ready if gates[gi].kind == "barrier")
-                for gi in fences:
-                    finish(gi)
-                ready_1q = sorted(gi for gi in ready if gates[gi].kind == "u")
-                if not ready_1q:
-                    if not fences:
-                        break
-                    continue
-                raman_layers.append([gates[gi] for gi in ready_1q])
-                for gi in ready_1q:
-                    finish(gi)
-
-            if not ready and not raman_layers:
+            while ready_1q:
+                layer = sorted(ready_1q)
+                ready_1q.clear()  # what the layer frees runs in the next one
+                raman_layers.append([gates[gi] for gi in layer])
+                for gi in layer:
+                    release(retire(gi))
+            if not ready_cz and not raman_layers:
                 break
             # only CZs are left ready
-            order = [(gi, gates[gi].qubits)
-                     for gi in sorted(ready, key=lambda gi: (-desc_count[gi], gi))]
-            accepted, pins, rej = select_parallel_gates(
-                order[:1] if serial else order, gate_pins, index, config)
+            order = [(gi, gates[gi].qubits) for _, gi in (ready_cz[:1] if serial else ready_cz)]
+            accepted, pins, rej = select_parallel_gates(order, gate_pins, index, config)
             overlap_rejections += rej
             while True:
                 # only an interior gap fails, and with no pins there is none,
@@ -628,7 +680,8 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             # fresh on every call, so each stage owns the ones it is given
             emitted.append((raman_layers, [pair for _, pair in accepted], *synth))
             for gi, _ in accepted:
-                finish(gi)
+                del ready_cz[bisect_left(ready_cz, (-desc_count[gi], gi))]
+                release(retire(gi))
             prev_rows, prev_cols, _ = synth
     except Exception:
         audit()
@@ -668,7 +721,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
                       for layer in s.raman],
             "cooling": list(s.cooling),
             "move_time_s": s.move_time_s,
-            "distances_um": [float(d) for d in s.distances_um],
+            "distances_um": s.distances_um.tolist(),
         })
     n = len(schedule.placement)
     return {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomique.arch import ArchConfig
 from atomique.array_mapper import (
@@ -8,7 +10,7 @@ from atomique.array_mapper import (
     greedy_max_kcut,
     partition_capacities,
 )
-from kcut_reference import cut_value, kcut_exhaustive, total_weight
+from kcut_reference import cut_value, greedy_max_kcut_dense, kcut_exhaustive, total_weight
 
 
 def _sym(entries, n):
@@ -143,3 +145,42 @@ def test_assign_arrays_respects_capacity():
     counts = np.bincount(arrays, minlength=3)
     for a in range(3):
         assert counts[a] <= cfg.array_capacity(a)
+
+
+@st.composite
+def kcut_inputs(draw):
+    """A random symmetric weighted graph (sparse or dense, weights that
+    round differently when summed in another order), k up to 9, and
+    capacities (none, or k sizes that sum to at least n)."""
+    n = draw(st.integers(0, 24))
+    k = draw(st.integers(1, 9))
+    # decimal fractions make near-ties whose float sums depend on the order
+    weight = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 2.0]),
+                       st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    w = np.zeros((n, n))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                w[i, j] = w[j, i] = draw(weight)
+    caps = None
+    if draw(st.booleans()):
+        caps = draw(st.lists(st.integers(0, n), min_size=k, max_size=k))
+        caps[0] += max(0, n - sum(caps))
+    return w, k, caps
+
+
+# a graph whose labels change if a vertex's neighbour weights are summed
+# in another order (0.1 + 0.2 + 0.3 is not 0.3 + 0.2 + 0.1)
+_ORDER_SENSITIVE = np.array([[0, 0, 1, 0, 2, 1], [0, 0, 1, 0, 10, 2], [1, 1, 0, 7, 0, 0],
+                             [0, 0, 7, 0, 0, 3], [2, 10, 0, 0, 0, 6], [1, 2, 0, 3, 6, 0]]) / 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(kcut_inputs(), st.sampled_from(["weight", "index"]))
+@example((_ORDER_SENSITIVE, 2, None), "index")
+def test_greedy_kcut_labels_match_the_dense_scan(inputs, order):
+    w, k, caps = inputs
+    got = greedy_max_kcut(w, k, capacities=caps, order=order)
+    assert got.dtype == np.int64
+    assert got.tolist() == greedy_max_kcut_dense(w, k, capacities=caps, order=order).tolist()

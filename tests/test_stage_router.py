@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from atomique.arch import (
+    ArchConfig,
     AtomCoord,
     atom_lanes,
     atom_positions,
@@ -37,6 +38,7 @@ from atomique.stage_router import (
     synthesize_motion,
 )
 from atomique.workloads import WorkloadSpec
+import route_reference
 from audit_reference import audit_schedule as reference_audit
 from select_reference import _conflicts, _order_ok
 
@@ -672,3 +674,58 @@ def test_each_routed_stage_owns_its_lane_lists():
                 lane_list[:] = [-7] * len(lane_list)
         want[k + 2] = copy.deepcopy([stage.row_lanes, stage.col_lanes, stage.col_offsets])
         assert lanes() == want
+
+
+# ---------------------------------------------------------------------------
+# the ready front against the set-scan reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def routed_circuits(draw):
+    """A random placement on small arrays and a circuit of u gates, CZs
+    between arrays and barriers (on any qubits: each fences all of them),
+    with a relax set and the serial flag."""
+    n_aod = draw(st.integers(1, 2))
+    side = draw(st.integers(2, 4))
+    relaxed = frozenset(draw(st.sets(st.sampled_from(["C1", "C2", "C3"]))))
+    cfg = ArchConfig(n_aod=n_aod, slm_rows=side, slm_cols=side,
+                     aod_rows=(side,) * n_aod, aod_cols=(side,) * n_aod, relaxed=relaxed)
+    sites = [(a, r, c) for a in range(n_aod + 1) for r in range(side) for c in range(side)]
+    chosen = draw(st.lists(st.sampled_from(sites), min_size=2,
+                           max_size=min(len(sites), 16), unique=True))
+    placement = {q: AtomCoord(*site) for q, site in enumerate(chosen)}
+    n = len(placement)
+    cross = [(a, b) for a in range(n) for b in range(n)
+             if placement[a].array != placement[b].array]
+    kinds = ["u", "barrier"] + (["cz", "cz", "cz"] if cross else [])
+    circ = Circuit(n)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        if kind == "u":
+            circ.add("u", (draw(st.integers(0, n - 1)),), (0.1, 0.2, 0.3))
+        elif kind == "cz":
+            circ.add("cz", draw(st.sampled_from(cross)))
+        else:
+            circ.add("barrier", tuple(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    return as_routed(circ, placement), placement, cfg, draw(st.booleans())
+
+
+def route_outcome(route_fn, routed, placement, cfg, serial):
+    """The schedule's stages as JSON dicts, or the exception route raised."""
+    try:
+        sched = route_fn(routed, placement, cfg, serial=serial)
+    except (RuntimeError, ValueError) as e:
+        return type(e), str(e)
+    return schedule_to_dict(sched)
+
+
+@settings(max_examples=300, deadline=None)
+@given(routed_circuits())
+def test_ready_front_matches_the_set_scan_reference(inputs):
+    got = route_outcome(route, *inputs)
+    want = route_outcome(route_reference.route, *inputs)
+    if isinstance(got, dict) and isinstance(want, dict):
+        assert len(got["stages"]) == len(want["stages"])
+        for k, (stage, ref_stage) in enumerate(zip(got["stages"], want["stages"])):
+            assert stage == ref_stage, k
+    assert got == want

@@ -81,6 +81,39 @@ def test_synthesis_matches_the_full_range_reference(inputs, data):
     assert synthesize_motion(_Pins(), *prev, index, cfg) is not None
 
 
+def synthesize_as_route(accepted, pins, prev, index, cfg, gate_pins):
+    """Synthesis as `route` runs it (drop the last accepted gate until the
+    parked rows fit), checked against the reference on every call."""
+    while True:
+        got = synthesize_motion(pins, *prev, index, cfg)
+        assert got == ref.synthesize_motion(pins, *prev, index, cfg)
+        if got is not None:
+            return got
+        accepted.pop()
+        pins = _Pins()
+        for gi, _ in accepted:
+            pins.add(gate_pins[gi])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_inputs(), st.data())
+def test_two_stages_in_a_row_match_the_reference(inputs, data):
+    # the second stage starts from the first's lanes, so its segments see
+    # anchors that moved and old lanes off the initial interleave
+    placement, cfg, front, desc, _ = inputs
+    index = _ArrayIndex(placement, cfg)
+    gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
+    prev = initial_lanes(cfg, index)
+    for _ in range(2):
+        accepted, pins, _ = select(front, placement, index, cfg, desc)
+        rows, cols, _ = synthesize_as_route(accepted, pins, prev, index, cfg, gate_pins)
+        prev = rows, cols
+        front = data.draw(st.permutations(front)).copy()
+        front = sorted(front[:data.draw(st.integers(0, len(front)))])
+        desc = data.draw(st.lists(st.integers(0, 4), min_size=len(desc),
+                                  max_size=len(desc)))
+
+
 @st.composite
 def lane_inputs(draw):
     """Full AODs, random pins in any order (anchors cross, gaps are tight)
