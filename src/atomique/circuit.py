@@ -298,16 +298,13 @@ def to_basis(c: Circuit) -> Circuit:
 
 @dataclass
 class CircuitDag:
-    """Gate dependency DAG; node ids are gate indices into ``circuit.gates``.
+    """Gate dependency DAG of a circuit; node ids are indices into its ``gates``.
 
     Edges follow per-qubit last-writer chains; barriers fence all qubits.
-    ``layer`` holds 0-based ASAP layers.
     """
 
-    circuit: Circuit
     preds: list[list[int]]
     succs: list[list[int]]
-    layer: list[int]
 
     @property
     def n_nodes(self) -> int:
@@ -318,24 +315,20 @@ def build_dag(c: Circuit) -> CircuitDag:
     n_nodes = len(c.gates)
     preds: list[list[int]] = [[] for _ in range(n_nodes)]
     succs: list[list[int]] = [[] for _ in range(n_nodes)]
-    layer = [0] * n_nodes
     last: list[int | None] = [None] * c.n_qubits
 
     for i, g in enumerate(c.gates):
         touched = range(c.n_qubits) if g.kind == "barrier" else g.qubits
         seen: set[int] = set()
-        lvl = 0
         for q in touched:
             p = last[q]
             if p is not None and p not in seen:
                 seen.add(p)
                 preds[i].append(p)
                 succs[p].append(i)
-                lvl = max(lvl, layer[p] + 1)
-        layer[i] = lvl
         for q in touched:
             last[q] = i
-    return CircuitDag(c, preds, succs, layer)
+    return CircuitDag(preds, succs)
 
 
 def gate_frequency_graph(c: Circuit, gamma: float = 0.9) -> np.ndarray:

@@ -66,10 +66,13 @@ def compile_circuit(
         params = HardwareParams()
     t0 = time.perf_counter()
 
-    basis = to_basis(circuit)
-    n = basis.n_qubits
+    # checked before lowering, which keeps the qubit count: a register
+    # broadcast (`h q;`) is one gate per qubit, so lowering an over-capacity
+    # input first could take seconds
+    n = circuit.n_qubits
     if n > sum(partition_capacities(config)):
         raise ValueError(f"{n} qubits exceed total array capacity")
+    basis = to_basis(circuit)
 
     if mapper == "greedy":
         weights = gate_frequency_graph(basis)

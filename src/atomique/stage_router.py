@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from operator import lt
 
@@ -156,32 +155,34 @@ def _assign_park_lanes(old, lanes):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Pins:
-    """Required (array, index) -> lane bindings for one candidate set;
-    pinned columns also carry an x offset (um)."""
-    rows: dict[tuple[int, int], int] = field(default_factory=dict)
-    cols: dict[tuple[int, int], int] = field(default_factory=dict)
-    offsets: dict[tuple[int, int], float] = field(default_factory=dict)
+    """A stage's lane pins.  `axes[axis][t]` (axis 0 rows, 1 columns) holds
+    array t's sorted pinned indices, its index -> lane dict and its set of
+    pinned lanes; `col_offsets[t]` maps each pinned column to its x offset
+    (um)."""
 
-    def add(self, other: "_Pins") -> None:
-        self.rows.update(other.rows)
-        self.cols.update(other.cols)
-        self.offsets.update(other.offsets)
+    def __init__(self, n_aod: int):
+        self.axes = tuple([([], {}, set()) for _ in range(n_aod)] for _ in range(2))
+        self.col_offsets = [{} for _ in range(n_aod)]
 
-    @cached_property
-    def table(self) -> tuple:
-        """The pins as (array, axis, index, lane, x offset) entries sorted by
-        (array, axis), rows (axis 0, offset None) before columns.  Built on
-        first use and kept, so only for pins that no longer change: one
-        CZ's, which bind at most one row and one column per array."""
-        return tuple(sorted(
-            [(t, 0, i, lane, None) for (t, i), lane in self.rows.items()]
-            + [(t, 1, i, lane, self.offsets[t, i]) for (t, i), lane in self.cols.items()]))
+    def add(self, table) -> None:
+        """Pin the (array, axis, index, lane, x offset) entries of `table`
+        whose index is not pinned yet."""
+        for t, axis, i, lane, off in table:
+            plist, held, lanes = self.axes[axis][t]
+            if i in held:
+                continue
+            insort(plist, i)
+            held[i] = lane
+            lanes.add(lane)
+            if axis:
+                self.col_offsets[t][i] = off
 
 
-def _gate_pins(pair, placement: Placement, config: ArchConfig) -> _Pins:
-    """Lane pins implied by one CZ.
+def _gate_pins(pair, placement: Placement, config: ArchConfig) -> tuple:
+    """Lane pins implied by one CZ, as (array, axis, index, lane, x offset)
+    entries sorted by (array, axis): rows (axis 0, offset None) before
+    columns.  A CZ binds at most one row and one column of each array.
 
     A movable atom gating a static one pulls its row/column onto the static
     site's gate lanes, columns offset by -delta.  Two movable atoms meet on
@@ -193,14 +194,14 @@ def _gate_pins(pair, placement: Placement, config: ArchConfig) -> _Pins:
     if pa.array == 0 or pb.array == 0:
         slm, aod = (pa, pb) if pa.array == 0 else (pb, pa)
         t = aod.array - 1
-        return _Pins({(t, aod.row): 2 * slm.row}, {(t, aod.col): 2 * slm.col},
-                     {(t, aod.col): -config.delta})
+        return ((t, 0, aod.row, 2 * slm.row, None),
+                (t, 1, aod.col, 2 * slm.col, -config.delta))
     lo, hi = (pa, pb) if pa.array < pb.array else (pb, pa)
     lane_r, lane_c = 2 * lo.row + 1, 2 * lo.col + 1
-    lo_c, hi_c = (lo.array - 1, lo.col), (hi.array - 1, hi.col)
-    return _Pins({(lo.array - 1, lo.row): lane_r, (hi.array - 1, hi.row): lane_r},
-                 {lo_c: lane_c, hi_c: lane_c},
-                 {lo_c: -config.delta / 2, hi_c: +config.delta / 2})
+    return ((lo.array - 1, 0, lo.row, lane_r, None),
+            (lo.array - 1, 1, lo.col, lane_c, -config.delta / 2),
+            (hi.array - 1, 0, hi.row, lane_r, None),
+            (hi.array - 1, 1, hi.col, lane_c, +config.delta / 2))
 
 
 class _ArrayIndex:
@@ -229,18 +230,16 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
     """Greedy maximal legal parallel CZ set.
 
     `order` holds (gate_index, (a, b)) for the CZs to try, in the order
-    `route` chose; `gate_pins` maps each gate index to its `_gate_pins`.
-    Each candidate either adds its lane pins to the stage or is rejected
-    back to the next stage.  Returns (accepted list of (gate_index, pair),
-    pins, C3 rejections).
+    `route` chose; `gate_pins` maps each gate index to its `_gate_pins`
+    table.  Each candidate either adds its lane pins to the stage or is
+    rejected back to the next stage.  Returns (accepted list of
+    (gate_index, pair), the stage's `_Pins`, C3 rejections).
 
     The accepted pins always satisfy every enabled constraint, so a
     candidate is checked only against what it adds: at most one new pin
     per (axis, array), since a CZ touches one row and one column of each of
-    its at most two AODs.  The stage keeps, per (axis, array), the sorted
-    pinned indices, an index -> lane dict and the set of pinned lanes,
-    plus each array's column offsets and the AOD atoms on each gate cell.
-    A candidate walks its own pin table (`_Pins.table`: arrays ascending,
+    its at most two AODs.  The stage keeps its `_Pins` and the AOD atoms on
+    each gate cell.  A candidate walks its own pin table (arrays ascending,
     rows before columns), and each step below follows that order:
       (a) pin conflicts: an index already pinned to another lane or offset;
       (b) C2/C3 compare each new lane with its index neighbours' lanes
@@ -258,12 +257,9 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
     relaxed = config.relaxed
     check_c1 = "C1" not in relaxed
     strict_c2, strict_c3 = "C2" not in relaxed, "C3" not in relaxed
-    pins = _Pins()
+    pins = _Pins(config.n_aod)
+    state, col_offset = pins.axes, pins.col_offsets
     occupied = (index.occ_rows, index.occ_cols)
-    # axis (0 rows, 1 columns) -> array -> (sorted pinned indices, index ->
-    # lane, lane set); array -> pinned column -> x offset
-    state = tuple([([], {}, set()) for _ in range(config.n_aod)] for _ in range(2))
-    col_offset = [{} for _ in range(config.n_aod)]
     cells: dict[tuple[int, int], list[int]] = {}  # gate cell -> AOD atoms on it
     accepted: list[tuple[int, tuple[int, int]]] = []
     overlap_rejections = 0
@@ -274,7 +270,7 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
         # verdict came first.  The others are new pins, kept with their
         # insertion points; the first of them out of lane order is the verdict.
         new, clash, verdict = [], False, None
-        for entry in gate_pins[gi].table:
+        for entry in gate_pins[gi]:
             t, axis, i, lane, off = entry
             plist, held, lanes = state[axis][t]
             have = held.get(i)
@@ -362,13 +358,6 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
         if not fits:
             continue
         pins.add(gate_pins[gi])
-        for (t, axis, i, lane, off), at in new:
-            plist, held, lanes = state[axis][t]
-            plist.insert(at, i)
-            held[i] = lane
-            lanes.add(lane)
-            if axis:
-                col_offset[t][i] = off
         if check_c1:
             for cell, atoms in added.items():
                 cells.setdefault(cell, []).extend(atoms)
@@ -401,8 +390,9 @@ def _past_free(lane: int, k: int, step: int, taken) -> int:
 
 def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                       config: ArchConfig):
-    """Assign every occupied row/column a lane: pinned ones as demanded,
-    the rest parked on odd lanes preserving order, nearest previous first.
+    """Assign every occupied row/column a lane: pinned ones as the stage's
+    `_Pins` demand, the rest parked on odd lanes preserving order, nearest
+    previous first.
 
     Arrays are processed in id order; a park lane is eligible only if no
     other array has (or keeps) a lane there, so cross-array collisions are
@@ -422,12 +412,9 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
     """
     merge_ok = "C3" in config.relaxed
 
-    def solve_axis(axis_pins: dict, prev, occupied_per_t):
+    def solve_axis(axis_pins, prev, occupied_per_t):
         new = [[None] * len(prev[t]) for t in range(config.n_aod)]
-        pinned = [{} for _ in range(config.n_aod)]  # array -> index -> pinned lane
-        for (t, i), lane in axis_pins.items():
-            pinned[t][i] = lane
-        all_pinned_lanes = set(axis_pins.values())
+        all_pinned_lanes = set().union(*(lanes for _, _, lanes in axis_pins))
         for t in range(config.n_aod):
             # lanes no parked row may take: every pinned lane, the other
             # arrays' lanes and, unless C3 is relaxed, this array's park lanes
@@ -440,7 +427,7 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
             taken.discard(None)
             # split unpinned occupied indices into segments between anchor lanes
             segments, seg, lo_a = [], [], None
-            pins_t, prev_t, new_t = pinned[t], prev[t], new[t]
+            pins_t, prev_t, new_t = axis_pins[t][1], prev[t], new[t]
             for i in occupied_per_t[t]:
                 lane = pins_t.get(i)
                 if lane is None:
@@ -479,16 +466,14 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                     taken.update(got)
         return new
 
-    new_rows = solve_axis(pins.rows, prev_rows, index.occ_rows)
+    new_rows = solve_axis(pins.axes[0], prev_rows, index.occ_rows)
     if new_rows is None:
         return None
-    new_cols = solve_axis(pins.cols, prev_cols, index.occ_cols)
+    new_cols = solve_axis(pins.axes[1], prev_cols, index.occ_cols)
     if new_cols is None:
         return None
-    offsets = [[0.0] * len(prev_cols[t]) for t in range(config.n_aod)]
-    for (t, c), off in pins.offsets.items():
-        offsets[t][c] = off
-    return new_rows, new_cols, offsets
+    return new_rows, new_cols, [[off_t.get(c, 0.0) for c in range(len(prev_t))]
+                                for off_t, prev_t in zip(pins.col_offsets, prev_cols)]
 
 
 def _descendant_counts(dag) -> list[int]:
@@ -595,7 +580,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     dag = build_dag(circuit)
     desc_count = _descendant_counts(dag)
     index = _ArrayIndex(placement, config)
-    gate_pins: dict[int, _Pins] = {}  # CZ gate index -> its lane pins
+    gate_pins: dict[int, tuple] = {}  # CZ gate index -> its lane pin table
     for gi, g in enumerate(gates):
         if g.kind == "cz":
             a, b = g.qubits
@@ -672,7 +657,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 if synth is not None:
                     break
                 accepted.pop()
-                pins = _Pins()
+                pins = _Pins(config.n_aod)
                 for gi, _ in accepted:
                     pins.add(gate_pins[gi])
             # synthesize_motion gives every occupied row and column a finite

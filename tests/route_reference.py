@@ -48,7 +48,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     dag = build_dag(circuit)
     desc_count = _descendant_counts(dag)
     index = _ArrayIndex(placement, config)
-    gate_pins: dict[int, _Pins] = {}  # CZ gate index -> its lane pins
+    gate_pins: dict[int, tuple] = {}  # CZ gate index -> its lane pin table
     for gi, g in enumerate(gates):
         if g.kind == "cz":
             a, b = g.qubits
@@ -114,7 +114,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 if synth is not None:
                     break
                 accepted.pop()
-                pins = _Pins()
+                pins = _Pins(config.n_aod)
                 for gi, _ in accepted:
                     pins.add(gate_pins[gi])
             # synthesize_motion gives every occupied row and column a finite

@@ -6,13 +6,63 @@ every candidate CZ is checked by re-sorting all pins of the arrays it
 touches (`_order_ok`), walking every pinned row x pinned column
 (`_cells_ok`) and rescanning every gap (`_parkable`), every park-lane
 assignment runs the full DP table, and the open side of a segment lists
-every free odd lane out to a margin that no optimum reaches.  The
-package's versions must return the same values.
+every free odd lane out to a margin that no optimum reaches.  Pins are
+the (array, index)-keyed dicts of this module's own `_Pins` and
+`_gate_pins`; `as_reference` turns the package's pin state into them.
+The package's versions must return the same values.
 """
+
+from dataclasses import dataclass, field
 
 from atomique.arch import ArchConfig
 from atomique.atom_mapper import Placement
-from atomique.stage_router import _ArrayIndex, _Pins, _gate_pins, _odd_between
+from atomique.stage_router import _ArrayIndex, _odd_between
+
+
+@dataclass
+class _Pins:
+    """Required (array, index) -> lane bindings for one candidate set;
+    pinned columns also carry an x offset (um)."""
+    rows: dict[tuple[int, int], int] = field(default_factory=dict)
+    cols: dict[tuple[int, int], int] = field(default_factory=dict)
+    offsets: dict[tuple[int, int], float] = field(default_factory=dict)
+
+
+def _gate_pins(pair, placement: Placement, config: ArchConfig) -> _Pins:
+    """Lane pins implied by one CZ.
+
+    A movable atom gating a static one pulls its row/column onto the static
+    site's gate lanes, columns offset by -delta.  Two movable atoms meet on
+    the dual (odd, odd) lanes of the lower array's slot, offset -delta/2 and
+    +delta/2 so they end up delta apart.
+    """
+    a, b = pair
+    pa, pb = placement[a], placement[b]
+    if pa.array == 0 or pb.array == 0:
+        slm, aod = (pa, pb) if pa.array == 0 else (pb, pa)
+        t = aod.array - 1
+        return _Pins({(t, aod.row): 2 * slm.row}, {(t, aod.col): 2 * slm.col},
+                     {(t, aod.col): -config.delta})
+    lo, hi = (pa, pb) if pa.array < pb.array else (pb, pa)
+    lane_r, lane_c = 2 * lo.row + 1, 2 * lo.col + 1
+    lo_c, hi_c = (lo.array - 1, lo.col), (hi.array - 1, hi.col)
+    return _Pins({(lo.array - 1, lo.row): lane_r, (hi.array - 1, hi.row): lane_r},
+                 {lo_c: lane_c, hi_c: lane_c},
+                 {lo_c: -config.delta / 2, hi_c: +config.delta / 2})
+
+
+def as_reference(pins) -> _Pins:
+    """The reference form of a package `atomique.stage_router._Pins`: its
+    per-array index -> lane dicts and column offsets keyed by (array, index).
+    Each array's sorted index list and lane set must match its dict."""
+    for per_t in pins.axes:
+        for plist, held, lanes in per_t:
+            assert plist == sorted(held) and lanes == set(held.values())
+    rows, cols = ({(t, i): lane for t, (_, held, _) in enumerate(per_t)
+                   for i, lane in held.items()} for per_t in pins.axes)
+    offsets = {(t, i): off for t, per_t in enumerate(pins.col_offsets)
+               for i, off in per_t.items()}
+    return _Pins(rows, cols, offsets)
 
 
 def _assign_park_lanes(old, lanes):

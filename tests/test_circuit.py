@@ -116,6 +116,14 @@ def test_to_basis_cz_untouched():
     assert [g.kind for g in b.gates] == ["cz"]
 
 
+def asap_layers(c):
+    """0-based ASAP layer of each gate of c over its dependency DAG."""
+    layer = []
+    for preds in build_dag(c).preds:
+        layer.append(max((layer[p] + 1 for p in preds), default=0))
+    return layer
+
+
 def test_to_basis_swap_fuses():
     # 3 CX expand to 3 CZ + 6 H; fusion packs the H's into 4 layers.  (No
     # 3-CZ circuit with fewer than 6 one-qubit gates equals SWAP at all, so
@@ -127,8 +135,8 @@ def test_to_basis_swap_fuses():
     ones = [i for i, g in enumerate(b.gates) if g.kind == "u"]
     assert len(czs) == 3
     assert len(ones) == 6
-    dag = build_dag(b)
-    assert len({dag.layer[i] for i in ones}) <= 4
+    layer = asap_layers(b)
+    assert len({layer[i] for i in ones}) <= 4
     assert equivalent_up_to_permutation(c, b)
 
 
@@ -174,7 +182,8 @@ def test_dag_chain_layers():
     c.add("cz", (0, 1))
     c.add("cz", (1, 2))
     dag = build_dag(c)
-    assert dag.layer == [0, 1]
+    assert dag.preds == [[], [0]]
+    assert dag.succs == [[1], []]
 
 
 def test_dag_disjoint_layers():
@@ -182,7 +191,8 @@ def test_dag_disjoint_layers():
     c.add("cz", (0, 1))
     c.add("cz", (2, 3))
     dag = build_dag(c)
-    assert dag.layer == [0, 0]
+    assert dag.preds == [[], []]
+    assert dag.succs == [[], []]
 
 
 def test_dag_1q_dependency():
@@ -190,7 +200,8 @@ def test_dag_1q_dependency():
     c.add("u", (0,), (1.0, 0.0, 0.0))
     c.add("cz", (0, 1))
     dag = build_dag(c)
-    assert dag.layer == [0, 1]
+    assert dag.preds == [[], [0]]
+    assert dag.succs == [[1], []]
 
 
 def test_barrier_fences_all_qubits():

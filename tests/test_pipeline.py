@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ def test_capacity_overflow_is_an_error():
     circ.add("cz", (0, 1))
     with pytest.raises(ValueError):
         compile_circuit(circ, tiny, PARAMS)
+
+
+def test_over_capacity_input_fails_before_lowering(monkeypatch, tmp_path, capsys):
+    # the capacity check comes before `to_basis`, whose work a register
+    # broadcast multiplies: one qubit over capacity never reaches lowering,
+    # and a register at exactly capacity still compiles
+    import atomique.pipeline
+
+    capacity = sum(CFG.array_capacity(a) for a in range(CFG.n_arrays))
+    qasm = tmp_path / "wide.qasm"
+    qasm.write_text(f"OPENQASM 2.0;\nqreg q[{capacity + 1}];\n" + "h q;\n" * 10)
+    with monkeypatch.context() as m:
+        def lowered(circuit):
+            raise AssertionError("to_basis ran on an over-capacity input")
+        m.setattr(atomique.pipeline, "to_basis", lowered)
+        with pytest.raises(ValueError, match=f"^{capacity + 1} qubits exceed total array capacity$"):
+            compile_circuit(Circuit(capacity + 1), CFG, PARAMS)
+        assert main(["compile", str(qasm), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {capacity + 1} qubits exceed total array capacity\n"
+    full = Circuit(capacity)
+    for q in range(capacity):
+        full.add("u", (q,), (math.pi / 2, 0.0, math.pi))
+    full.add("cz", (0, capacity - 1))
+    res = compile_circuit(full, CFG, PARAMS)
+    assert res.stats["n_qubits"] == capacity
+    assert audit_schedule(res.schedule) == []
 
 
 # ---------------------------------------------------------------------------

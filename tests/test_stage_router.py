@@ -40,7 +40,7 @@ from atomique.stage_router import (
 from atomique.workloads import WorkloadSpec
 import route_reference
 from audit_reference import audit_schedule as reference_audit
-from select_reference import _conflicts, _order_ok
+from select_reference import _conflicts, _order_ok, as_reference
 
 
 def small_config(n_aod=1, rows=10):
@@ -328,12 +328,16 @@ def test_a_column_pinned_to_its_lane_with_another_offset_conflicts():
     cfg = small_config(n_aod=3)
     placement = {0: AtomCoord(1, 0, 1), 1: AtomCoord(2, 0, 1),
                  2: AtomCoord(2, 1, 1), 3: AtomCoord(3, 1, 1)}
-    first = _gate_pins((0, 1), placement, cfg)
-    second = _gate_pins((2, 3), placement, cfg)
+    def pins(pair):
+        out = _Pins(cfg.n_aod)
+        out.add(_gate_pins(pair, placement, cfg))
+        return as_reference(out)
+
+    first, second = pins((0, 1)), pins((2, 3))
     assert first.cols[(1, 1)] == second.cols[(1, 1)] == 3
     assert first.offsets[(1, 1)] != second.offsets[(1, 1)]
     assert _conflicts(first, second) and _conflicts(second, first)
-    assert not _conflicts(first, _gate_pins((0, 1), placement, cfg))
+    assert not _conflicts(first, pins((0, 1)))
     circ = Circuit(4)
     circ.add("cz", (0, 1))
     circ.add("cz", (2, 3))
@@ -352,7 +356,7 @@ def test_no_pins_keeps_every_lane():
     placement = {0: AtomCoord(1, 0, 0), 1: AtomCoord(1, 3, 2)}
     idx = _ArrayIndex(placement, cfg)
     prev_rows, prev_cols = initial_lanes(cfg, idx)
-    rows, cols, offs = synthesize_motion(_Pins(), prev_rows, prev_cols, idx, cfg)
+    rows, cols, offs = synthesize_motion(_Pins(cfg.n_aod), prev_rows, prev_cols, idx, cfg)
     assert rows == [list(r) for r in prev_rows]
     assert cols == [list(c) for c in prev_cols]
     assert not any(any(o) for o in offs)
@@ -363,8 +367,8 @@ def test_single_row_pin_moves_exactly_one_cell():
     placement = {0: AtomCoord(1, 0, 0)}
     idx = _ArrayIndex(placement, cfg)
     prev_rows, prev_cols = initial_lanes(cfg, idx)
-    pins = _Pins()
-    pins.rows[(0, 0)] = prev_rows[0][0] + 2
+    pins = _Pins(cfg.n_aod)
+    pins.add([(0, 0, 0, prev_rows[0][0] + 2, None)])  # (array, axis, index, lane, offset)
     rows, cols, _ = synthesize_motion(pins, prev_rows, prev_cols, idx, cfg)
     dy = (rows[0][0] - prev_rows[0][0]) * cfg.D_site / 2
     assert dy == pytest.approx(cfg.D_site)
@@ -376,9 +380,9 @@ def test_parked_rows_that_cannot_fit_report_infeasible():
     placement = {q: AtomCoord(1, q, 0) for q in range(4)}
     idx = _ArrayIndex(placement, cfg)
     prev_rows, prev_cols = initial_lanes(cfg, idx)
-    pins = _Pins()
-    pins.rows[(0, 0)] = 2
-    pins.rows[(0, 3)] = 4  # rows 1 and 2 must park on the lone lane between
+    pins = _Pins(cfg.n_aod)
+    pins.add([(0, 0, 0, 2, None),
+              (0, 0, 3, 4, None)])  # rows 1 and 2 must park on the lone lane between
     assert synthesize_motion(pins, prev_rows, prev_cols, idx, cfg) is None
 
 
@@ -450,7 +454,8 @@ def test_selection_with_crossed_rows_counts_the_shared_lane(relaxed, accepted,
     got, pins, rej = select_parallel_gates(front, gate_pins, _ArrayIndex(placement, cfg), cfg)
     assert [gi for gi, _ in got] == accepted
     assert rej == c3_rejections
-    assert [pins.rows[(0, r)] for r in (1, 2, 3)[:len(accepted)]] == [4, 2, 4][:len(accepted)]
+    rows = as_reference(pins).rows
+    assert [rows[(0, r)] for r in (1, 2, 3)[:len(accepted)]] == [4, 2, 4][:len(accepted)]
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,7 @@ def test_selection_matches_the_whole_stage_reference(inputs):
                                                               cfg, desc, serial)
     assert got_acc == want_acc
     assert got_rej == want_rej
-    assert got_pins.rows == want_pins.rows
-    assert got_pins.cols == want_pins.cols
-    assert got_pins.offsets == want_pins.offsets
+    assert ref.as_reference(got_pins) == want_pins
 
 
 @settings(max_examples=400, deadline=None)
@@ -76,9 +74,9 @@ def test_synthesis_matches_the_full_range_reference(inputs, data):
         prev = tuple([[None if lane is None else data.draw(lanes) for lane in per_t]
                       for per_t in axis] for axis in prev)
     got = synthesize_motion(pins, *prev, index, cfg)
-    assert got == ref.synthesize_motion(pins, *prev, index, cfg)
+    assert got == ref.synthesize_motion(ref.as_reference(pins), *prev, index, cfg)
     # route() drops gates until synthesis succeeds; with no pins it must
-    assert synthesize_motion(_Pins(), *prev, index, cfg) is not None
+    assert synthesize_motion(_Pins(cfg.n_aod), *prev, index, cfg) is not None
 
 
 def synthesize_as_route(accepted, pins, prev, index, cfg, gate_pins):
@@ -86,11 +84,11 @@ def synthesize_as_route(accepted, pins, prev, index, cfg, gate_pins):
     parked rows fit), checked against the reference on every call."""
     while True:
         got = synthesize_motion(pins, *prev, index, cfg)
-        assert got == ref.synthesize_motion(pins, *prev, index, cfg)
+        assert got == ref.synthesize_motion(ref.as_reference(pins), *prev, index, cfg)
         if got is not None:
             return got
         accepted.pop()
-        pins = _Pins()
+        pins = _Pins(cfg.n_aod)
         for gi, _ in accepted:
             pins.add(gate_pins[gi])
 
@@ -114,10 +112,33 @@ def test_two_stages_in_a_row_match_the_reference(inputs, data):
                                   max_size=len(desc)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(stage_inputs())
+def test_pins_rebuilt_from_the_accepted_gates_match_selection(inputs):
+    # route() rebuilds the stage's pins with `add` after synthesis drops the
+    # last accepted gate; selection over the kept gates gives the same state
+    placement, cfg, front, desc, serial = inputs
+    index = _ArrayIndex(placement, cfg)
+    gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
+    accepted, pins, _ = select(front, placement, index, cfg, desc, serial)
+
+    def rebuilt(kept):
+        out = _Pins(cfg.n_aod)
+        for gi, _ in kept:
+            out.add(gate_pins[gi])
+        return out.axes, out.col_offsets
+
+    assert rebuilt(accepted) == (pins.axes, pins.col_offsets)
+    kept, kept_pins, _ = select_parallel_gates(accepted[:-1], gate_pins, index, cfg)
+    assert kept == accepted[:-1]
+    assert rebuilt(kept) == (kept_pins.axes, kept_pins.col_offsets)
+
+
 @st.composite
 def lane_inputs(draw):
     """Full AODs, random pins in any order (anchors cross, gaps are tight)
-    and random previous lanes, all on a few lanes."""
+    with random column offsets, and random previous lanes, all on a few
+    lanes."""
     n_aod = draw(st.integers(1, 3))
     side = draw(st.integers(2, 6))
     relaxed = frozenset(draw(st.sets(st.sampled_from(["C1", "C2", "C3"]))))
@@ -125,12 +146,12 @@ def lane_inputs(draw):
                      aod_rows=(side,) * n_aod, aod_cols=(side,) * n_aod, relaxed=relaxed)
     placement = {q: AtomCoord(1 + q // side, q % side, q % side) for q in range(n_aod * side)}
     lanes = st.integers(-2, 2 * side + 2)
-    pins = _Pins()
-    for axis in (pins.rows, pins.cols):
-        for t in range(n_aod):
-            for i in range(side):
-                if draw(st.booleans()):
-                    axis[(t, i)] = draw(lanes)
+    offsets = st.sampled_from([-cfg.delta, -cfg.delta / 2, cfg.delta / 2])
+    table = [(t, axis, i, draw(lanes), draw(offsets) if axis else None)
+             for axis in (0, 1) for t in range(n_aod) for i in range(side)
+             if draw(st.booleans())]
+    pins = _Pins(n_aod)
+    pins.add(draw(st.permutations(table)))
     prev = [[[draw(lanes) for _ in range(side)] for _ in range(n_aod)] for _ in range(2)]
     return pins, prev, _ArrayIndex(placement, cfg), cfg
 
@@ -141,7 +162,7 @@ def test_synthesis_matches_the_full_range_reference_on_crossed_pins(inputs):
     # selected pins rarely cross or leave a tight gap; these do both often
     pins, prev, index, cfg = inputs
     assert synthesize_motion(pins, *prev, index, cfg) == \
-        ref.synthesize_motion(pins, *prev, index, cfg)
+        ref.synthesize_motion(ref.as_reference(pins), *prev, index, cfg)
 
 
 lanes_strategy = st.sets(st.integers(-15, 15), max_size=24).map(
