@@ -6,8 +6,9 @@
 The program is imported from the ``src/`` next to this script.  Each grid
 point generates one seeded circuit (seed 0) on d x d SLM and AOD arrays,
 d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit``, then
-``audit_schedule`` and ``apply_schedule`` (scoring, which ``atomique sweep``
-reruns per point) on the compiled schedule, k times each (k = 3 up to 300
+``audit_schedule``, ``apply_schedule`` (scoring) and ``apply_schedule`` of
+12 ``T_per_move`` points from 100 to 500 us in one call (what ``atomique
+sweep`` does) on the compiled schedule, k times each (k = 3 up to 300
 qubits, 1 above), keeping the fastest.  Every compile must give the same
 schedule and stats.  The sha256 of the schedule (its sorted-key JSON: the
 bytes of ``schedule.json`` less the final newline) and of the stats (their
@@ -55,6 +56,8 @@ GRID = [
     ("qsim-rand", {}, (40, 100, 300)),
     ("qaoa-rand", {"p": 0.5}, (40, 100)),
 ]
+# the T_per_move points of the batch scoring
+SWEEP = [100e-6 + 400e-6 * i / 11 for i in range(12)]
 
 
 def best_of(k: int, fn):
@@ -88,10 +91,11 @@ def run_point(family: str, kwargs: dict, n: int) -> dict:
     schedule = compiled[0].schedule
     audit_s, audits = best_of(k, lambda: audit_schedule(schedule))
     score_s, _ = best_of(k, lambda: apply_schedule(schedule, params))
+    sweep_s, _ = best_of(k, lambda: apply_schedule(schedule, [(params, t) for t in SWEEP]))
     return {
         "family": family, **kwargs, "n": n, "array_side": d, "k": k,
         "compile_s": round(compile_s, 4), "audit_s": round(audit_s, 4),
-        "score_s": round(score_s, 4),
+        "score_s": round(score_s, 4), "score_sweep12_s": round(sweep_s, 4),
         "stages": len(schedule.stages), "audit_findings": len(audits[0]),
         "schedule_sha256": hashes.pop(), "stats_sha256": stats_hashes.pop(),
     }
@@ -110,7 +114,8 @@ def main(argv=None) -> int:
             p = points[-1]
             print(f"{family:13s} n={n:5d} d={p['array_side']:3d} k={p['k']} "
                   f"compile {p['compile_s']:9.3f} s  audit {p['audit_s']:8.3f} s  "
-                  f"score {p['score_s']:8.3f} s  {p['schedule_sha256'][:12]} "
+                  f"score {p['score_s']:8.3f} s  sweep12 {p['score_sweep12_s']:8.3f} s  "
+                  f"{p['schedule_sha256'][:12]} "
                   f"{p['stats_sha256'][:12]}", flush=True)
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -130,12 +130,15 @@ def _angles_for(name: str, params: list[float], line: int) -> tuple[float, float
     return params[0], 0.0, 0.0  # ry
 
 
-def parse_qasm(text: str) -> Circuit:
+def parse_qasm(text: str, max_qubits: int | None = None) -> Circuit:
     """Parse a restricted OPENQASM 2.0 program (single quantum register).
 
     Supported statements: qreg, creg (ignored), include (ignored), barrier,
     measure (ignored with a warning), the one-qubit gates
     u3/u2/u1/u/p/rx/ry/rz/h/x/y/z/s/sdg/t/tdg/id, and cx/cz/swap.
+
+    A qreg of more than ``max_qubits`` qubits is a ParseError at its line,
+    before any register broadcast (``h q;``, one gate per qubit) expands.
     """
     # strip comments but keep newlines for line numbering
     clean = re.sub(r"//[^\n]*", "", text)
@@ -167,8 +170,11 @@ def parse_qasm(text: str) -> Circuit:
                 raise ParseError(f"line {line}: malformed qreg")
             if circuit is not None:
                 raise ParseError(f"line {line}: only one qreg is supported")
-            qreg_name = m.group(1)
-            circuit = Circuit(int(m.group(2)))
+            qreg_name, n = m.group(1), int(m.group(2))
+            if max_qubits is not None and n > max_qubits:
+                raise ParseError(f"line {line}: qreg of {n} qubits exceeds the limit "
+                                 f"of {max_qubits}")
+            circuit = Circuit(n)
             continue
         if stmt.startswith("measure"):
             if not warned_measure:

@@ -17,6 +17,7 @@ import os
 import sys
 
 from .arch import ArchConfig, HardwareParams, load_config
+from .array_mapper import partition_capacities
 from .fidelity import apply_schedule, execution_time
 from .circuit import parse_qasm, to_qasm
 from .oracle import MAX_ORACLE_QUBITS, equivalent_up_to_permutation
@@ -58,7 +59,7 @@ def _run_compile(args):
     config, params = _load_config(args)
     config = dataclasses.replace(config, relaxed=config.relaxed | set(args.relax))
     with open(args.input) as fh:
-        circuit = parse_qasm(fh.read())
+        circuit = parse_qasm(fh.read(), max_qubits=sum(partition_capacities(config)))
     return compile_circuit(
         circuit, config, params,
         seed=args.seed,
@@ -137,23 +138,25 @@ def cmd_sweep(args) -> int:
     values = sorted(float(v) for v in args.values.split(","))
     config, params = _load_config(args)
     circuit = _workload(args).generate()
-    # geometry changes force a recompile per point; pure-model parameters
-    # rescore one compiled schedule
-    base = None
-    if args.param != "D_site":
-        base = compile_circuit(circuit, config, params, seed=args.seed)
-
-    def score(value):
-        if args.param == "D_site":
-            res = compile_circuit(circuit, dataclasses.replace(config, D_site=value),
-                                  params, seed=args.seed)
-            return res.report, res.ledger
+    # every value is checked, as a config would check it, before any compile
+    if args.param == "D_site":
+        # geometry changes force a recompile per point
+        configs = [dataclasses.replace(config, D_site=v) for v in values]
+        results = []
+        for point_config in configs:
+            res = compile_circuit(circuit, point_config, params, seed=args.seed)
+            results.append((res.report, res.ledger))
+    else:
+        # pure-model parameters rescore one compiled schedule, all points in
+        # one walk
         if args.param == "T_per_move":
-            return apply_schedule(base.schedule, params, T_per_move=value)
-        return apply_schedule(base.schedule,
-                              dataclasses.replace(params, **{args.param: value}))
-
-    results = [score(value) for value in values]
+            points = [(params, dataclasses.replace(config, T_per_move=v).T_per_move)
+                      for v in values]
+        else:
+            points = [(dataclasses.replace(params, **{args.param: v}), None)
+                      for v in values]
+        base = compile_circuit(circuit, config, params, seed=args.seed)
+        results = apply_schedule(base.schedule, points)
 
     factor_names = ("F_1Q", "F_2Q", "F_transfer", "F_mov_heating",
                     "F_mov_loss", "F_mov_cooling", "F_mov_deco")

@@ -11,27 +11,49 @@ Scoring runs as array passes and gives the same floats, bit for bit, as a
 walk that heats and multiplies one atom at a time (that walk is kept as
 ``tests/score_reference.py``):
 
-* One loop runs over blocks of stages that share a move time.  The quanta
+* ``apply_schedule`` scores a list of points, each a ``HardwareParams`` and
+  a move time (or None), in one walk over the stages; one point is the
+  list of one.  ``n_vib`` has one column per point, so each stage's reads,
+  gathers and stores serve every point.  Per-point scalars (the
+  ``delta_nvib`` denominator, the thresholds, the decoherence and cooling
+  factors, the ledger sums and the seven factors) stay Python floats built
+  with the single-point expressions, and numpy sees a per-point value only
+  in elementwise ``+ - * /``, ``sqrt``, comparisons and ``where``, which
+  round each element as the scalar operation does.  So each point's floats
+  are those of scoring it alone.
+* Stages are read ``BLOCK // 16`` at a time: one array pass finds the moved
+  atoms and checks that no static atom moves; only if a check fails are the
+  stages checked one by one, so the error names the first bad stage.
+* One loop runs over blocks of stages in which every point keeps one move
+  time (a block breaks wherever any point's move time changes).  The quanta
   each moved atom gains depend on nothing but its distance and the move
-  time, so one ``delta_nvib`` call heats a whole block.  A walk over the
-  block's stages then keeps only the sequential state: one ``n_vib`` array
-  over all atoms, heated at once where ``distances_um > 0``, and the per-AOD
-  cooling check.  It records the post-move ``n_vib`` of the moved atoms
-  (ascending qubit order) and the ``n_vib`` pair of each CZ.
-* The cooling check runs only after a stage that moves an atom: ``n_vib``
-  starts at 0, rises only by a move, and every check leaves each AOD at or
-  below the (non-negative) threshold.
+  time, so one ``delta_nvib`` pass heats a whole block.  A walk over the
+  block's stages then keeps only the sequential state: ``n_vib``, heated
+  where ``distances_um > 0``, and the per-AOD cooling check.  It records
+  the post-move ``n_vib`` of the moved atoms (ascending qubit order) and
+  the ``n_vib`` pair of each CZ.  A point whose move time is not > 0 moves
+  no atom: its gains are 0.
+* ``n_vib`` starts at 0, rises only by a move, and every cooling check
+  leaves each AOD at or below the (non-negative) threshold.  So a check
+  can call for a cooling only after a move, and only once some atom may be
+  above the threshold: each point keeps a bound on its AOD atoms, exact
+  after a check and raised by each moving stage's largest gain, and the
+  check runs only where a bound passes its threshold.  Rounding is
+  monotone, so the bound stays an upper bound.
+* The decoherence of a block's moving stages is ``math.exp`` once per
+  point and block, multiplied in once per stage with ``math.prod``, and the
+  move times are added one by one, as the per-stage walk does.
 * ``delta_nvib``, ``move_survival`` and ``heating_factor`` take a float or an
   array and evaluate each element in the scalar formula's order:
   ``6.0 * (D * 1e-6) / (x_zpf * omega0**2 * T**2)``, then ``0.5 * x * x``,
-  then ``(n_max - n) / sqrt(2 n)``.  numpy's ``+ - * /`` and ``sqrt`` round
-  each element as the scalar operation does.
+  then ``(n_max - n) / sqrt(2 n)``.
 * Each block's survival factors, and its heating factors, are folded in
-  with one ``math.prod(values, start=F)`` each, which works left to right
-  like ``F *= f`` in stage-then-qubit order, so where the blocks end
-  changes no bit.  Factors of exactly 1.0 are left out, as multiplying by
-  them changes no bit.  ``np.prod`` pairs its terms in another order, and
-  without a float ``start`` an empty product is the int ``1``.
+  with one ``math.prod(values, start=F)`` per point, which works left to
+  right like ``F *= f`` in stage-then-qubit order, so where the blocks end
+  changes no bit.  Multiplying by a factor of exactly 1.0 changes no bit,
+  so such factors may be left out or kept.  ``np.prod`` pairs its terms in
+  another order, and without a float ``start`` an empty product is the
+  int ``1``.
 * numpy has no erf, so ``math.erf`` runs per element, but only where its
   argument is below ``ERF_ONE`` = 6.0 or is NaN: from 6.0 up ``math.erf``
   is exactly 1.0, so the survival there is exactly 1.0 and multiplying by
@@ -43,6 +65,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, gt, le
 
 import numpy as np
 
@@ -61,34 +86,58 @@ def delta_nvib(D_um: float | np.ndarray, params: HardwareParams,
     evaluated in SI units; 0 for a zero-length move.  Takes a float or an
     array of distances and returns the same kind.
     """
-    D_um = np.asarray(D_um, dtype=float)
-    x = 6.0 * (D_um * 1e-6) / (params.x_zpf * params.omega0 ** 2 * T_move_s ** 2)
-    dn = np.where(D_um <= 0.0, 0.0, 0.5 * x * x)
+    dn = _gain(np.asarray(D_um, dtype=float),
+               params.x_zpf * params.omega0 ** 2 * T_move_s ** 2)
     return float(dn) if dn.ndim == 0 else dn
+
+
+def _gain(D_um: np.ndarray, scale) -> np.ndarray:
+    """delta_nvib for the denominator ``x_zpf * omega0**2 * T**2`` (a float,
+    or one per point along the last axis)."""
+    x = 6.0 * (D_um * 1e-6) / scale
+    return np.where(D_um <= 0.0, 0.0, 0.5 * x * x)
 
 
 def heating_factor(n_eff: float | np.ndarray, params: HardwareParams) -> float | np.ndarray:
     """CZ fidelity retention when the movable side carries n_eff quanta
     (sum of both sides for a movable-movable pair); clamped at 0 the way
     ``max(0.0, f)`` clamps.  Float or array in, same kind out."""
-    f = 1.0 - params.lam * (1.0 - params.f_2Q) * np.asarray(n_eff, dtype=float)
-    f = np.where(f > 0.0, f, 0.0)
+    f = _heat(np.asarray(n_eff, dtype=float), params.lam * (1.0 - params.f_2Q))
     return float(f) if f.ndim == 0 else f
 
 
+def _heat(n_eff: np.ndarray, coeff) -> np.ndarray:
+    """heating_factor for ``lam * (1 - f_2Q)`` (a float, or one per point
+    along the last axis)."""
+    f = 1.0 - coeff * n_eff
+    return np.where(f > 0.0, f, 0.0)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def move_survival(n_vib: float | np.ndarray, params: HardwareParams) -> float | np.ndarray:
     """Probability an atom with n_vib quanta survives one move:
     1/2 * (1 + erf((n_max - n) / sqrt(2 n))), 1.0 at n = 0.  Float or array
     in, same kind out."""
     n = np.asarray(n_vib, dtype=float)
-    flat = n.reshape(-1)
-    p = np.ones(flat.shape)
-    hot = np.flatnonzero(~(flat <= 0.0))
-    arg = (params.n_vib_max - flat[hot]) / np.sqrt(2.0 * flat[hot])
-    need = ~(arg >= ERF_ONE)  # NaN needs erf too, to come out NaN
-    erf = np.fromiter(map(math.erf, arg[need].tolist()), float, np.count_nonzero(need))
-    p[hot[need]] = 0.5 * (1.0 + erf)
-    return float(p[0]) if n.ndim == 0 else p.reshape(n.shape)
+    arg, need = _erf_args(n, params.n_vib_max)
+    p = np.ones(n.shape)
+    p[need] = _survival(arg[need])
+    return float(p) if n.ndim == 0 else p
+
+
+def _erf_args(n: np.ndarray, n_vib_max) -> tuple[np.ndarray, np.ndarray]:
+    """The erf argument of move_survival for each n_vib (n_vib_max a float,
+    or one per point broadcast against n), and where it is needed: where
+    n_vib > 0 and the argument is below ERF_ONE or NaN.  Elsewhere the
+    survival is exactly 1.0."""
+    arg = (n_vib_max - n) / np.sqrt(2.0 * n)
+    return arg, ~((n <= 0.0) | (arg >= ERF_ONE))
+
+
+def _survival(arg: np.ndarray) -> np.ndarray:
+    """1/2 * (1 + erf(arg)) of a 1-d array, math.erf per element."""
+    erf = np.fromiter(map(math.erf, arg.tolist()), float, arg.size)
+    return 0.5 * (1.0 + erf)
 
 
 @dataclass
@@ -138,16 +187,22 @@ class FidelityReport:
 # float arithmetic overflows to inf and NaN without a warning, as the scalar
 # walk's Python floats do (a tiny T_per_move can heat an atom to inf quanta)
 @np.errstate(all="ignore")
-def apply_schedule(schedule: Schedule, params: HardwareParams, *,
-                   T_per_move: float | None = None,
-                   n_transfer: int = 0) -> tuple[FidelityReport, TimeLedger]:
+def apply_schedule(schedule: Schedule,
+                   params: HardwareParams | list[tuple[HardwareParams, float | None]], *,
+                   T_per_move: float | None = None, n_transfer: int = 0):
     """Score a schedule without modifying it.
+
+    ``params`` is one HardwareParams, scored with ``T_per_move`` and giving
+    one (report, ledger), or a list of points (HardwareParams, T_per_move or
+    None), all scored in one walk over the stages and giving one (report,
+    ledger) per point, each the same as scoring that point alone.
 
     The report's ``cooling`` lists, per stage, the AOD indices whose atoms
     were swapped against the cold reserve after that stage.
 
     T_per_move overrides the schedule's move duration for every stage that
-    moves (distances stay fixed), which is what a move-time sweep rescores.
+    moves (distances stay fixed), which is what a move-time sweep rescores;
+    a T_per_move that is not > 0 moves no atom.
     Gate times are charged per layer/stage (parallel pulses share a clock
     tick).
     N_transfer is 0 for native schedules and only non-zero when scoring
@@ -157,13 +212,22 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     does not hold one entry per atom, a static atom has a nonzero distance,
     or a ``cz`` names a qubit outside range(n_qubits).
     """
+    if isinstance(params, HardwareParams):
+        return _score(schedule, [(params, T_per_move)], n_transfer)[0]
+    if T_per_move is not None:
+        raise TypeError("a list of points carries each point's T_per_move")
+    return _score(schedule, list(params), n_transfer)
+
+
+def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]],
+           n_transfer: int) -> list[tuple[FidelityReport, TimeLedger]]:
     placement = schedule.placement
     n_mapped = len(placement)
     aod_atoms: dict[int, list[int]] = {}
     for q, coord in placement.items():
         if coord.array > 0:
             aod_atoms.setdefault(coord.array, []).append(q)
-    aods = [(array - 1, np.array(aod_atoms[array])) for array in sorted(aod_atoms)]
+    aods = [(array - 1, np.array(aod_atoms[array])[:, None]) for array in sorted(aod_atoms)]
     # the AODs' atoms back to back, for one per-AOD max per stage
     aod_order = np.array([q for array in sorted(aod_atoms) for q in aod_atoms[array]],
                          dtype=np.int64)
@@ -171,115 +235,201 @@ def apply_schedule(schedule: Schedule, params: HardwareParams, *,
     movable = np.zeros(n_mapped, dtype=bool)
     movable[aod_order] = True
 
-    n_vib = np.zeros(n_mapped)
-    ledger = TimeLedger()
-    f2q, t1 = params.f_2Q, params.T1
-    F_mov_heating = F_mov_loss = F_mov_cooling = F_mov_deco = 1.0
-    n_1q = n_2q = n_cooling = 0
-    rydberg_stages = 0
-    cooling: list[list[int]] = []
-    for move_t, block in _read_stages(schedule.stages, movable, T_per_move):
-        dist = np.concatenate([d for *_, d in block])
-        gain = delta_nvib(dist, params, move_t) if dist.size else dist
+    hw = [p for p, _ in points]
+    overrides = [t for _, t in points]
+    # a point moves on every stage the schedule moves on, unless its
+    # T_per_move is given and not > 0; then it moves on none
+    movers = [i for i, t in enumerate(overrides) if t is None or t > 0.0]
+    still = [i for i, t in enumerate(overrides) if not (t is None or t > 0.0)]
+    thresholds = [p.n_cool_threshold for p in hw]
+    n_vib_max = np.array([[p.n_vib_max] for p in hw], dtype=float)
+    heat_coeff = np.array([p.lam * (1.0 - p.f_2Q) for p in hw], dtype=float)
+
+    # one column per point
+    n_pts = len(points)
+    n_vib = np.zeros((n_mapped, n_pts))
+    T_move = [0.0] * n_pts
+    F_mov_heating = [1.0] * n_pts
+    F_mov_loss = [1.0] * n_pts
+    F_mov_cooling = [1.0] * n_pts
+    F_mov_deco = [1.0] * n_pts
+    n_cooling = [0] * n_pts
+    # per point, a bound on every AOD atom's n_vib (an AOD whose peak is NaN
+    # is never cooled and needs none): exact after a per-AOD check, raised
+    # by each moving stage's largest gain in between.  A stage whose bound
+    # stays at or below the threshold needs no check.
+    bound = [0.0] * n_pts
+    n_1q = n_2q = n_layers = rydberg_stages = k = 0
+    events = []  # (stage index, AOD, points cooled)
+    flat = n_vib.reshape(-1)  # entry (atom q, point i) at q * n_pts + i
+    for block_t, block, atoms, dist, size in _read_stages(schedule.stages, movable, n_pts,
+                                                          follow=None in overrides,
+                                                          moves=bool(movers)):
+        times = [block_t if t is None else t for t in overrides]
+        if size:
+            gain = _gain(dist[:, None], np.array([p.x_zpf * p.omega0 ** 2 * t ** 2
+                                                  for p, t in zip(hw, times)], dtype=float))
+            if still:
+                gain[:, still] = 0.0
+            rises = iter(np.maximum.reduceat(
+                gain, [lo for _, _, lo, hi in block if hi > lo]).tolist())
+            gain = gain.ravel()
+            rows = (atoms[:, None] * n_pts + np.arange(n_pts)).ravel()
         # the post-move n_vib of each moved atom, and the n_vib pair of each
         # CZ, in stage-then-qubit order
-        after, pairs, start = [], [], 0
-        for stage, t, moved, _ in block:
+        after, pairs, n_moves = [], [], 0
+        for stage, moves, lo, hi in block:
             for layer in stage.raman:
                 n_1q += len(layer)
-                ledger.T_1Q_total += params.t_1Q
+            n_layers += len(stage.raman)
 
-            if moved.size:
-                after.append(n_vib[moved] + gain[start:start + moved.size])
-                n_vib[moved] = after[-1]
-                start += moved.size
-            if t > 0.0:
-                ledger.T_move_total += t
-                F_mov_deco *= math.exp(-n_mapped * t / t1)
+            n_moves += moves
+            hot = False
+            if hi > lo:
+                moved = rows[lo * n_pts:hi * n_pts]
+                after.append(flat[moved] + gain[lo * n_pts:hi * n_pts])
+                flat[moved] = after[-1]
+                bound = list(map(add, bound, next(rises)))
+                hot = not all(map(le, bound, thresholds))
 
             if stage.cz:
                 rydberg_stages += 1
                 n_2q += len(stage.cz)
-                pairs.append(n_vib[stage.cz])
+                pairs.append(n_vib.take(stage.cz, axis=0))
 
-            cooled = []
-            if moved.size:  # only a move can call for a cooling
-                peaks = np.maximum.reduceat(n_vib[aod_order], aod_starts).tolist()
-                for (aod, atoms), peak in zip(aods, peaks):
-                    if peak > params.n_cool_threshold:
-                        F_mov_cooling *= f2q ** (2 * len(atoms))
-                        n_vib[atoms] = 0.0
-                        n_cooling += 1
-                        cooled.append(aod)
-            cooling.append(cooled)
+            if hot:
+                peaks = np.maximum.reduceat(n_vib.take(aod_order, axis=0), aod_starts).tolist()
+                bound = [0.0] * n_pts
+                for (aod, atoms), row in zip(aods, peaks):
+                    cooled = list(compress(range(n_pts), map(gt, row, thresholds)))
+                    if cooled:
+                        n_vib[atoms, cooled] = 0.0
+                        events.append((k, aod, cooled))
+                        for i in cooled:
+                            F_mov_cooling[i] *= hw[i].f_2Q ** (2 * len(atoms))
+                            n_cooling[i] += 1
+                            row[i] = 0.0
+                    bound = list(map(max, bound, row))  # max(b, NaN) is b
+            k += 1
 
+        if n_moves:
+            for i in movers:
+                t = times[i]
+                T_move[i] = reduce(add, repeat(t, n_moves), T_move[i])
+                F_mov_deco[i] = math.prod(repeat(math.exp(-n_mapped * t / hw[i].T1), n_moves),
+                                          start=F_mov_deco[i])
         if after:
-            f = move_survival(np.concatenate(after), params)
-            F_mov_loss = math.prod(f[f != 1.0].tolist(), start=F_mov_loss)
+            arg, need = _erf_args(np.concatenate(after).reshape(-1, n_pts).T, n_vib_max)
+            factors = _survival(arg[need]).tolist()
+            lo = 0
+            for i, count in enumerate(need.sum(axis=1).tolist()):
+                F_mov_loss[i] = math.prod(factors[lo:lo + count], start=F_mov_loss[i])
+                lo += count
         if pairs:
             cz_n = np.concatenate(pairs)
-            f = heating_factor(cz_n[:, 0] + cz_n[:, 1], params)
-            F_mov_heating = math.prod(f[f != 1.0].tolist(), start=F_mov_heating)
+            f = _heat(cz_n[:, 0] + cz_n[:, 1], heat_coeff).T.tolist()
+            for i, factors in enumerate(f):
+                F_mov_heating[i] = math.prod(factors, start=F_mov_heating[i])
 
-    ledger.T_2Q_total = (rydberg_stages + 2 * n_cooling) * params.t_2Q
-    ledger.T_transfer_total = n_transfer * params.T_transfer
-
-    F_1Q = params.f_1Q ** n_1q * math.exp(-ledger.T_1Q_total * n_mapped / t1)
-    F_2Q = f2q ** n_2q * math.exp(-ledger.T_2Q_total * n_mapped / t1)
-    F_transfer = ((1.0 - params.P_loss_transfer) ** n_transfer
-                  * math.exp(-ledger.T_transfer_total * n_mapped / t1))
-
-    report = FidelityReport(
-        F_1Q=F_1Q, F_2Q=F_2Q, F_transfer=F_transfer,
-        F_mov_heating=F_mov_heating, F_mov_loss=F_mov_loss,
-        F_mov_cooling=F_mov_cooling, F_mov_deco=F_mov_deco,
-        N_1Q=n_1q, N_2Q=n_2q, N_transfer=n_transfer, N_cooling=n_cooling,
-        cooling=cooling,
-    )
-    return report, ledger
+    cooling = [[[] for _ in range(k)] for _ in points]
+    for stage_k, aod, cooled in events:
+        for i in cooled:
+            cooling[i][stage_k].append(aod)
+    T_1Q = {t: reduce(add, repeat(t, n_layers), 0.0) for t in {p.t_1Q for p in hw}}
+    scores = []
+    for i, params in enumerate(hw):
+        f2q, t1 = params.f_2Q, params.T1
+        ledger = TimeLedger(
+            T_1Q_total=T_1Q[params.t_1Q],
+            T_2Q_total=(rydberg_stages + 2 * n_cooling[i]) * params.t_2Q,
+            T_move_total=T_move[i],
+            T_transfer_total=n_transfer * params.T_transfer)
+        F_1Q = params.f_1Q ** n_1q * math.exp(-ledger.T_1Q_total * n_mapped / t1)
+        F_2Q = f2q ** n_2q * math.exp(-ledger.T_2Q_total * n_mapped / t1)
+        F_transfer = ((1.0 - params.P_loss_transfer) ** n_transfer
+                      * math.exp(-ledger.T_transfer_total * n_mapped / t1))
+        report = FidelityReport(
+            F_1Q=F_1Q, F_2Q=F_2Q, F_transfer=F_transfer,
+            F_mov_heating=F_mov_heating[i], F_mov_loss=F_mov_loss[i],
+            F_mov_cooling=F_mov_cooling[i], F_mov_deco=F_mov_deco[i],
+            N_1Q=n_1q, N_2Q=n_2q, N_transfer=n_transfer, N_cooling=n_cooling[i],
+            cooling=cooling[i],
+        )
+        scores.append((report, ledger))
+    return scores
 
 
 # Stages are read, and their factors folded in, in blocks of up to BLOCK
-# moved atoms or BLOCK // 16 stages: enough to share numpy's per-call cost,
-# too few to add to the compile's memory peak.
+# moved atoms, 16 * BLOCK entries (moved atoms times points) or BLOCK // 16
+# stages: enough to share numpy's per-call cost, too few to add to the
+# memory peak of a compile or a sweep.
 BLOCK = 1024
 
 
-def _read_stages(stages, movable: np.ndarray, T_per_move: float | None):
-    """Check each stage and yield blocks of stages that share one move time,
-    as (move time, [(stage, its move time, atoms moved, their distances)]).
+def _read_stages(stages, movable: np.ndarray, width: int, *, follow: bool, moves: bool):
+    """Check each stage and yield blocks of stages, as (move time,
+    [(stage, whether it moves, start and end of the atoms it moves)], atoms,
+    their distances, number of atoms moved), for ``width`` points.
 
-    A stage that does not move has a move time <= 0 (or NaN) and no atoms,
-    and joins the open block."""
+    A stage moves if ``moves`` (some point moves at all) and the schedule
+    gives it a move time > 0.  A block's moving stages share the schedule's
+    move time when ``follow`` (some point keeps it); a stage that does not
+    move has no atoms and joins the open block.  Stages are read BLOCK // 16
+    at a time, in one array pass; only where a check fails are they checked
+    one by one, so that the error names the first bad stage."""
     n = len(movable)
-    block, block_t, size = [], None, 0
-    for k, stage in enumerate(stages):
-        dist = np.asarray(stage.distances_um, dtype=float)
-        if dist.shape != (n,):
-            raise ValueError(f"stage {k}: distances_um has shape {dist.shape}, "
-                             f"needs one entry per atom ({n})")
-        moved = (dist > 0.0).nonzero()[0]
-        if np.count_nonzero(movable[moved]) != moved.size:
-            q = int(moved[~movable[moved]][0])
-            raise ValueError(f"stage {k}: static atom {q} has move distance "
-                             f"{float(dist[q])!r} um")
-        for a, b in stage.cz:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")
+    block_t = None
+    for c0 in range(0, len(stages), BLOCK // 16):
+        chunk = stages[c0:c0 + BLOCK // 16]
+        dists = [np.asarray(stage.distances_um, dtype=float) for stage in chunk]
+        ok = (all(d.shape == (n,) for d in dists)
+              and all(0 <= a < n and 0 <= b < n for stage in chunk for a, b in stage.cz))
+        if ok:
+            # every stage's distances back to back, and the moved ones
+            flat = np.concatenate(dists)
+            at = (flat > 0.0).nonzero()[0]
+            atoms = at % n
+            ok = np.count_nonzero(movable[atoms]) == atoms.size
+        if not ok:
+            for k, (stage, dist) in enumerate(zip(chunk, dists), c0):
+                _check_stage(k, stage, dist, movable)
+        dist = flat[at]
+        ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
 
-        move_t = stage.move_time_s
-        if T_per_move is not None and move_t > 0.0:
-            move_t = T_per_move
-        if not move_t > 0.0:
-            moved = moved[:0]
-        elif move_t != block_t:
-            if block:
-                yield block_t, block
-            block, block_t, size = [], move_t, 0
-        block.append((stage, move_t, moved, dist[moved]))
-        size += moved.size
-        if size >= BLOCK or len(block) >= BLOCK // 16:
-            yield block_t, block
-            block, size = [], 0
-    if block:
-        yield block_t, block
+        block, first, size, start = [], 0, 0, 0
+        for stage, end in zip(chunk, ends):
+            move_t = stage.move_time_s
+            stage_moves = moves and move_t > 0.0
+            if stage_moves and follow and move_t != block_t:
+                if block:
+                    yield block_t, block, atoms[first:start], dist[first:start], size
+                block, first, size = [], start, 0
+                block_t = move_t
+            # a stage that does not move keeps its entries, but no atom
+            lo = start - first
+            block.append((stage, stage_moves, lo, end - first if stage_moves else lo))
+            if stage_moves:
+                size += end - start
+            start = end
+            if size >= BLOCK or size * width >= 16 * BLOCK:
+                yield block_t, block, atoms[first:start], dist[first:start], size
+                block, first, size = [], start, 0
+        if block:
+            yield block_t, block, atoms[first:start], dist[first:start], size
+
+
+def _check_stage(k: int, stage, dist: np.ndarray, movable: np.ndarray) -> None:
+    """Raise ValueError, naming stage k, if its distances do not hold one
+    entry per atom, a static atom moves, or a CZ names a qubit out of range."""
+    n = len(movable)
+    if dist.shape != (n,):
+        raise ValueError(f"stage {k}: distances_um has shape {dist.shape}, "
+                         f"needs one entry per atom ({n})")
+    moved = (dist > 0.0).nonzero()[0]
+    if np.count_nonzero(movable[moved]) != moved.size:
+        q = int(moved[~movable[moved]][0])
+        raise ValueError(f"stage {k}: static atom {q} has move distance "
+                         f"{float(dist[q])!r} um")
+    for a, b in stage.cz:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")

@@ -45,6 +45,19 @@ def test_parse_index_out_of_bounds():
         parse_qasm(HEADER + "qreg q[2];\ncz q[0],q[5];\n")
 
 
+def test_parse_rejects_a_register_above_the_limit_at_its_line():
+    text = HEADER + "\n\nqreg q[6];\n" + "h q;\n" * 3
+    with pytest.raises(ParseError, match="^line 5: qreg of 6 qubits exceeds the limit of 5$"):
+        parse_qasm(text, max_qubits=5)
+    assert len(parse_qasm(text, max_qubits=6).gates) == 18
+    assert parse_qasm(text).n_qubits == 6
+    # a broadcast of a huge register is never expanded
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="^line 3: qreg of 100000000 qubits"):
+        parse_qasm(HEADER + "qreg q[100000000];\n" + "h q;\n" * 10, max_qubits=300)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_parse_measure_ignored_with_warning():
     text = HEADER + "qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\n"
     with pytest.warns(UserWarning):

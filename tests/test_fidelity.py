@@ -374,6 +374,55 @@ def test_scoring_matches_the_scalar_walk_bit_for_bit(case, block):
     assert len(report.cooling) == len(schedule.stages)
 
 
+@st.composite
+def scored_batches(draw):
+    """A schedule drawn as in scored_schedules, and 1-6 points to score it
+    at in one call: each point keeps or redraws the cooling threshold, f_2Q,
+    lambda and T1, and takes its own T_per_move."""
+    schedule, params, kwargs = draw(scored_schedules())
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        hw = {key: draw(st.one_of(st.just(getattr(params, key)), values))
+              for key, values in (("n_cool_threshold", st.floats(0.0, 32.0)),
+                                  ("f_2Q", st.floats(0.5, 1.0)),
+                                  ("lam", st.floats(0.0, 20.0)),
+                                  ("T1", st.floats(1e-3, 10.0)))}
+        T_per_move = draw(st.one_of(st.none(), st.sampled_from([0.0, math.nan, 1e-150]),
+                                    st.floats(1e-5, 2e-3)))
+        points.append((dataclasses.replace(params, **hw), T_per_move))
+    return schedule, points, kwargs["n_transfer"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_batches(), st.sampled_from([16, 32, 1024]))
+def test_a_batch_scores_every_point_like_the_scalar_walk(case, block):
+    schedule, points, n_transfer = case
+    before = schedule_to_dict(schedule)
+    default = fidelity.BLOCK
+    fidelity.BLOCK = block
+    try:
+        scores = apply_schedule(schedule, points, n_transfer=n_transfer)
+    finally:
+        fidelity.BLOCK = default
+    assert len(scores) == len(points)
+    for (params, T_per_move), got in zip(points, scores):
+        want = score_reference.apply_schedule(schedule, params, T_per_move=T_per_move,
+                                              n_transfer=n_transfer)
+        assert score_repr(*got) == score_repr(*want)
+    assert schedule_to_dict(schedule) == before
+
+
+def test_a_batch_gives_each_point_its_own_report():
+    schedule = compiled_schedule("qaoa-rand", 12, 0, frozenset(), 60.0)
+    eager = dataclasses.replace(PARAMS, n_cool_threshold=0.0)
+    (first, _), (second, _) = apply_schedule(schedule, [(eager, None), (eager, None)])
+    assert first == second and first.cooling is not second.cooling
+    assert any(first.cooling)
+    assert apply_schedule(schedule, []) == []
+    with pytest.raises(TypeError, match="each point's T_per_move"):
+        apply_schedule(schedule, [(PARAMS, None)], T_per_move=1e-4)
+
+
 def test_a_move_time_that_overflows_n_vib_gives_nan_like_the_walk():
     schedule = compiled_schedule("qaoa-rand", 10, 1, frozenset(), 15.0)
     report, _ = assert_scores_like_the_walk(schedule, PARAMS, T_per_move=1e-150)
@@ -441,12 +490,20 @@ def with_stage(schedule, k, **changes):
     return dataclasses.replace(schedule, stages=stages)
 
 
+def assert_rejected(bad, match):
+    """Scoring rejects the schedule, alone and in a batch, with one message."""
+    with pytest.raises(ValueError, match=match) as single:
+        apply_schedule(bad, PARAMS)
+    with pytest.raises(ValueError) as batch:
+        apply_schedule(bad, [(PARAMS, None), (PARAMS, 1e-4), (PARAMS, 0.0)])
+    assert str(batch.value) == str(single.value)
+
+
 @pytest.mark.parametrize("length", [0, 1, 3])
 def test_scoring_rejects_distances_of_the_wrong_length(length):
     schedule = single_cz_result().schedule
     bad = with_stage(schedule, 0, distances_um=np.full(length, 15.0))
-    with pytest.raises(ValueError, match="stage 0: distances_um"):
-        apply_schedule(bad, PARAMS)
+    assert_rejected(bad, "stage 0: distances_um")
 
 
 @pytest.mark.parametrize("pair", [(0, 2), (-1, 1), (1, 7)])
@@ -454,8 +511,29 @@ def test_scoring_rejects_a_cz_on_a_qubit_that_does_not_exist(pair):
     schedule = single_cz_result().schedule
     k = next(k for k, s in enumerate(schedule.stages) if s.cz)
     bad = with_stage(schedule, k, cz=[pair])
-    with pytest.raises(ValueError, match=rf"stage {k}: cz \[{pair[0]}, {pair[1]}\]"):
-        apply_schedule(bad, PARAMS)
+    assert_rejected(bad, rf"stage {k}: cz \[{pair[0]}, {pair[1]}\]")
+
+
+def test_the_first_bad_stage_is_named_whatever_its_fault():
+    # stages are checked many at a time: a later stage's fault of another
+    # kind must not hide an earlier one
+    schedule = compiled_schedule("qaoa-rand", 12, 0, frozenset(), 15.0)
+    moving = [k for k, s in enumerate(schedule.stages) if s.move_time_s > 0]
+    j, k = moving[1], moving[2]
+    q = next(q for q, c in schedule.placement.items() if c.array == 0)
+    dist = schedule.stages[j].distances_um.copy()
+    dist[q] = 7.5
+    static_first = with_stage(with_stage(schedule, j, distances_um=dist),
+                              k, distances_um=np.zeros(2))
+    with pytest.raises(ValueError, match=f"^stage {j}: static atom {q} has move distance 7.5"):
+        apply_schedule(static_first, PARAMS)
+    length_first = with_stage(with_stage(schedule, j, distances_um=np.zeros(2)),
+                              k, distances_um=dist)
+    with pytest.raises(ValueError, match=f"^stage {j}: distances_um has shape"):
+        apply_schedule(length_first, PARAMS)
+    cz_first = with_stage(with_stage(schedule, j, cz=[(0, 99)]), k, distances_um=dist)
+    with pytest.raises(ValueError, match=rf"^stage {j}: cz \[0, 99\]"):
+        apply_schedule(cz_first, PARAMS)
 
 
 def test_scoring_rejects_a_static_atom_that_moves():
@@ -465,5 +543,4 @@ def test_scoring_rejects_a_static_atom_that_moves():
     dist = schedule.stages[k].distances_um.copy()
     dist[q] = 15.0
     bad = with_stage(schedule, k, distances_um=dist)
-    with pytest.raises(ValueError, match=f"stage {k}: static atom {q} has move distance 15.0"):
-        apply_schedule(bad, PARAMS)
+    assert_rejected(bad, f"stage {k}: static atom {q} has move distance 15.0")

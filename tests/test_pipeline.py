@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from atomique.arch import load_config
 from atomique.circuit import Circuit, parse_qasm, to_qasm
 from atomique.cli import _write_json, main
+from atomique.fidelity import apply_schedule, execution_time
 from atomique.oracle import equivalent_up_to_permutation
 from atomique.pipeline import compile_circuit, random_assignment
 from atomique.stage_router import audit_schedule, schedule_to_circuit
@@ -128,8 +130,9 @@ def test_capacity_overflow_is_an_error():
 
 def test_over_capacity_input_fails_before_lowering(monkeypatch, tmp_path, capsys):
     # the capacity check comes before `to_basis`, whose work a register
-    # broadcast multiplies: one qubit over capacity never reaches lowering,
-    # and a register at exactly capacity still compiles
+    # broadcast multiplies: one qubit over capacity never reaches lowering
+    # (the command line stops it in the parser already), and a register at
+    # exactly capacity still compiles
     import atomique.pipeline
 
     capacity = sum(CFG.array_capacity(a) for a in range(CFG.n_arrays))
@@ -142,7 +145,8 @@ def test_over_capacity_input_fails_before_lowering(monkeypatch, tmp_path, capsys
         with pytest.raises(ValueError, match=f"^{capacity + 1} qubits exceed total array capacity$"):
             compile_circuit(Circuit(capacity + 1), CFG, PARAMS)
         assert main(["compile", str(qasm), "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {capacity + 1} qubits exceed total array capacity\n"
+    assert capsys.readouterr().err == (f"error: line 2: qreg of {capacity + 1} qubits exceeds "
+                                       f"the limit of {capacity}\n")
     full = Circuit(capacity)
     for q in range(capacity):
         full.add("u", (q,), (math.pi / 2, 0.0, math.pi))
@@ -468,6 +472,32 @@ def test_check_command_verifies_unitary(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["compile", "check"])
+def test_a_huge_register_fails_in_the_parser(tmp_path, capsys, command):
+    # 80 bytes that would broadcast to a million gates: rejected at the qreg
+    # line, before anything expands
+    qasm = tmp_path / "huge.qasm"
+    qasm.write_text("OPENQASM 2.0;\nqreg q[100000];\n" + "h q;\n" * 10)
+    assert qasm.stat().st_size == 80
+    out = ["-o", str(tmp_path / "out")] if command == "compile" else []
+    t0 = time.perf_counter()
+    assert main([command, str(qasm), *out]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    capacity = sum(CFG.array_capacity(a) for a in range(CFG.n_arrays))
+    assert capsys.readouterr().err == (f"error: line 2: qreg of 100000 qubits exceeds "
+                                       f"the limit of {capacity}\n")
+
+
+def test_a_register_at_capacity_compiles_from_qasm(tmp_path, capsys):
+    capacity = sum(CFG.array_capacity(a) for a in range(CFG.n_arrays))
+    qasm = tmp_path / "full.qasm"
+    qasm.write_text(f"OPENQASM 2.0;\nqreg q[{capacity}];\nh q;\ncz q[0],q[{capacity - 1}];\n")
+    assert main(["compile", str(qasm), "-o", str(tmp_path / "out")]) == 0
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+    assert stats["n_qubits"] == capacity
+    assert "compiled" in capsys.readouterr().out
+
+
 def test_check_command_rejects_oversize_oracle(tmp_path, capsys):
     qasm = write_benchmark(tmp_path, n=12, secret="10101010101")
     assert main(["check", str(qasm)]) == 1
@@ -573,6 +603,49 @@ def test_sweep_lattice_pitch_recompiles(tmp_path):
     assert len(rows) == 2
     assert rows[0][0] == 15.0 and rows[1][0] == 30.0
     assert rows[1][1] < rows[0][1]  # longer hops hurt fidelity
+
+
+@pytest.mark.parametrize("value", ["-1e-4", "0", "nan"])
+def test_sweep_rejects_a_move_time_the_config_rejects(tmp_path, capsys, monkeypatch, value):
+    # each value is checked as ArchConfig checks T_per_move, before the
+    # compile: such a point would otherwise score as if nothing moved
+    import atomique.cli
+
+    def compiled(*args, **kwargs):
+        raise AssertionError("compiled before the values were checked")
+    monkeypatch.setattr(atomique.cli, "compile_circuit", compiled)
+    path = tmp_path / "x.csv"
+    assert main(["sweep", "--param", "T_per_move", f"--values={value},3e-4",
+                 "--family", "qaoa-rand", "--n", "8", "-o", str(path)]) == 1
+    assert capsys.readouterr().err == "error: T_per_move must be positive\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("param,values", [("T_per_move", "1e-4,3e-4,5e-4"),
+                                          ("T1", "0.5,1.5,3.0"),
+                                          ("n_cool_threshold", "0,1,15"),
+                                          ("f_2Q", "0.99,0.995,1.0")])
+def test_sweep_scores_every_point_in_one_call(tmp_path, monkeypatch, param, values):
+    import atomique.cli
+
+    calls = []
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_schedule(*args, **kwargs)
+    monkeypatch.setattr(atomique.cli, "apply_schedule", counted)
+    header, rows = read_csv(sweep(tmp_path, param, values))
+    assert len(calls) == 1 and len(rows) == 3
+    # each row is the single-point score of its value
+    cfg, params = load_config({})
+    schedule = compile_circuit(WorkloadSpec("qaoa-rand", 8, seed=2).generate(), cfg, params,
+                               seed=2).schedule
+    for value, row in zip(sorted(float(v) for v in values.split(",")), rows):
+        if param == "T_per_move":
+            report, ledger = apply_schedule(schedule, params, T_per_move=value)
+        else:
+            report, ledger = apply_schedule(schedule, dataclasses.replace(params, **{param: value}))
+        assert row[1] == report.F_total
+        assert row[header.index("execution_time_s")] == execution_time(ledger)
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

@@ -5,7 +5,7 @@ keys) for one seeded circuit compiled under one flag set: the bytes of the
 ``schedule.json`` that ``atomique compile`` writes, less the final newline.
 Each ``GOLDEN_STATS`` entry is the sha256 of the same compile's
 ``stats.json`` bytes without ``compile_wall_time_s``.  ``GOLDEN_SWEEP`` pins
-the CSV that ``atomique sweep`` writes for one small circuit per rescoring
+the CSV that ``atomique sweep`` writes for one small circuit per sweep
 parameter.  A change that is meant to keep outputs byte-identical must leave
 every hash as it is; a change that is meant to alter them updates the table
 and says why.
@@ -20,7 +20,7 @@ import pytest
 
 from atomique.arch import load_config
 from atomique.circuit import to_qasm
-from atomique.cli import main
+from atomique.cli import SWEEP_PARAMS, main
 from atomique.pipeline import compile_circuit
 from atomique.stage_router import schedule_to_dict
 from atomique.workloads import WorkloadSpec
@@ -202,18 +202,23 @@ CLI_FLAGS = {
     "mapper-random": ["--mapper", "random"],
 }
 
-# sweep parameter -> values; each rescoring one compile of SWEEP_CIRCUIT
+# sweep parameter -> values; each but D_site rescoring one compile of
+# SWEEP_CIRCUIT
 SWEEP_CIRCUIT = ["--family", "qaoa-rand", "--n", "30", "--seed", "3", "--p", "0.3"]
 SWEEP_VALUES = {
     "T_per_move": "30e-6,100e-6,200e-6,300e-6,600e-6,1e-3",
     "n_cool_threshold": "0,0.001,0.01,0.1,1,15",
     "f_2Q": "0.9,0.99,0.995,0.999,1.0",
+    "T1": "0.01,0.1,0.5,1.5,10",
+    "D_site": "15,20,30,45,60",  # recompiles per point
 }
 
 GOLDEN_SWEEP = {
     "T_per_move": "f3d200f270bca0df98da9336d0e9da2e80b23e062877ca7197e83d484d8873f4",
     "f_2Q": "32e16c427e6792069b178f429f1c4f319bb2298fbf03cf0cab48013454a9207a",
     "n_cool_threshold": "876460853dc74529091a71bfb33f05a7c3e80a5210f9805f79c8274584bb2731",
+    "T1": "73d57f30fa23c799fe307ab21f4b6c140ac4a21a56ee8b61378178af96bff32a",
+    "D_site": "49c8254b8d606691137ea94968892545aea7cbed7f3da9aebe98a718d50842e6",
 }
 
 
@@ -242,7 +247,7 @@ def sweep_hash(param: str, out_dir) -> str:
 def test_the_golden_table_covers_every_circuit_and_flag_set():
     assert set(GOLDEN) == {(c, f) for c in CIRCUITS for f in FLAGS}
     assert set(GOLDEN_STATS) == set(GOLDEN)
-    assert set(GOLDEN_SWEEP) == set(SWEEP_VALUES)
+    assert set(GOLDEN_SWEEP) == set(SWEEP_VALUES) == set(SWEEP_PARAMS)
 
 
 @pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN))
