@@ -6,7 +6,7 @@
 The program is imported from the ``src/`` next to this script.  Each grid
 point generates one seeded circuit (seed 0) on d x d SLM and AOD arrays,
 d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit``, then
-``audit_schedule``, ``apply_schedule`` (scoring) and ``apply_schedule`` of
+``audit_schedule``, ``apply_schedule`` of one point (scoring) and of
 12 ``T_per_move`` points from 100 to 500 us in one call (what ``atomique
 sweep`` does) on the compiled schedule, k times each (k = 3 up to 300
 qubits, 1 above), keeping the fastest.  Every compile must give the same
@@ -90,7 +90,7 @@ def run_point(family: str, kwargs: dict, n: int) -> dict:
         raise RuntimeError(f"{family} n={n}: repeated compiles gave different outputs")
     schedule = compiled[0].schedule
     audit_s, audits = best_of(k, lambda: audit_schedule(schedule))
-    score_s, _ = best_of(k, lambda: apply_schedule(schedule, params))
+    score_s, _ = best_of(k, lambda: apply_schedule(schedule, [(params, None)]))
     sweep_s, _ = best_of(k, lambda: apply_schedule(schedule, [(params, t) for t in SWEEP]))
     return {
         "family": family, **kwargs, "n": n, "array_side": d, "k": k,

@@ -42,9 +42,7 @@ class ArchConfig:
                 raise ValueError(f"{key} must be an int >= 1")
         object.__setattr__(self, "aod_rows", _per_aod(self.aod_rows, self.n_aod, "aod_rows"))
         object.__setattr__(self, "aod_cols", _per_aod(self.aod_cols, self.n_aod, "aod_cols"))
-        for key in ("D_site", "r_b", "T_per_move"):
-            if not getattr(self, key) > 0:  # NaN fails too
-                raise ValueError(f"{key} must be positive")
+        _check_finite(self, ("D_site", "r_b", "T_per_move"), "positive")
         if not 0 < self.delta < self.r_b:
             raise ValueError("delta must satisfy 0 < delta < r_b")
         if self.D_site / 2 - self.delta < self.s_min:
@@ -69,6 +67,18 @@ class ArchConfig:
     @property
     def n_arrays(self) -> int:
         return self.n_aod + 1
+
+
+def _check_finite(obj, keys, sign: str) -> None:
+    """Raise ValueError unless each field is finite and, as ``sign`` says,
+    positive or non-negative."""
+    for key in keys:
+        v = getattr(obj, key)
+        name = "lambda" if key == "lam" else key
+        if not (v > 0 if sign == "positive" else v >= 0):  # NaN fails too
+            raise ValueError(f"{name} must be {sign}")
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
 
 
 def _is_size(v) -> bool:
@@ -109,12 +119,9 @@ class HardwareParams:
                 raise ValueError(f"{key} must be in (0, 1]")
         if not 0.0 <= self.P_loss_transfer < 1.0:
             raise ValueError("P_loss_transfer must be in [0, 1)")
-        for key in ("t_1Q", "t_2Q", "T1", "x_zpf", "omega0", "n_vib_max"):
-            if not getattr(self, key) > 0:  # NaN fails too
-                raise ValueError(f"{key} must be positive")
-        for key in ("T_transfer", "lam", "n_cool_threshold"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"{'lambda' if key == 'lam' else key} must be non-negative")
+        _check_finite(self, ("t_1Q", "t_2Q", "T1", "x_zpf", "omega0", "n_vib_max"),
+                      "positive")
+        _check_finite(self, ("T_transfer", "lam", "n_cool_threshold"), "non-negative")
         if self.n_cool_threshold >= self.n_vib_max:
             raise ValueError("n_cool_threshold must be below n_vib_max")
 

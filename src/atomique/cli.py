@@ -137,6 +137,9 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     values = sorted(float(v) for v in args.values.split(","))
     config, params = _load_config(args)
+    # generating a circuit can take O(n^2), so its size is checked first
+    if args.n > sum(partition_capacities(config)):
+        raise ValueError(f"{args.n} qubits exceed total array capacity")
     circuit = _workload(args).generate()
     # every value is checked, as a config would check it, before any compile
     if args.param == "D_site":

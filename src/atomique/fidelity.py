@@ -13,26 +13,28 @@ walk that heats and multiplies one atom at a time (that walk is kept as
 
 * ``apply_schedule`` scores a list of points, each a ``HardwareParams`` and
   a move time (or None), in one walk over the stages; one point is the
-  list of one.  ``n_vib`` has one column per point, so each stage's reads,
-  gathers and stores serve every point.  Per-point scalars (the
-  ``delta_nvib`` denominator, the thresholds, the decoherence and cooling
-  factors, the ledger sums and the seven factors) stay Python floats built
-  with the single-point expressions, and numpy sees a per-point value only
-  in elementwise ``+ - * /``, ``sqrt``, comparisons and ``where``, which
-  round each element as the scalar operation does.  So each point's floats
-  are those of scoring it alone.
+  list of one.  A point has one move time for every stage that moves:
+  None is the schedule's ``config.T_per_move``, and any other value must
+  pass ``ArchConfig``'s check.  ``n_vib`` has one column per point, so each
+  stage's reads, gathers and stores serve every point.  Per-point scalars
+  (the ``delta_nvib`` denominator, the thresholds, the decoherence and
+  cooling factors, the ledger sums and the seven factors) stay Python
+  floats built with the single-point expressions, and numpy sees a
+  per-point value only in elementwise ``+ - * /``, ``sqrt``, comparisons
+  and ``where``, which round each element as the scalar operation does.
+  So each point's floats are those of scoring it alone.
 * Stages are read ``BLOCK // 16`` at a time: one array pass finds the moved
-  atoms and checks that no static atom moves; only if a check fails are the
-  stages checked one by one, so the error names the first bad stage.
-* One loop runs over blocks of stages in which every point keeps one move
-  time (a block breaks wherever any point's move time changes).  The quanta
-  each moved atom gains depend on nothing but its distance and the move
-  time, so one ``delta_nvib`` pass heats a whole block.  A walk over the
-  block's stages then keeps only the sequential state: ``n_vib``, heated
-  where ``distances_um > 0``, and the per-AOD cooling check.  It records
-  the post-move ``n_vib`` of the moved atoms (ascending qubit order) and
-  the ``n_vib`` pair of each CZ.  A point whose move time is not > 0 moves
-  no atom: its gains are 0.
+  atoms and checks that no static atom moves and that each stage's
+  ``move_time_s`` is ``config.T_per_move``, or 0.0 for a stage that moves
+  no atom (what ``route()`` writes); only if a check fails are the stages
+  checked one by one, so the error names the first bad stage.
+* One loop runs over blocks of stages, split by size only.  The quanta
+  each moved atom gains depend on nothing but its distance and the point's
+  move time, so one ``delta_nvib`` pass heats a whole block.  A walk over
+  the block's stages then keeps only the sequential state: ``n_vib``,
+  heated where ``distances_um > 0``, and the per-AOD cooling check.  It
+  records the post-move ``n_vib`` of the moved atoms (ascending qubit
+  order) and the ``n_vib`` pair of each CZ.
 * ``n_vib`` starts at 0, rises only by a move, and every cooling check
   leaves each AOD at or below the (non-negative) threshold.  So a check
   can call for a cooling only after a move, and only once some atom may be
@@ -40,9 +42,9 @@ walk that heats and multiplies one atom at a time (that walk is kept as
   after a check and raised by each moving stage's largest gain, and the
   check runs only where a bound passes its threshold.  Rounding is
   monotone, so the bound stays an upper bound.
-* The decoherence of a block's moving stages is ``math.exp`` once per
-  point and block, multiplied in once per stage with ``math.prod``, and the
-  move times are added one by one, as the per-stage walk does.
+* Each point's decoherence per move is ``math.exp`` once, multiplied in
+  once per moving stage with ``math.prod``, and its move time is added
+  once per moving stage, as the per-stage walk does.
 * ``delta_nvib``, ``move_survival`` and ``heating_factor`` take a float or an
   array and evaluate each element in the scalar formula's order:
   ``6.0 * (D * 1e-6) / (x_zpf * omega0**2 * T**2)``, then ``0.5 * x * x``,
@@ -64,7 +66,7 @@ walk that heats and multiplies one atom at a time (that walk is kept as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, repeat
 from operator import add, gt, le
@@ -187,40 +189,33 @@ class FidelityReport:
 # float arithmetic overflows to inf and NaN without a warning, as the scalar
 # walk's Python floats do (a tiny T_per_move can heat an atom to inf quanta)
 @np.errstate(all="ignore")
-def apply_schedule(schedule: Schedule,
-                   params: HardwareParams | list[tuple[HardwareParams, float | None]], *,
-                   T_per_move: float | None = None, n_transfer: int = 0):
-    """Score a schedule without modifying it.
+def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float | None]],
+                   *, n_transfer: int = 0) -> list[tuple[FidelityReport, TimeLedger]]:
+    """Score a schedule at each point, without modifying it.
 
-    ``params`` is one HardwareParams, scored with ``T_per_move`` and giving
-    one (report, ledger), or a list of points (HardwareParams, T_per_move or
-    None), all scored in one walk over the stages and giving one (report,
-    ledger) per point, each the same as scoring that point alone.
+    A point is (HardwareParams, T_per_move or None); all points are scored
+    in one walk over the stages, giving one (report, ledger) per point, each
+    the same as scoring that point alone.
+
+    Every stage that moves is charged one move of the point's T_per_move:
+    None keeps ``schedule.config.T_per_move``, and any other value goes
+    through ``dataclasses.replace(schedule.config, T_per_move=...)``, so a
+    value that ``ArchConfig`` rejects raises its ValueError.  Distances stay
+    fixed, which is what a move-time sweep rescores.  Gate times are charged
+    per layer/stage (parallel pulses share a clock tick).  N_transfer is 0
+    for native schedules and only non-zero when scoring externally produced
+    schedules that reload atoms between stages.
 
     The report's ``cooling`` lists, per stage, the AOD indices whose atoms
     were swapped against the cold reserve after that stage.
 
-    T_per_move overrides the schedule's move duration for every stage that
-    moves (distances stay fixed), which is what a move-time sweep rescores;
-    a T_per_move that is not > 0 moves no atom.
-    Gate times are charged per layer/stage (parallel pulses share a clock
-    tick).
-    N_transfer is 0 for native schedules and only non-zero when scoring
-    externally produced schedules that reload atoms between stages.
-
-    Raises ValueError, naming the stage, when a stage's ``distances_um``
-    does not hold one entry per atom, a static atom has a nonzero distance,
+    Raises ValueError, naming the first bad stage, when a stage's
+    ``distances_um`` does not hold one entry per atom, a static atom has a
+    nonzero distance, its ``move_time_s`` is neither
+    ``schedule.config.T_per_move`` nor 0.0 for a stage that moves no atom,
     or a ``cz`` names a qubit outside range(n_qubits).
     """
-    if isinstance(params, HardwareParams):
-        return _score(schedule, [(params, T_per_move)], n_transfer)[0]
-    if T_per_move is not None:
-        raise TypeError("a list of points carries each point's T_per_move")
-    return _score(schedule, list(params), n_transfer)
-
-
-def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]],
-           n_transfer: int) -> list[tuple[FidelityReport, TimeLedger]]:
+    config = schedule.config
     placement = schedule.placement
     n_mapped = len(placement)
     aod_atoms: dict[int, list[int]] = {}
@@ -236,54 +231,44 @@ def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]]
     movable[aod_order] = True
 
     hw = [p for p, _ in points]
-    overrides = [t for _, t in points]
-    # a point moves on every stage the schedule moves on, unless its
-    # T_per_move is given and not > 0; then it moves on none
-    movers = [i for i, t in enumerate(overrides) if t is None or t > 0.0]
-    still = [i for i, t in enumerate(overrides) if not (t is None or t > 0.0)]
+    times = [config.T_per_move if t is None else replace(config, T_per_move=t).T_per_move
+             for _, t in points]
     thresholds = [p.n_cool_threshold for p in hw]
-    n_vib_max = np.array([[p.n_vib_max] for p in hw], dtype=float)
+    n_vib_max = np.array([p.n_vib_max for p in hw], dtype=float)[:, None]
     heat_coeff = np.array([p.lam * (1.0 - p.f_2Q) for p in hw], dtype=float)
+    scale = np.array([p.x_zpf * p.omega0 ** 2 * t ** 2 for p, t in zip(hw, times)], dtype=float)
 
     # one column per point
     n_pts = len(points)
     n_vib = np.zeros((n_mapped, n_pts))
-    T_move = [0.0] * n_pts
     F_mov_heating = [1.0] * n_pts
     F_mov_loss = [1.0] * n_pts
     F_mov_cooling = [1.0] * n_pts
-    F_mov_deco = [1.0] * n_pts
     n_cooling = [0] * n_pts
     # per point, a bound on every AOD atom's n_vib (an AOD whose peak is NaN
     # is never cooled and needs none): exact after a per-AOD check, raised
     # by each moving stage's largest gain in between.  A stage whose bound
     # stays at or below the threshold needs no check.
     bound = [0.0] * n_pts
-    n_1q = n_2q = n_layers = rydberg_stages = k = 0
+    n_1q = n_2q = n_layers = rydberg_stages = n_moving = k = 0
     events = []  # (stage index, AOD, points cooled)
     flat = n_vib.reshape(-1)  # entry (atom q, point i) at q * n_pts + i
-    for block_t, block, atoms, dist, size in _read_stages(schedule.stages, movable, n_pts,
-                                                          follow=None in overrides,
-                                                          moves=bool(movers)):
-        times = [block_t if t is None else t for t in overrides]
-        if size:
-            gain = _gain(dist[:, None], np.array([p.x_zpf * p.omega0 ** 2 * t ** 2
-                                                  for p, t in zip(hw, times)], dtype=float))
-            if still:
-                gain[:, still] = 0.0
-            rises = iter(np.maximum.reduceat(
-                gain, [lo for _, _, lo, hi in block if hi > lo]).tolist())
+    for block, atoms, dist in _read_stages(schedule.stages, movable, config.T_per_move, n_pts):
+        if atoms.size:
+            gain = _gain(dist[:, None], scale)
+            rises = iter(np.maximum.reduceat(gain, [lo for _, lo, hi in block if hi > lo]).tolist())
             gain = gain.ravel()
             rows = (atoms[:, None] * n_pts + np.arange(n_pts)).ravel()
         # the post-move n_vib of each moved atom, and the n_vib pair of each
         # CZ, in stage-then-qubit order
-        after, pairs, n_moves = [], [], 0
-        for stage, moves, lo, hi in block:
+        after, pairs = [], []
+        for stage, lo, hi in block:
             for layer in stage.raman:
                 n_1q += len(layer)
             n_layers += len(stage.raman)
+            if stage.move_time_s:
+                n_moving += 1
 
-            n_moves += moves
             hot = False
             if hi > lo:
                 moved = rows[lo * n_pts:hi * n_pts]
@@ -312,14 +297,8 @@ def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]]
                     bound = list(map(max, bound, row))  # max(b, NaN) is b
             k += 1
 
-        if n_moves:
-            for i in movers:
-                t = times[i]
-                T_move[i] = reduce(add, repeat(t, n_moves), T_move[i])
-                F_mov_deco[i] = math.prod(repeat(math.exp(-n_mapped * t / hw[i].T1), n_moves),
-                                          start=F_mov_deco[i])
         if after:
-            arg, need = _erf_args(np.concatenate(after).reshape(-1, n_pts).T, n_vib_max)
+            arg, need = _erf_args(np.concatenate(after).reshape(len(dist), n_pts).T, n_vib_max)
             factors = _survival(arg[need]).tolist()
             lo = 0
             for i, count in enumerate(need.sum(axis=1).tolist()):
@@ -337,12 +316,12 @@ def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]]
             cooling[i][stage_k].append(aod)
     T_1Q = {t: reduce(add, repeat(t, n_layers), 0.0) for t in {p.t_1Q for p in hw}}
     scores = []
-    for i, params in enumerate(hw):
+    for i, (params, t) in enumerate(zip(hw, times)):
         f2q, t1 = params.f_2Q, params.T1
         ledger = TimeLedger(
             T_1Q_total=T_1Q[params.t_1Q],
             T_2Q_total=(rydberg_stages + 2 * n_cooling[i]) * params.t_2Q,
-            T_move_total=T_move[i],
+            T_move_total=reduce(add, repeat(t, n_moving), 0.0),
             T_transfer_total=n_transfer * params.T_transfer)
         F_1Q = params.f_1Q ** n_1q * math.exp(-ledger.T_1Q_total * n_mapped / t1)
         F_2Q = f2q ** n_2q * math.exp(-ledger.T_2Q_total * n_mapped / t1)
@@ -351,7 +330,8 @@ def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]]
         report = FidelityReport(
             F_1Q=F_1Q, F_2Q=F_2Q, F_transfer=F_transfer,
             F_mov_heating=F_mov_heating[i], F_mov_loss=F_mov_loss[i],
-            F_mov_cooling=F_mov_cooling[i], F_mov_deco=F_mov_deco[i],
+            F_mov_cooling=F_mov_cooling[i],
+            F_mov_deco=math.prod(repeat(math.exp(-n_mapped * t / t1), n_moving), start=1.0),
             N_1Q=n_1q, N_2Q=n_2q, N_transfer=n_transfer, N_cooling=n_cooling[i],
             cooling=cooling[i],
         )
@@ -366,19 +346,15 @@ def _score(schedule: Schedule, points: list[tuple[HardwareParams, float | None]]
 BLOCK = 1024
 
 
-def _read_stages(stages, movable: np.ndarray, width: int, *, follow: bool, moves: bool):
-    """Check each stage and yield blocks of stages, as (move time,
-    [(stage, whether it moves, start and end of the atoms it moves)], atoms,
-    their distances, number of atoms moved), for ``width`` points.
+def _read_stages(stages, movable: np.ndarray, T_per_move: float, width: int):
+    """Check each stage and yield blocks of stages, as ([(stage, start and
+    end of the atoms it moves)], those atoms, their distances), for
+    ``width`` points.
 
-    A stage moves if ``moves`` (some point moves at all) and the schedule
-    gives it a move time > 0.  A block's moving stages share the schedule's
-    move time when ``follow`` (some point keeps it); a stage that does not
-    move has no atoms and joins the open block.  Stages are read BLOCK // 16
-    at a time, in one array pass; only where a check fails are they checked
-    one by one, so that the error names the first bad stage."""
+    Stages are read BLOCK // 16 at a time, in one array pass; only where a
+    check fails are they checked one by one, so that the error names the
+    first bad stage."""
     n = len(movable)
-    block_t = None
     for c0 in range(0, len(stages), BLOCK // 16):
         chunk = stages[c0:c0 + BLOCK // 16]
         dists = [np.asarray(stage.distances_um, dtype=float) for stage in chunk]
@@ -389,38 +365,33 @@ def _read_stages(stages, movable: np.ndarray, width: int, *, follow: bool, moves
             flat = np.concatenate(dists)
             at = (flat > 0.0).nonzero()[0]
             atoms = at % n
-            ok = np.count_nonzero(movable[atoms]) == atoms.size
+            ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
+            ok = (np.count_nonzero(movable[atoms]) == atoms.size
+                  and all(stage.move_time_s == T_per_move
+                          or (stage.move_time_s == 0.0 and start == end)
+                          for stage, start, end in zip(chunk, [0, *ends], ends)))
         if not ok:
             for k, (stage, dist) in enumerate(zip(chunk, dists), c0):
-                _check_stage(k, stage, dist, movable)
+                _check_stage(k, stage, dist, movable, T_per_move)
         dist = flat[at]
-        ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
 
-        block, first, size, start = [], 0, 0, 0
+        block, first, start = [], 0, 0
         for stage, end in zip(chunk, ends):
-            move_t = stage.move_time_s
-            stage_moves = moves and move_t > 0.0
-            if stage_moves and follow and move_t != block_t:
-                if block:
-                    yield block_t, block, atoms[first:start], dist[first:start], size
-                block, first, size = [], start, 0
-                block_t = move_t
-            # a stage that does not move keeps its entries, but no atom
-            lo = start - first
-            block.append((stage, stage_moves, lo, end - first if stage_moves else lo))
-            if stage_moves:
-                size += end - start
+            block.append((stage, start - first, end - first))
             start = end
-            if size >= BLOCK or size * width >= 16 * BLOCK:
-                yield block_t, block, atoms[first:start], dist[first:start], size
-                block, first, size = [], start, 0
+            if start - first >= BLOCK or (start - first) * width >= 16 * BLOCK:
+                yield block, atoms[first:start], dist[first:start]
+                block, first = [], start
         if block:
-            yield block_t, block, atoms[first:start], dist[first:start], size
+            yield block, atoms[first:start], dist[first:start]
 
 
-def _check_stage(k: int, stage, dist: np.ndarray, movable: np.ndarray) -> None:
+def _check_stage(k: int, stage, dist: np.ndarray, movable: np.ndarray,
+                 T_per_move: float) -> None:
     """Raise ValueError, naming stage k, if its distances do not hold one
-    entry per atom, a static atom moves, or a CZ names a qubit out of range."""
+    entry per atom, a static atom moves, its move time is neither T_per_move
+    nor 0.0 for a stage that moves no atom, or a CZ names a qubit out of
+    range."""
     n = len(movable)
     if dist.shape != (n,):
         raise ValueError(f"stage {k}: distances_um has shape {dist.shape}, "
@@ -430,6 +401,10 @@ def _check_stage(k: int, stage, dist: np.ndarray, movable: np.ndarray) -> None:
         q = int(moved[~movable[moved]][0])
         raise ValueError(f"stage {k}: static atom {q} has move distance "
                          f"{float(dist[q])!r} um")
+    t = stage.move_time_s
+    if not (t == T_per_move or (t == 0.0 and not moved.size)):
+        raise ValueError(f"stage {k}: move_time_s {t!r} with {moved.size} atom(s) moved, "
+                         f"needs T_per_move ({T_per_move!r}), or 0.0 if no atom moves")
     for a, b in stage.cz:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")

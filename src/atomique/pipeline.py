@@ -85,7 +85,7 @@ def compile_circuit(
     routed = route_inter_array(basis, assignment)
     placement = place_atoms(routed.circuit, routed.assignment, config)
     schedule = route(routed, placement, config, serial=serial)
-    report, ledger = apply_schedule(schedule, params)
+    [(report, ledger)] = apply_schedule(schedule, [(params, None)])
     for stage, events in zip(schedule.stages, report.cooling):
         stage.cooling = events
     wall = time.perf_counter() - t0

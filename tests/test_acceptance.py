@@ -87,7 +87,7 @@ def test_criterion_03_decoherence_scaling():
         placement = {q: AtomCoord(0, q // 10, q % 10) for q in range(n)}
         stage = Stage([], [], [[]], [[]], [[]], np.zeros(n), CFG.T_per_move)
         sched = Schedule(CFG, placement, [stage], list(range(n)), [[]], [[]], 0)
-        report, _ = apply_schedule(sched, PARAMS)
+        [(report, _)] = apply_schedule(sched, [(PARAMS, None)])
         return report.F_mov_deco
 
     checks = [(10, 0.998), (50, 0.990), (100, 0.980)]
@@ -190,8 +190,8 @@ def test_criterion_09_sensitivity_shape():
     res = compile_circuit(circ, CFG, PARAMS)
     durations = [us * 1e-6 for us in range(100, 1001, 100)]
     totals = [
-        apply_schedule(res.schedule, PARAMS, T_per_move=t)[0].F_total
-        for t in durations
+        report.F_total
+        for report, _ in apply_schedule(res.schedule, [(PARAMS, t) for t in durations])
     ]
     best = totals.index(max(totals))
     assert 0 < best < len(totals) - 1, f"maximum sits at the {durations[best]} end"

@@ -93,6 +93,25 @@ def test_load_config_rejects_a_nan_or_a_non_int_size(key, value):
         load_config({key: value})
 
 
+@pytest.mark.parametrize("key", [
+    "D_site", "r_b", "T_per_move", "t_1Q", "t_2Q", "T1", "T_transfer", "x_zpf", "omega0",
+    "lambda", "n_vib_max", "n_cool_threshold"])
+def test_load_config_rejects_an_infinite_time_or_length(key):
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        load_config({key: float("inf")})
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        load_config({key: float("-inf")})
+
+
+def test_infinite_values_are_rejected_together_and_alone():
+    with pytest.raises(ValueError, match="^D_site must be finite$"):
+        load_config({"T_per_move": float("inf"), "D_site": float("inf")})
+    with pytest.raises(ValueError, match="^T1 must be finite$"):
+        HardwareParams(T1=float("inf"))
+    with pytest.raises(ValueError, match="^T_per_move must be finite$"):
+        ArchConfig(T_per_move=float("inf"))
+
+
 def test_atom_positions_mixed():
     cfg = ArchConfig()
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(1, 0, 0)}

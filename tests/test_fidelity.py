@@ -51,6 +51,12 @@ def single_cz_result():
     return compile_circuit(circ, CFG, PARAMS)
 
 
+def score(schedule, params, T_per_move=None, n_transfer=0):
+    """The (report, ledger) of scoring one point."""
+    [result] = apply_schedule(schedule, [(params, T_per_move)], n_transfer=n_transfer)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # heating per move
 # ---------------------------------------------------------------------------
@@ -126,7 +132,7 @@ def test_move_survival_monotone_in_temperature():
 
 def test_one_move_decoherence_scaling():
     for n, expect in [(10, 0.998), (50, 0.990), (100, 0.980)]:
-        report, ledger = apply_schedule(one_move_schedule(n), PARAMS)
+        report, ledger = score(one_move_schedule(n), PARAMS)
         assert report.F_mov_deco == pytest.approx(expect, abs=1e-3)
         assert report.F_mov_deco == pytest.approx(
             math.exp(-n * CFG.T_per_move / PARAMS.T1), rel=1e-12
@@ -136,7 +142,7 @@ def test_one_move_decoherence_scaling():
 
 def test_empty_schedule_is_perfect():
     empty = Schedule(CFG, {0: AtomCoord(0, 0, 0)}, [], [0], [[]], [[]], 0)
-    report, ledger = apply_schedule(empty, PARAMS)
+    report, ledger = score(empty, PARAMS)
     assert all(v == 1.0 for v in report.factors().values())
     assert report.F_total == 1.0
     assert execution_time(ledger) == 0.0
@@ -166,8 +172,8 @@ def test_pulse_time_counts_stages_plus_cooling_swaps():
 def test_cooling_event_adds_two_gate_times():
     res = single_cz_result()
     eager = dataclasses.replace(PARAMS, n_cool_threshold=0.0)
-    report, ledger = apply_schedule(res.schedule, eager)
-    report0, ledger0 = apply_schedule(res.schedule, PARAMS)
+    report, ledger = score(res.schedule, eager)
+    report0, ledger0 = score(res.schedule, PARAMS)
     assert report0.N_cooling == 0
     assert report.N_cooling == 1
     assert ledger.T_2Q_total - ledger0.T_2Q_total == pytest.approx(2 * PARAMS.t_2Q)
@@ -181,12 +187,12 @@ def test_cooling_events_annotated_on_stages():
     res = single_cz_result()
     before = schedule_to_dict(res.schedule)
     eager = dataclasses.replace(PARAMS, n_cool_threshold=0.0)
-    report, _ = apply_schedule(res.schedule, eager)
+    report, _ = score(res.schedule, eager)
     assert len(report.cooling) == len(res.schedule.stages)
     assert [c for c in report.cooling if c] == [[0]]
     # the events are reported, not written onto the schedule
     assert schedule_to_dict(res.schedule) == before
-    lenient, _ = apply_schedule(res.schedule, PARAMS)
+    lenient, _ = score(res.schedule, PARAMS)
     assert not any(lenient.cooling)
 
 
@@ -198,8 +204,8 @@ def test_scoring_leaves_the_schedule_unchanged():
     assert [s.cooling for s in res.schedule.stages] == res.report.cooling
     before = schedule_to_dict(res.schedule)
     for params in (PARAMS, dataclasses.replace(PARAMS, n_cool_threshold=0.0)):
-        first = apply_schedule(res.schedule, params)
-        second = apply_schedule(res.schedule, params)
+        first = score(res.schedule, params)
+        second = score(res.schedule, params)
         assert first == second
         assert schedule_to_dict(res.schedule) == before
 
@@ -208,8 +214,8 @@ def test_move_time_override_rescales_heating_and_clock():
     circ = WorkloadSpec("qaoa-rand", 10, seed=7, p=0.5).generate()
     res = compile_circuit(circ, CFG, PARAMS)
     moving = sum(1 for s in res.schedule.stages if s.move_time_s > 0)
-    rep_fast, led_fast = apply_schedule(res.schedule, PARAMS, T_per_move=150e-6)
-    rep_slow, led_slow = apply_schedule(res.schedule, PARAMS, T_per_move=600e-6)
+    rep_fast, led_fast = score(res.schedule, PARAMS, T_per_move=150e-6)
+    rep_slow, led_slow = score(res.schedule, PARAMS, T_per_move=600e-6)
     assert led_fast.T_move_total == pytest.approx(moving * 150e-6)
     assert led_slow.T_move_total == pytest.approx(moving * 600e-6)
     assert rep_slow.F_mov_heating >= rep_fast.F_mov_heating  # slower is gentler
@@ -217,7 +223,7 @@ def test_move_time_override_rescales_heating_and_clock():
 
 
 def test_transfer_operations_scored_for_external_schedules():
-    report, ledger = apply_schedule(one_move_schedule(10), PARAMS, n_transfer=3)
+    report, ledger = score(one_move_schedule(10), PARAMS, n_transfer=3)
     assert ledger.T_transfer_total == pytest.approx(3 * PARAMS.T_transfer)
     assert report.N_transfer == 3
     assert report.F_transfer == pytest.approx(
@@ -246,8 +252,8 @@ def test_more_stages_never_help():
     res = single_cz_result()
     once = res.schedule
     twice = dataclasses.replace(once, stages=once.stages * 2)
-    f_once, _ = apply_schedule(once, PARAMS)
-    f_twice, _ = apply_schedule(twice, PARAMS)
+    f_once, _ = score(once, PARAMS)
+    f_twice, _ = score(twice, PARAMS)
     assert f_twice.F_total < f_once.F_total
 
 
@@ -293,7 +299,7 @@ def test_move_duration_tradeoff_has_interior_optimum():
     durations = [us * 1e-6 for us in range(100, 1001, 100)]
     totals = []
     for t in durations:
-        rep, _ = apply_schedule(res.schedule, PARAMS, T_per_move=t)
+        rep, _ = score(res.schedule, PARAMS, T_per_move=t)
         totals.append(rep.F_total)
     best = totals.index(max(totals))
     assert 0 < best < len(totals) - 1
@@ -313,7 +319,7 @@ def score_repr(report, ledger):
 
 
 def assert_scores_like_the_walk(schedule, params, **kwargs):
-    got = apply_schedule(schedule, params, **kwargs)
+    got = score(schedule, params, **kwargs)
     want = score_reference.apply_schedule(schedule, params, **kwargs)
     assert score_repr(*got) == score_repr(*want)
     return got
@@ -326,11 +332,15 @@ def compiled_schedule(family, n, seed, relaxed, D_site):
                            seed=seed).schedule
 
 
+# move-time overrides that ArchConfig accepts: 1e-60 heats to ~1e223
+# quanta, 1e-150 overflows n_vib to inf
+OVERRIDES = st.one_of(st.none(), st.floats(1e-5, 2e-3), st.sampled_from([1e-9, 1e-60, 1e-150]))
+
+
 @st.composite
 def scored_schedules(draw):
-    """A compiled schedule (random family, size, relax set, pitch, maybe
-    varied move times, and maybe a few stages that do not move) and the
-    apply_schedule arguments to score it with."""
+    """A compiled schedule (random family, size, relax set, pitch, and maybe
+    a few idle stages) and the arguments to score it with at one point."""
     schedule = compiled_schedule(
         draw(st.sampled_from(FAMILIES)), 2 * draw(st.integers(2, 8)), draw(st.integers(0, 3)),
         draw(st.frozensets(st.sampled_from(["C1", "C2", "C3"]))),
@@ -341,21 +351,15 @@ def scored_schedules(draw):
         hw.update(f_2Q=0.5, lam=10.0)
     elif heat == "random":
         hw.update(f_2Q=draw(st.floats(0.5, 1.0)), lam=draw(st.floats(0.0, 20.0)))
-    if draw(st.booleans()):  # stages of an external schedule may differ in move time
-        schedule = dataclasses.replace(schedule, stages=[
-            dataclasses.replace(s, move_time_s=s.move_time_s * (1 + k % 3) / 2)
-            for k, s in enumerate(schedule.stages)])
-    # stages that do not move, among moving ones: they sit inside a block
-    # without heating it, and only a move may call for a cooling
-    still = draw(st.dictionaries(st.integers(1, max(1, len(schedule.stages) - 2)),
-                                 st.sampled_from([0.0, math.nan]), max_size=4))
+    # idle stages among moving ones, as route() writes them (no CZ, no move,
+    # move time 0.0): they sit inside a block without heating it, and only
+    # a move may call for a cooling
+    idle = draw(st.sets(st.integers(1, max(1, len(schedule.stages) - 2)), max_size=4))
     schedule = dataclasses.replace(schedule, stages=[
-        dataclasses.replace(s, move_time_s=still.get(k, s.move_time_s))
+        dataclasses.replace(s, cz=[], distances_um=np.zeros_like(s.distances_um),
+                            move_time_s=0.0) if k in idle else s
         for k, s in enumerate(schedule.stages)])
-    T_per_move = draw(st.one_of(
-        st.none(), st.floats(1e-5, 2e-3),
-        # 1e-60 heats to ~1e223 quanta, 1e-150 overflows n_vib to inf
-        st.sampled_from([0.0, 1e-9, 1e-60, 1e-150])))
+    T_per_move = draw(OVERRIDES)
     kwargs = {"T_per_move": T_per_move, "n_transfer": draw(st.integers(0, 5))}
     return schedule, dataclasses.replace(PARAMS, **hw), kwargs
 
@@ -387,8 +391,7 @@ def scored_batches(draw):
                                   ("f_2Q", st.floats(0.5, 1.0)),
                                   ("lam", st.floats(0.0, 20.0)),
                                   ("T1", st.floats(1e-3, 10.0)))}
-        T_per_move = draw(st.one_of(st.none(), st.sampled_from([0.0, math.nan, 1e-150]),
-                                    st.floats(1e-5, 2e-3)))
+        T_per_move = draw(OVERRIDES)
         points.append((dataclasses.replace(params, **hw), T_per_move))
     return schedule, points, kwargs["n_transfer"]
 
@@ -419,8 +422,17 @@ def test_a_batch_gives_each_point_its_own_report():
     assert first == second and first.cooling is not second.cooling
     assert any(first.cooling)
     assert apply_schedule(schedule, []) == []
-    with pytest.raises(TypeError, match="each point's T_per_move"):
-        apply_schedule(schedule, [(PARAMS, None)], T_per_move=1e-4)
+
+
+@pytest.mark.parametrize("T_per_move,message", [
+    (0.0, "T_per_move must be positive"), (-1e-4, "T_per_move must be positive"),
+    (math.nan, "T_per_move must be positive"), (math.inf, "T_per_move must be finite")])
+def test_a_move_time_override_is_checked_as_the_config_checks_it(T_per_move, message):
+    schedule = single_cz_result().schedule
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        score(schedule, PARAMS, T_per_move=T_per_move)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_schedule(schedule, [(PARAMS, None), (PARAMS, T_per_move)])
 
 
 def test_a_move_time_that_overflows_n_vib_gives_nan_like_the_walk():
@@ -493,9 +505,9 @@ def with_stage(schedule, k, **changes):
 def assert_rejected(bad, match):
     """Scoring rejects the schedule, alone and in a batch, with one message."""
     with pytest.raises(ValueError, match=match) as single:
-        apply_schedule(bad, PARAMS)
+        score(bad, PARAMS)
     with pytest.raises(ValueError) as batch:
-        apply_schedule(bad, [(PARAMS, None), (PARAMS, 1e-4), (PARAMS, 0.0)])
+        apply_schedule(bad, [(PARAMS, None), (PARAMS, 1e-4)])
     assert str(batch.value) == str(single.value)
 
 
@@ -526,14 +538,17 @@ def test_the_first_bad_stage_is_named_whatever_its_fault():
     static_first = with_stage(with_stage(schedule, j, distances_um=dist),
                               k, distances_um=np.zeros(2))
     with pytest.raises(ValueError, match=f"^stage {j}: static atom {q} has move distance 7.5"):
-        apply_schedule(static_first, PARAMS)
+        score(static_first, PARAMS)
     length_first = with_stage(with_stage(schedule, j, distances_um=np.zeros(2)),
                               k, distances_um=dist)
     with pytest.raises(ValueError, match=f"^stage {j}: distances_um has shape"):
-        apply_schedule(length_first, PARAMS)
+        score(length_first, PARAMS)
     cz_first = with_stage(with_stage(schedule, j, cz=[(0, 99)]), k, distances_um=dist)
     with pytest.raises(ValueError, match=rf"^stage {j}: cz \[0, 99\]"):
-        apply_schedule(cz_first, PARAMS)
+        score(cz_first, PARAMS)
+    time_first = with_stage(with_stage(schedule, j, move_time_s=1.5e-4), k, cz=[(0, 99)])
+    with pytest.raises(ValueError, match=f"^stage {j}: move_time_s 0.00015"):
+        score(time_first, PARAMS)
 
 
 def test_scoring_rejects_a_static_atom_that_moves():
@@ -544,3 +559,13 @@ def test_scoring_rejects_a_static_atom_that_moves():
     dist[q] = 15.0
     bad = with_stage(schedule, k, distances_um=dist)
     assert_rejected(bad, f"stage {k}: static atom {q} has move distance 15.0")
+
+
+@pytest.mark.parametrize("move_time_s", [1.5e-4, math.nan, 0.0])
+def test_scoring_rejects_a_move_time_route_does_not_write(move_time_s):
+    # a moving stage takes the config's T_per_move; 0.0 only moves no atom
+    schedule = single_cz_result().schedule
+    k = next(k for k, s in enumerate(schedule.stages) if (s.distances_um > 0).any())
+    bad = with_stage(schedule, k, move_time_s=move_time_s)
+    assert_rejected(bad, rf"^stage {k}: move_time_s {move_time_s!r} with 1 atom\(s\) moved, "
+                         rf"needs T_per_move \({CFG.T_per_move!r}\)")

@@ -621,6 +621,25 @@ def test_sweep_rejects_a_move_time_the_config_rejects(tmp_path, capsys, monkeypa
     assert not path.exists()
 
 
+def test_sweep_rejects_an_infinite_move_time(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    assert main(["sweep", "--param", "T_per_move", "--values=inf,3e-4",
+                 "--family", "qaoa-rand", "--n", "8", "-o", str(path)]) == 1
+    assert capsys.readouterr().err == "error: T_per_move must be finite\n"
+    assert not path.exists()
+
+
+def test_sweep_checks_the_qubit_count_before_generating(tmp_path, capsys):
+    # qaoa-rand generation is O(n^2): a huge --n must fail before it
+    path = tmp_path / "x.csv"
+    t0 = time.perf_counter()
+    assert main(["sweep", "--param", "T1", "--values", "1", "--family", "qaoa-rand",
+                 "--n", "100000", "-o", str(path)]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err == "error: 100000 qubits exceed total array capacity\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("param,values", [("T_per_move", "1e-4,3e-4,5e-4"),
                                           ("T1", "0.5,1.5,3.0"),
                                           ("n_cool_threshold", "0,1,15"),
@@ -641,9 +660,10 @@ def test_sweep_scores_every_point_in_one_call(tmp_path, monkeypatch, param, valu
                                seed=2).schedule
     for value, row in zip(sorted(float(v) for v in values.split(",")), rows):
         if param == "T_per_move":
-            report, ledger = apply_schedule(schedule, params, T_per_move=value)
+            [(report, ledger)] = apply_schedule(schedule, [(params, value)])
         else:
-            report, ledger = apply_schedule(schedule, dataclasses.replace(params, **{param: value}))
+            [(report, ledger)] = apply_schedule(
+                schedule, [(dataclasses.replace(params, **{param: value}), None)])
         assert row[1] == report.F_total
         assert row[header.index("execution_time_s")] == execution_time(ledger)
 
