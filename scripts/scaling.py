@@ -6,10 +6,12 @@
 The program is imported from the ``src/`` next to this script.  Each grid
 point generates one seeded circuit (seed 0) on d x d SLM and AOD arrays,
 d = max(10, ceil(sqrt(n / 3))), and times ``compile_circuit``, then
-``audit_schedule``, ``apply_schedule`` of one point (scoring) and of
-12 ``T_per_move`` points from 100 to 500 us in one call (what ``atomique
-sweep`` does) on the compiled schedule, k times each (k = 3 up to 300
-qubits, 1 above), keeping the fastest.  Every compile must give the same
+``schedule_from_dict(json.loads(text))`` of the schedule's JSON text
+(loading, as ``atomique audit`` does), ``audit_schedule``,
+``apply_schedule`` of one point (scoring) and of 12 ``T_per_move`` points
+from 100 to 500 us in one call (what ``atomique sweep`` does) on the
+compiled schedule, k times each (k = 3 up to 300 qubits, 1 above), keeping
+the fastest.  Every compile must give the same
 schedule and stats.  The sha256 of the schedule (its sorted-key JSON: the
 bytes of ``schedule.json`` less the final newline) and of the stats (their
 indent-2 sorted-key JSON, as in ``stats.json``, without
@@ -46,7 +48,11 @@ import numpy as np  # noqa: E402
 from atomique.arch import ArchConfig, HardwareParams  # noqa: E402
 from atomique.fidelity import apply_schedule  # noqa: E402
 from atomique.pipeline import compile_circuit  # noqa: E402
-from atomique.stage_router import audit_schedule, schedule_to_dict  # noqa: E402
+from atomique.stage_router import (  # noqa: E402
+    audit_schedule,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from atomique.workloads import WorkloadSpec  # noqa: E402
 
 # (family, generator keywords, qubit counts)
@@ -81,20 +87,23 @@ def run_point(family: str, kwargs: dict, n: int) -> dict:
     circuit = WorkloadSpec(family, n, seed=0, **kwargs).generate()
     k = 3 if n <= 300 else 1
     compile_s, compiled = best_of(k, lambda: compile_circuit(circuit, config, params, seed=0))
-    hashes = {sha256_json(schedule_to_dict(r.schedule)) for r in compiled}
+    texts = {json.dumps(schedule_to_dict(r.schedule), sort_keys=True) for r in compiled}
+    hashes = {hashlib.sha256(text.encode()).hexdigest() for text in texts}
     # the bytes `atomique compile` writes to stats.json, less the wall time
     stats_hashes = {sha256_json({key: v for key, v in r.stats.items()
                                  if key != "compile_wall_time_s"}, indent=2)
                     for r in compiled}
     if len(hashes) != 1 or len(stats_hashes) != 1:
         raise RuntimeError(f"{family} n={n}: repeated compiles gave different outputs")
-    schedule = compiled[0].schedule
+    schedule, text = compiled[0].schedule, texts.pop()
+    load_s, _ = best_of(k, lambda: schedule_from_dict(json.loads(text)))
     audit_s, audits = best_of(k, lambda: audit_schedule(schedule))
     score_s, _ = best_of(k, lambda: apply_schedule(schedule, [(params, None)]))
     sweep_s, _ = best_of(k, lambda: apply_schedule(schedule, [(params, t) for t in SWEEP]))
     return {
         "family": family, **kwargs, "n": n, "array_side": d, "k": k,
-        "compile_s": round(compile_s, 4), "audit_s": round(audit_s, 4),
+        "compile_s": round(compile_s, 4), "load_s": round(load_s, 4),
+        "audit_s": round(audit_s, 4),
         "score_s": round(score_s, 4), "score_sweep12_s": round(sweep_s, 4),
         "stages": len(schedule.stages), "audit_findings": len(audits[0]),
         "schedule_sha256": hashes.pop(), "stats_sha256": stats_hashes.pop(),
@@ -113,7 +122,8 @@ def main(argv=None) -> int:
             points.append(run_point(family, kwargs, n))
             p = points[-1]
             print(f"{family:13s} n={n:5d} d={p['array_side']:3d} k={p['k']} "
-                  f"compile {p['compile_s']:9.3f} s  audit {p['audit_s']:8.3f} s  "
+                  f"compile {p['compile_s']:9.3f} s  load {p['load_s']:8.3f} s  "
+                  f"audit {p['audit_s']:8.3f} s  "
                   f"score {p['score_s']:8.3f} s  sweep12 {p['score_sweep12_s']:8.3f} s  "
                   f"{p['schedule_sha256'][:12]} "
                   f"{p['stats_sha256'][:12]}", flush=True)

@@ -34,6 +34,7 @@ from .oracle import equivalent_up_to_permutation, simulate
 from .pipeline import CompileResult, compile_circuit
 from .stage_router import (
     DistanceMismatch,
+    MoveTimeMismatch,
     Schedule,
     Stage,
     audit_schedule,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -196,50 +197,69 @@ def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
     no entry), a lane or offset is not finite, or the stages' lists differ
     in length.
     """
-    n, k = len(placement), len(row_lanes)
-    rows, row_at = _lane_table(row_lanes)
-    cols, col_at = _lane_table(col_lanes)
-    offs, off_at = (np.zeros_like(cols), col_at) if col_offsets is None else _lane_table(col_offsets)
-    slm, slm_lanes, aod, ri, ci, oi = [], [], [], [], [], []
-    for q in range(n):
-        p = placement[q]
-        if p.array == 0:
-            slm.append(q)
-            slm_lanes.append((2 * p.col, 0.0, 2 * p.row))
-            continue
-        t = p.array - 1
-        aod.append(q)
-        ri.append(row_at(t, p.row))
-        ci.append(col_at(t, p.col))
-        oi.append(off_at(t, p.col))
-    out = np.empty((k, n, 3))
-    out[:, slm] = np.array(slm_lanes, dtype=np.float64).reshape(-1, 3)
-    out[:, aod, 0] = cols[:, ci]
-    out[:, aod, 1] = offs[:, oi]
-    out[:, aod, 2] = rows[:, ri]
-    lanes = out.reshape(k * n, 3)
-    if not np.isfinite(lanes).all():  # a None lane is NaN here
-        raise ValueError("an occupied AOD row or column has no lane, "
-                         "or a lane or offset that is not finite")
-    return lanes
+    return lane_gather(placement)(row_lanes, col_lanes, col_offsets)
 
 
-def _lane_table(per_stage):
+def lane_gather(placement: dict[int, AtomCoord]):
+    """`atom_lanes` for one placement, as a function of (row_lanes,
+    col_lanes, col_offsets=None).  It works out which table column each
+    atom reads once per set of list lengths, so a walk that gathers many
+    blocks of stages pays that per-atom work once, not once per block."""
+    sites = [placement[q] for q in range(len(placement))]
+    slm = [q for q, p in enumerate(sites) if p.array == 0]
+    aod = [q for q, p in enumerate(sites) if p.array != 0]
+    slm_lanes = np.array([(2 * sites[q].col, 0.0, 2 * sites[q].row) for q in slm],
+                         dtype=np.float64).reshape(-1, 3)
+    columns = {}  # (row, col, offset list lengths) -> each AOD atom's three columns
+
+    def gather(row_lanes, col_lanes, col_offsets=None) -> np.ndarray:
+        rows, row_widths = _lane_table(row_lanes)
+        cols, col_widths = _lane_table(col_lanes)
+        offs, off_widths = ((np.zeros_like(cols), col_widths) if col_offsets is None
+                            else _lane_table(col_offsets))
+        key = (row_widths, col_widths, off_widths)
+        if key not in columns:
+            columns[key] = (
+                [_column(row_widths, sites[q].array - 1, sites[q].row) for q in aod],
+                [_column(col_widths, sites[q].array - 1, sites[q].col) for q in aod],
+                [_column(off_widths, sites[q].array - 1, sites[q].col) for q in aod])
+        ri, ci, oi = columns[key]
+        out = np.empty((len(row_lanes), len(sites), 3))
+        out[:, slm] = slm_lanes
+        out[:, aod, 0] = cols[:, ci]
+        out[:, aod, 1] = offs[:, oi]
+        out[:, aod, 2] = rows[:, ri]
+        lanes = out.reshape(-1, 3)
+        if not np.isfinite(lanes).all():  # a None lane is NaN here
+            raise ValueError("an occupied AOD row or column has no lane, "
+                             "or a lane or offset that is not finite")
+        return lanes
+
+    return gather
+
+
+def _lane_table(per_stage) -> tuple[np.ndarray, tuple[int, ...]]:
     """(k, total) float array of each stage's per-AOD lists laid end to
-    end, and a function from (AOD, index) to the column of that entry."""
+    end, and the lengths of those lists (the same in every stage).
+
+    One flatten of the stages into their per-AOD lists gives both the
+    width check (every stage has the first stage's lists, of its lengths)
+    and, flattened once more, the table; a None entry becomes NaN."""
+    k = len(per_stage)
     widths = [len(v) for v in per_stage[0]] if per_stage else []
-    if any([len(v) for v in s] != widths for s in per_stage):
+    lists = list(chain.from_iterable(per_stage))
+    if set(map(len, per_stage)) - {len(widths)} or list(map(len, lists)) != widths * k:
         raise ValueError("stages differ in the number of lanes of an AOD")
-    table = np.array([[x for v in s for x in v] for s in per_stage],
-                     dtype=np.float64).reshape(len(per_stage), sum(widths))
-    starts = np.cumsum([0] + widths).tolist()
+    table = np.array(list(chain.from_iterable(lists)),
+                     dtype=np.float64).reshape(k, sum(widths))
+    return table, tuple(widths)
 
-    def at(t: int, i: int) -> int:
-        if not (0 <= t < len(widths) and 0 <= i < widths[t]):
-            raise ValueError("an occupied AOD row or column has no lane")
-        return starts[t] + i
 
-    return table, at
+def _column(widths: tuple[int, ...], t: int, i: int) -> int:
+    """The `_lane_table` column of entry i of AOD t's lists."""
+    if not (0 <= t < len(widths) and 0 <= i < widths[t]):
+        raise ValueError("an occupied AOD row or column has no lane")
+    return sum(widths[:t]) + i
 
 
 def atom_positions(lanes: np.ndarray, config: ArchConfig) -> np.ndarray:

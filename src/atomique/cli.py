@@ -2,7 +2,8 @@
 
 Subcommands: compile (QASM -> schedule.json + stats.json), gen (benchmark
 QASM files), sweep (hardware-parameter CSV), audit (re-check a schedule's
-geometry), check (compile + unitary equivalence), render (per-stage SVGs).
+geometry, move distances and move times), check (compile + unitary
+equivalence), render (per-stage SVGs).
 Machine outputs are JSON/CSV and byte-deterministic for a fixed (input,
 config, seed); the one exception is the compile_wall_time_s stats field.
 """
@@ -21,10 +22,11 @@ from .array_mapper import partition_capacities
 from .fidelity import apply_schedule, execution_time
 from .circuit import parse_qasm, to_qasm
 from .oracle import MAX_ORACLE_QUBITS, equivalent_up_to_permutation
-from .pipeline import compile_circuit
+from .pipeline import build_schedule, compile_circuit
 from .render import render_schedule
 from .stage_router import (
     DistanceMismatch,
+    MoveTimeMismatch,
     audit_schedule,
     schedule_from_dict,
     schedule_to_circuit,
@@ -158,8 +160,8 @@ def cmd_sweep(args) -> int:
         else:
             points = [(dataclasses.replace(params, **{args.param: v}), None)
                       for v in values]
-        base = compile_circuit(circuit, config, params, seed=args.seed)
-        results = apply_schedule(base.schedule, points)
+        *_, schedule = build_schedule(circuit, config, seed=args.seed)
+        results = apply_schedule(schedule, points)
 
     factor_names = ("F_1Q", "F_2Q", "F_transfer", "F_mov_heating",
                     "F_mov_loss", "F_mov_cooling", "F_mov_deco")
@@ -186,6 +188,9 @@ def cmd_audit(args) -> int:
     for k, v in findings[:20]:
         if isinstance(v, DistanceMismatch):
             print(f"stage {k}: atom {v.q} distances_um {v.stored_um!r}, lanes give {v.lanes_um!r}")
+        elif isinstance(v, MoveTimeMismatch):
+            print(f"stage {k}: move_time_s {v.stored_s!r}, "
+                  f"its gates and moves need {v.needed_s!r}")
         else:
             print(f"stage {k}: atoms {v.i},{v.j} {v.kind} at {v.distance_um:.3f} um")
     print(f"{len(findings)} violation(s) across {len(schedule.stages)} stage(s)")
@@ -213,12 +218,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="atomique",
-                                  description="compiler for reconfigurable atom arrays")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compile", help="compile QASM to a movement schedule")
+def _compile_command(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="OpenQASM 2 file")
     p.add_argument("-o", "--out-dir", default=".")
     p.add_argument("--emit-qasm", action="store_true",
@@ -226,12 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     _compile_args(p)
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("gen", help="generate a benchmark circuit as QASM")
+
+def _gen_command(p: argparse.ArgumentParser) -> None:
     _workload_args(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("sweep", help="hardware parameter sweep to CSV")
+
+def _sweep_command(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True,
                    help="comma-separated values (seconds for times, um for D_site)")
@@ -240,24 +242,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("audit", help="re-run the geometry audit on a schedule")
+
+def _audit_command(p: argparse.ArgumentParser) -> None:
     p.add_argument("schedule", help="schedule.json")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("check", help="compile and verify unitary equivalence")
+
+def _check_command(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="OpenQASM 2 file (<= 10 qubits)")
     _compile_args(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("render", help="draw per-stage SVG frames")
+
+def _render_command(p: argparse.ArgumentParser) -> None:
     p.add_argument("schedule", help="schedule.json")
     p.add_argument("-o", "--out-dir", default="frames")
     p.set_defaults(func=cmd_render)
+
+
+# subcommand -> (its help, the function adding its arguments)
+COMMANDS = {
+    "compile": ("compile QASM to a movement schedule", _compile_command),
+    "gen": ("generate a benchmark circuit as QASM", _gen_command),
+    "sweep": ("hardware parameter sweep to CSV", _sweep_command),
+    "audit": ("re-run the geometry audit on a schedule", _audit_command),
+    "check": ("compile and verify unitary equivalence", _check_command),
+    "render": ("draw per-stage SVG frames", _render_command),
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The `atomique` parser.  Every subcommand is registered with its
+    help, so the top-level usage, help and errors list them all; only the
+    subcommands in `commands` (all when None) get their arguments, -h
+    included.  A subcommand without them must not be parsed."""
+    top = argparse.ArgumentParser(prog="atomique",
+                                  description="compiler for reconfigurable atom arrays")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        wanted = commands is None or name in commands
+        p = sub.add_parser(name, help=help_text, add_help=wanted)
+        if wanted:
+            add_arguments(p)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is one of the words of argv: only the subcommands argv
+    # names need their arguments, all of them when it names none
+    args = build_parser(set(argv) & COMMANDS.keys() or None).parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,10 +1,11 @@
 """Full compile pipeline: circuit in, scored movement schedule out.
 
 Order: basis lowering -> interaction-frequency graph -> array partition ->
-inter-array SWAP routing -> slot placement -> stage routing -> fidelity
-scoring.  Everything downstream of parsing is deterministic for a fixed
-(circuit, config, seed), so the emitted schedule and stats are reproducible
-byte for byte (wall time aside).
+inter-array SWAP routing -> slot placement -> stage routing (together
+`build_schedule`) -> fidelity scoring (`compile_circuit` adds it).
+Everything downstream of parsing is deterministic for a fixed (circuit,
+config, seed), so the emitted schedule and stats are reproducible byte for
+byte (wall time aside).
 """
 
 from __future__ import annotations
@@ -46,26 +47,24 @@ class CompileResult:
     stats: dict
 
 
-def compile_circuit(
+def build_schedule(
     circuit: Circuit,
     config: ArchConfig,
-    params: HardwareParams | None = None,
     *,
     seed: int = 0,
     serial: bool = False,
     order: str = "weight",
     mapper: str = "greedy",
-) -> CompileResult:
-    """Run the whole pipeline and score the result.
+) -> tuple[Circuit, np.ndarray, RoutedCircuit, Placement, Schedule]:
+    """The schedule-building half of the pipeline: lower, map, SWAP-route,
+    place and stage-route, with no scoring.  Returns the basis-lowered
+    circuit, the qubit -> array assignment, the routed circuit, the
+    placement and the schedule.
 
     mapper="random" replaces the greedy partitioner with a seeded uniform
     slot assignment (the ablation baseline); everything downstream is shared.
     Constraint relaxations come from ``config.relaxed``.
     """
-    if params is None:
-        params = HardwareParams()
-    t0 = time.perf_counter()
-
     # checked before lowering, which keeps the qubit count: a register
     # broadcast (`h q;`) is one gate per qubit, so lowering an over-capacity
     # input first could take seconds
@@ -84,12 +83,33 @@ def compile_circuit(
 
     routed = route_inter_array(basis, assignment)
     placement = place_atoms(routed.circuit, routed.assignment, config)
-    schedule = route(routed, placement, config, serial=serial)
+    return (basis, assignment, routed, placement,
+            route(routed, placement, config, serial=serial))
+
+
+def compile_circuit(
+    circuit: Circuit,
+    config: ArchConfig,
+    params: HardwareParams | None = None,
+    *,
+    seed: int = 0,
+    serial: bool = False,
+    order: str = "weight",
+    mapper: str = "greedy",
+) -> CompileResult:
+    """Run the whole pipeline: `build_schedule`, then score the schedule
+    at `params` and the config's move time, and gather the stats."""
+    if params is None:
+        params = HardwareParams()
+    t0 = time.perf_counter()
+    basis, assignment, routed, placement, schedule = build_schedule(
+        circuit, config, seed=seed, serial=serial, order=order, mapper=mapper)
     [(report, ledger)] = apply_schedule(schedule, [(params, None)])
     for stage, events in zip(schedule.stages, report.cooling):
         stage.cooling = events
     wall = time.perf_counter() - t0
 
+    n = circuit.n_qubits
     in_stats = circuit_stats(basis)
     stats = {
         "schema_version": 1,

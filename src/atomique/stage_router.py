@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import lt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .arch import (
     arch_to_dict,
     atom_lanes,
     atom_positions,
+    lane_gather,
     load_config,
     min_separation_audit,
     move_distances,
@@ -503,10 +505,11 @@ def _audit_walk(placement: Placement, config: ArchConfig, initial_rows, initial_
     CZ qubit outside range(n)."""
     n = len(placement)
     per_block = max(1, AUDIT_BLOCK // max(n, 1))
-    prev = atom_lanes(placement, [initial_rows], [initial_cols])
+    gather = lane_gather(placement)
+    prev = gather([initial_rows], [initial_cols])
     for k0 in range(0, len(stages), per_block):
         czs, rows, cols, offsets = zip(*stages[k0:k0 + per_block])
-        lanes = atom_lanes(placement, rows, cols, offsets)
+        lanes = gather(rows, cols, offsets)
         moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
         pairs = []
         for k, cz in enumerate(czs):
@@ -538,23 +541,40 @@ class DistanceMismatch:
     lanes_um: float
 
 
+class MoveTimeMismatch(NamedTuple):
+    """A stored move time other than the stage needs: `T_per_move` for a
+    stage that has a CZ or whose lanes move an atom, 0.0 for any other.
+    (A NamedTuple: it costs a fraction of a dataclass to define at import.)"""
+    stored_s: float
+    needed_s: float
+
+
 def audit_schedule(schedule: Schedule) -> list:
     """(stage index, finding) pairs over the whole schedule; empty = legal.
 
-    Findings are separation violations (`Violation`) and stored move
+    Findings are separation violations (`Violation`), stored move
     distances that are not exactly the ones the lanes give, starting from
-    the initial lanes (`DistanceMismatch`): per stage, its violations in
-    pair order, then its mismatches in qubit order.
+    the initial lanes (`DistanceMismatch`), and stored move times that are
+    not exactly the ones the stage needs (`MoveTimeMismatch`): per stage,
+    its violations in pair order, then its distance mismatches in qubit
+    order, then its move-time mismatch.
     """
     stages, findings = schedule.stages, []
     per_stage = [(s.cz, s.row_lanes, s.col_lanes, s.col_offsets) for s in stages]
+    T_per_move = schedule.config.T_per_move
     for k0, moved, found in _audit_walk(schedule.placement, schedule.config,
                                         schedule.initial_row_lanes,
                                         schedule.initial_col_lanes, per_stage):
-        stored = np.array([s.distances_um for s in stages[k0:k0 + len(moved)]])
+        block = stages[k0:k0 + len(moved)]
+        stored = np.array([s.distances_um for s in block])
         found += [(k0 + k, DistanceMismatch(q, float(stored[k, q]), float(moved[k, q])))
                   for k, q in np.argwhere(stored != moved).tolist()]
-        found.sort(key=lambda f: f[0])  # stable: violations stay before mismatches
+        times = np.array([s.move_time_s for s in block], dtype=float)
+        needed = np.where(np.array([bool(s.cz) for s in block]) | moved.any(axis=1),
+                          T_per_move, 0.0)
+        found += [(k0 + k, MoveTimeMismatch(float(times[k]), float(needed[k])))
+                  for k in np.flatnonzero(times != needed).tolist()]
+        found.sort(key=lambda f: f[0])  # stable: keeps the order above within a stage
         findings += found
     return findings
 
@@ -755,6 +775,89 @@ def _aod_lists(where: str, aods, n_aod: int, *keys: str) -> list:
     return out
 
 
+# stages per block of the loader's type pass
+LOAD_BLOCK = 64
+
+
+def _load_stage(k: int, s: dict, n: int, n_aod: int) -> Stage:
+    """Stage k, with each check run on it alone, in the loader's order:
+    distances_um, move_time_s, cz, raman, cooling, then the lanes."""
+    if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
+        raise ValueError(f"stage {k}: distances_um needs one number per qubit")
+    if type(s["move_time_s"]) not in _NUMBER:
+        raise ValueError(f"stage {k}: move_time_s {s['move_time_s']!r} is not a number")
+    cz, named = [], set()
+    for a, b in s["cz"]:
+        if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
+            raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct int qubits "
+                             f"in range({n}) that no other cz of the stage names")
+        named |= {a, b}
+        cz.append((a, b))
+    raman = [[Gate("u", (q,), tuple(params)) for q, *params in layer]
+             for layer in s["raman"]]
+    for q in (g.qubits[0] for layer in raman for g in layer):
+        if not _is_index(q, n):
+            raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
+    angles = [g.params for layer in raman for g in layer]
+    if (set(map(len, angles)) - {3}
+            or not set(map(type, chain.from_iterable(angles))) <= _NUMBER):
+        raise ValueError(f"stage {k}: raman gates need three numeric angles each")
+    if not all(_is_index(t, n_aod) for t in s["cooling"]):
+        raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
+                         f"indices in range({n_aod})")
+    lanes = _aod_lists(f"stage {k}", s["aod"], n_aod, "row_lanes", "col_lanes", "col_offsets_um")
+    return Stage(raman, cz, *lanes, np.asarray(s["distances_um"], dtype=float),
+                 float(s["move_time_s"]), list(s["cooling"]))
+
+
+def _in_range(values: list, bound: int) -> bool:
+    """Whether every value is an int (a bool is not) in range(bound)."""
+    return (set(map(type, values)) <= {int}
+            and (not values or (min(values) >= 0 and max(values) < bound)))
+
+
+def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[Stage]:
+    """The stages of `block`, the first of them stage k0, built and then
+    checked in one pass over the block: its chained distances, move
+    times, lanes, offsets, cz and raman qubits, raman angles and cooling
+    entries each by one type and range check, its distances by one
+    `np.array`.  Only each stage's cz pairs are checked on their own
+    (no qubit twice).  When the pass fails, or an entry is malformed,
+    `_load_stage` loads the block stage by stage, and so raises for the
+    first bad stage what the loader always raised."""
+    flat = chain.from_iterable
+    try:
+        aods = [s["aod"] for s in block]
+        rows, cols, offs = ([[list(a[key]) for a in aod] for aod in aods]
+                            for key in ("row_lanes", "col_lanes", "col_offsets_um"))
+        dist = [s["distances_um"] for s in block]
+        czs = [[(a, b) for a, b in s["cz"]] for s in block]
+        ramans = [[[Gate("u", (q,), tuple(params)) for q, *params in layer]
+                   for layer in s["raman"]] for s in block]
+        coolings = [list(s["cooling"]) for s in block]
+        gates = list(flat(flat(ramans)))
+        angles = [g.params for g in gates]
+        passed = (all(len(a) == n_aod for a in aods)
+                  and all(len(v) == n for v in dist)
+                  and set(map(type, flat(dist))) <= _NUMBER
+                  and set(map(type, (s["move_time_s"] for s in block))) <= _NUMBER
+                  and set(map(type, flat(flat(chain(rows, cols))))) <= _LANE
+                  and set(map(type, flat(flat(offs)))) <= _NUMBER
+                  and _in_range([g.qubits[0] for g in gates] + list(flat(flat(czs))), n)
+                  and all(len(set(flat(cz))) == 2 * len(cz) for cz in czs)
+                  and set(map(len, angles)) <= {3}
+                  and set(map(type, flat(angles))) <= _NUMBER
+                  and _in_range(list(flat(coolings)), n_aod))
+        distances = np.array(dist, dtype=float).reshape(len(block), n) if passed else None
+    except (KeyError, TypeError, ValueError, OverflowError):  # a malformed entry
+        passed = False
+    if not passed:
+        return [_load_stage(k0 + i, s, n, n_aod) for i, s in enumerate(block)]
+    return [Stage(*fields, float(s["move_time_s"]), cooling)
+            for s, *fields, cooling in zip(block, ramans, czs, rows, cols, offs, distances,
+                                           coolings)]
+
+
 def schedule_from_dict(d: dict) -> Schedule:
     """Rebuild a Schedule from its JSON form (audit / render / check).
 
@@ -767,14 +870,17 @@ def schedule_from_dict(d: dict) -> Schedule:
     by int entries; also on a non-number `move_time_s`, `distances_um` or
     `col_offsets_um` entry, a lane neither int nor null, an `aod` list of
     other than n_aod entries, a raman gate without three numeric angles,
-    or an `overlap_rejections` not an int >= 0 (a bool is no int)."""
+    or an `overlap_rejections` not an int >= 0 (a bool is no int).
+
+    Stages are checked in blocks of LOAD_BLOCK (`_load_block`): one type
+    pass per block, and stage by stage only where the pass fails, so the
+    first bad stage and its message are those of a stage-by-stage load."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
-    placement = {}
+    placement, shapes = {}, [config.array_shape(a) for a in range(config.n_arrays)]
     for q, (a, r, c) in enumerate(d["placement"]):
-        if not (_is_index(a, config.n_arrays)
-                and all(map(_is_index, (r, c), config.array_shape(a)))):
+        if not (_is_index(a, config.n_arrays) and all(map(_is_index, (r, c), shapes[a]))):
             raise ValueError(f"placement {q}: {[a, r, c]!r} needs an int array in "
                              f"range({config.n_arrays}) and an int row and col inside it")
         placement[q] = AtomCoord(a, r, c)
@@ -783,35 +889,9 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
     if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
         raise ValueError(f"perm is not a permutation of range({n})")
-    stages = []
-    for k, s in enumerate(d["stages"]):
-        if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
-            raise ValueError(f"stage {k}: distances_um needs one number per qubit")
-        if type(s["move_time_s"]) not in _NUMBER:
-            raise ValueError(f"stage {k}: move_time_s {s['move_time_s']!r} is not a number")
-        cz, named = [], set()
-        for a, b in s["cz"]:
-            if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
-                raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct int qubits "
-                                 f"in range({n}) that no other cz of the stage names")
-            named |= {a, b}
-            cz.append((a, b))
-        raman = [[Gate("u", (q,), tuple(params)) for q, *params in layer]
-                 for layer in s["raman"]]
-        for q in (g.qubits[0] for layer in raman for g in layer):
-            if not _is_index(q, n):
-                raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
-        angles = [g.params for layer in raman for g in layer]
-        if (set(map(len, angles)) - {3}
-                or not set(map(type, chain.from_iterable(angles))) <= _NUMBER):
-            raise ValueError(f"stage {k}: raman gates need three numeric angles each")
-        if not all(_is_index(t, config.n_aod) for t in s["cooling"]):
-            raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
-                             f"indices in range({config.n_aod})")
-        lanes = _aod_lists(f"stage {k}", s["aod"], config.n_aod,
-                           "row_lanes", "col_lanes", "col_offsets_um")
-        stages.append(Stage(raman, cz, *lanes, np.asarray(s["distances_um"], dtype=float),
-                            float(s["move_time_s"]), list(s["cooling"])))
+    raw, stages = d["stages"], []
+    for k0 in range(0, len(raw), LOAD_BLOCK):
+        stages += _load_block(k0, raw[k0:k0 + LOAD_BLOCK], n, config.n_aod)
     rejections = d["metrics"]["overlap_rejections"]
     if type(rejections) is not int or rejections < 0:
         raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")

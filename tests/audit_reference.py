@@ -1,14 +1,15 @@
 """Per-stage reference for `atomique.stage_router.audit_schedule`.
 
 The audit as it was before stages were audited in blocks: one lane array,
-one separation scan and one move-distance check per stage.  The package's
+one separation scan, one move-distance check and one move-time check per
+stage (the move-time rule was added to both audits later).  The package's
 block audit must return equal findings, by `repr`, on any schedule.
 """
 
 import numpy as np
 
 from atomique.arch import atom_positions, min_separation_audit, move_distances
-from atomique.stage_router import DistanceMismatch
+from atomique.stage_router import DistanceMismatch, MoveTimeMismatch
 
 
 def atom_lanes(placement, row_lanes, col_lanes, col_offsets=None) -> np.ndarray:
@@ -60,5 +61,8 @@ def audit_schedule(schedule) -> list:
         if wrong.any():
             findings += [(k, DistanceMismatch(int(q), float(s.distances_um[q]), float(moved[q])))
                          for q in np.flatnonzero(wrong)]
+        needed = config.T_per_move if (s.cz or moved.any()) else 0.0
+        if s.move_time_s != needed:
+            findings.append((k, MoveTimeMismatch(float(s.move_time_s), needed)))
         prev = lanes
     return findings

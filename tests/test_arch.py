@@ -11,6 +11,7 @@ from atomique.arch import (
     HardwareParams,
     arch_to_dict,
     atom_lanes,
+    lane_gather,
     atom_positions,
     load_config,
     min_separation_audit,
@@ -155,6 +156,19 @@ def test_atom_lanes_rejects_lane_lists_that_do_not_line_up():
         atom_lanes(placement, [[[1], [3, 5]], [[1, 3], [5]]], [[[1], [3]]] * 2)
     with pytest.raises(ValueError, match="no lane"):  # AOD 2 has no row 1
         atom_lanes(placement, [[[1], [3]]], [[[1], [3]]])
+
+
+def test_a_lane_gather_follows_list_lengths_that_change_between_calls():
+    # the per-atom columns are worked out once per set of list lengths
+    placement = {0: AtomCoord(1, 0, 1), 1: AtomCoord(0, 2, 3), 2: AtomCoord(2, 0, 0)}
+    gather = lane_gather(placement)
+    short = ([[[1], [7]]], [[[3, 5], [9]]], [[[0.5, -0.5], [0.25]]])
+    longer = ([[[1, None], [7]]], [[[None, 5, 3], [11, None]]], None)
+    for args in (short, longer, short):
+        assert gather(*args).tobytes() == atom_lanes(placement, *args).tobytes()
+    assert gather(*longer).tolist() == [[5.0, 0.0, 1.0], [6.0, 0.0, 4.0], [11.0, 0.0, 7.0]]
+    with pytest.raises(ValueError, match="no lane"):  # AOD 0 has no column 1
+        gather([[[1], [7]]], [[[3], [9]]])
 
 
 def test_move_distances_come_from_lane_deltas():

@@ -466,6 +466,39 @@ def test_audit_command_rejects_overlap_rejections_that_are_not_a_count(tmp_path,
     assert err == f"error: metrics: overlap_rejections {value!r} is not an int >= 0\n"
 
 
+def _gating(doc):
+    k = next(k for k, s in enumerate(doc["stages"]) if s["cz"])
+    doc["stages"][k]["move_time_s"] = 0.0
+    return k, 0.0, 3e-4
+
+
+def _idle(doc):
+    # a copy of the last stage without gates: its lanes are the last
+    # stage's, so no atom moves
+    idle = {**doc["stages"][-1], "cz": [], "raman": [], "cooling": [], "move_time_s": 3e-4}
+    idle["distances_um"] = [0.0] * len(idle["distances_um"])
+    doc["stages"].append(idle)
+    return len(doc["stages"]) - 1, 3e-4, 0.0
+
+
+def _moving(doc):
+    k = next(k for k, s in enumerate(doc["stages"]) if any(s["distances_um"]))
+    doc["stages"][k]["move_time_s"] = 1.5e-4
+    return k, 1.5e-4, 3e-4
+
+
+@pytest.mark.parametrize("edit", [_gating, _idle, _moving])
+def test_audit_command_flags_a_move_time_the_stage_does_not_need(tmp_path, capsys, edit):
+    # T_per_move (3e-4 s here) exactly when a stage gates or moves, else 0.0
+    found = []
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, lambda doc: found.append(edit(doc)))
+    [(k, stored, needed)] = found
+    assert rc == 1 and err == ""
+    assert out.splitlines()[0] == (f"stage {k}: move_time_s {stored!r}, "
+                                   f"its gates and moves need {needed!r}")
+    assert out.splitlines()[-1].startswith("1 violation(s)")
+
+
 def test_check_command_verifies_unitary(tmp_path, capsys):
     qasm = write_benchmark(tmp_path)
     assert main(["check", str(qasm)]) == 0
@@ -579,6 +612,25 @@ def test_sweep_move_time_columns_and_ordering(tmp_path):
     # longer moves take longer wall clock
     times = [r[header.index("execution_time_s")] for r in rows]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("param", ["T_per_move", "f_2Q", "n_cool_threshold", "T1"])
+def test_sweep_scores_only_its_own_points(tmp_path, monkeypatch, param):
+    # a rescoring sweep builds the schedule without scoring the default
+    # point: the one scoring call is its own, with every point in it
+    from atomique import cli, pipeline
+
+    def default_point(*args, **kwargs):
+        raise AssertionError("the sweep scored the default point")
+    calls = []
+
+    def own_points(schedule, points, **kwargs):
+        calls.append(len(points))
+        return apply_schedule(schedule, points, **kwargs)
+    monkeypatch.setattr(pipeline, "apply_schedule", default_point)
+    monkeypatch.setattr(cli, "apply_schedule", own_points)
+    sweep(tmp_path, param, "0.5,1.0,0.9")
+    assert calls == [3]
 
 
 def test_sweep_gate_fidelity_is_monotone(tmp_path):

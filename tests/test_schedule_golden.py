@@ -22,7 +22,7 @@ from atomique.arch import load_config
 from atomique.circuit import to_qasm
 from atomique.cli import SWEEP_PARAMS, main
 from atomique.pipeline import compile_circuit
-from atomique.stage_router import schedule_to_dict
+from atomique.stage_router import audit_schedule, schedule_from_dict, schedule_to_dict
 from atomique.workloads import WorkloadSpec
 
 CIRCUITS = {
@@ -223,17 +223,19 @@ GOLDEN_SWEEP = {
 
 
 @functools.lru_cache(maxsize=None)
-def compile_hashes(circuit_name: str, flags: str) -> tuple[str, str]:
-    """(schedule sha256, stats.json sha256 without compile_wall_time_s)."""
+def compile_hashes(circuit_name: str, flags: str) -> tuple[str, str, str]:
+    """(schedule sha256, stats.json sha256 without compile_wall_time_s,
+    the schedule.json text)."""
     relaxed, kwargs = FLAGS[flags]
     cfg, params = load_config({})
     cfg = dataclasses.replace(cfg, relaxed=frozenset(relaxed))
     res = compile_circuit(CIRCUITS[circuit_name].generate(), cfg, params, seed=1, **kwargs)
-    blob = json.dumps(schedule_to_dict(res.schedule), sort_keys=True).encode()
+    text = json.dumps(schedule_to_dict(res.schedule), sort_keys=True)
+    blob = text.encode()
     stats = {k: v for k, v in res.stats.items() if k != "compile_wall_time_s"}
     # the bytes `atomique compile` writes to stats.json
     stats_blob = (json.dumps(stats, indent=2, sort_keys=True) + "\n").encode()
-    return hashlib.sha256(blob).hexdigest(), hashlib.sha256(stats_blob).hexdigest()
+    return hashlib.sha256(blob).hexdigest(), hashlib.sha256(stats_blob).hexdigest(), text
 
 
 def sweep_hash(param: str, out_dir) -> str:
@@ -258,6 +260,13 @@ def test_schedule_bytes_match_the_golden_hash(circuit_name, flags):
 @pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN_STATS))
 def test_stats_bytes_match_the_golden_hash(circuit_name, flags):
     assert compile_hashes(circuit_name, flags)[1] == GOLDEN_STATS[(circuit_name, flags)]
+
+
+@pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN))
+def test_every_golden_schedule_audits_clean_after_loading(circuit_name, flags):
+    # geometry, stored distances and move times, from the saved file
+    text = compile_hashes(circuit_name, flags)[2]
+    assert audit_schedule(schedule_from_dict(json.loads(text))) == []
 
 
 @pytest.mark.parametrize("param", sorted(SWEEP_VALUES))
