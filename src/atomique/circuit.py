@@ -13,6 +13,7 @@ import ast
 import math
 import operator
 import re
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -142,8 +143,11 @@ def parse_qasm(text: str, max_qubits: int | None = None) -> Circuit:
     """
     # strip comments but keep newlines for line numbering
     clean = re.sub(r"//[^\n]*", "", text)
+    # parameters run to the last ')' before the arguments; with re.S the
+    # first ')' tried from the end matches, so matching stays linear
+    gate_statement = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s+(.+)$", re.S)
     circuit: Circuit | None = None
-    qreg_name = None
+    qreg_name = qubit_arg = None
     warned_measure = False
 
     pos = 0
@@ -175,6 +179,7 @@ def parse_qasm(text: str, max_qubits: int | None = None) -> Circuit:
                 raise ParseError(f"line {line}: qreg of {n} qubits exceeds the limit "
                                  f"of {max_qubits}")
             circuit = Circuit(n)
+            qubit_arg = re.compile(rf"^{qreg_name}\s*\[\s*(\d+)\s*\]$")
             continue
         if stmt.startswith("measure"):
             if not warned_measure:
@@ -184,16 +189,14 @@ def parse_qasm(text: str, max_qubits: int | None = None) -> Circuit:
         if stmt.startswith("if"):
             raise ParseError(f"line {line}: classical control is not supported")
 
-        # parameters run to the last ')' before the arguments; with re.S the
-        # first ')' tried from the end matches, so matching stays linear
-        m = re.match(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s+(.+)$", stmt, re.S)
+        m = gate_statement.match(stmt)
         if not m:
             raise ParseError(f"line {line}: cannot parse statement {stmt!r}")
         name, paramstr, argstr = m.group(1), m.group(2), m.group(3)
         if circuit is None:
             raise ParseError(f"line {line}: gate before qreg declaration")
         params = [_eval_param(p, line) for p in paramstr.split(",")] if paramstr else []
-        qubits = _parse_args(argstr, qreg_name, circuit.n_qubits, line)
+        qubits = _parse_args(argstr, qreg_name, qubit_arg, circuit.n_qubits, line)
 
         if name == "barrier":
             circuit.add("barrier", tuple(qubits))
@@ -215,11 +218,14 @@ def parse_qasm(text: str, max_qubits: int | None = None) -> Circuit:
     return circuit
 
 
-def _parse_args(argstr: str, qreg_name: str | None, n: int, line: int) -> list[int]:
+def _parse_args(argstr: str, qreg_name: str, qubit_arg: re.Pattern, n: int,
+                line: int) -> list[int]:
+    """The qubits an argument list names: `qubit_arg` matches one qubit of
+    the register `qreg_name` (``q[3]``); the bare name is all n of them."""
     qubits: list[int] = []
     for arg in argstr.split(","):
         arg = arg.strip()
-        m = re.match(rf"^{qreg_name}\s*\[\s*(\d+)\s*\]$", arg)
+        m = qubit_arg.match(arg)
         if m:
             idx = int(m.group(1))
             if idx >= n:
@@ -237,6 +243,7 @@ def _parse_args(argstr: str, qreg_name: str | None, n: int, line: int) -> list[i
 # ---------------------------------------------------------------------------
 
 _ID2 = np.eye(2, dtype=np.complex128)
+_ANGLES = struct.Struct("3d")
 _H = u3_matrix(*_FIXED_1Q["h"])
 
 
@@ -255,9 +262,16 @@ def to_basis(c: Circuit) -> Circuit:
     one-qubit gates on the same qubit are folded into a single Euler-angle
     gate; fusions that reach the identity are dropped.  Barriers flush all
     pending one-qubit matrices and are kept as fences.
+
+    Each distinct gate matrix is built once, and each distinct fused matrix
+    lowered once, per call: the caches are keyed by every bit their values
+    are computed from (the packed angles, so 0.0 and -0.0 stay apart; the
+    fused matrix's bytes), so the output is what computing each anew gives.
     """
     out = Circuit(c.n_qubits)
     pending: dict[int, np.ndarray] = {}
+    matrices: dict[bytes, np.ndarray] = {}  # packed angles -> u3_matrix
+    lowered: dict[bytes, tuple | None] = {}  # fused matrix -> angles, None if identity
 
     def absorb(q: int, m: np.ndarray) -> None:
         pending[q] = m @ pending.get(q, _ID2)
@@ -265,8 +279,14 @@ def to_basis(c: Circuit) -> Circuit:
     def flush(qs) -> None:
         for q in sorted(qs):
             m = pending.pop(q, None)
-            if m is not None and not _is_identity(m):
-                out.add("u", (q,), euler_angles(m))
+            if m is None:
+                continue
+            key = m.tobytes()
+            if key not in lowered:
+                lowered[key] = None if _is_identity(m) else euler_angles(m)
+            angles = lowered[key]
+            if angles is not None:
+                out.add("u", (q,), angles)
 
     def emit_cx(ctl: int, tgt: int) -> None:
         absorb(tgt, _H)
@@ -276,7 +296,11 @@ def to_basis(c: Circuit) -> Circuit:
 
     for g in c.gates:
         if g.kind == "u":
-            absorb(g.qubits[0], u3_matrix(*g.params))
+            key = _ANGLES.pack(*g.params)
+            m = matrices.get(key)
+            if m is None:
+                m = matrices[key] = u3_matrix(*g.params)
+            absorb(g.qubits[0], m)
         elif g.kind == "cz":
             flush(g.qubits)
             a, b = g.qubits

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -38,6 +39,12 @@ def test_parse_h_cx():
 def test_parse_unknown_gate():
     with pytest.raises(ParseError):
         parse_qasm(HEADER + "qreg q[1];\nfoo q[0];\n")
+
+
+def test_parse_rejects_an_argument_naming_another_register():
+    for arg in ("r[0]", "qq[0]", "r", "q0"):
+        with pytest.raises(ParseError, match=f"^line 4: unknown argument {re.escape(repr(arg))}$"):
+            parse_qasm(HEADER + f"qreg q[2];\nh {arg};\n")
 
 
 def test_parse_index_out_of_bounds():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from atomique.arch import load_config
 from atomique.circuit import Circuit, parse_qasm, to_qasm
+from atomique import cli
 from atomique.cli import _write_json, main
 from atomique.fidelity import apply_schedule, execution_time
 from atomique.oracle import equivalent_up_to_permutation
@@ -535,6 +536,17 @@ def test_check_command_rejects_oversize_oracle(tmp_path, capsys):
     qasm = write_benchmark(tmp_path, n=12, secret="10101010101")
     assert main(["check", str(qasm)]) == 1
     assert "oracle limit" in capsys.readouterr().err
+
+
+def test_check_command_rejects_an_oversize_input_before_compiling(tmp_path, capsys,
+                                                                  monkeypatch):
+    qasm = write_benchmark(tmp_path, n=11, secret="1010101010")
+    capsys.readouterr()
+    compiled = []
+    monkeypatch.setattr(cli, "compile_circuit", lambda *a, **kw: compiled.append(a))
+    assert main(["check", str(qasm)]) == 1
+    assert capsys.readouterr() == ("", "FAIL: 11 qubits exceeds the 10-qubit oracle limit\n")
+    assert compiled == []
 
 
 def test_render_command_writes_one_svg_per_stage(tmp_path, capsys):
