@@ -361,6 +361,22 @@ def build_dag(c: Circuit) -> CircuitDag:
     return CircuitDag(preds, succs)
 
 
+def cz_depth(c: Circuit) -> int:
+    """Longest chain of dependent two-qubit gates: the fewest CZ stages any
+    schedule of `c` needs.  One pass; a barrier fences all qubits, so a
+    gate after it follows every two-qubit gate before it."""
+    depth = [0] * c.n_qubits  # per qubit: the chain ending at its last gate
+    fence = top = 0           # the longest chain before the last barrier, and overall
+    for g in c.gates:
+        if g.kind == "barrier":
+            fence = top
+        elif len(g.qubits) == 2:
+            a, b = g.qubits
+            depth[a] = depth[b] = d = max(depth[a], depth[b], fence) + 1
+            top = max(top, d)
+    return top
+
+
 def gate_frequency_graph(c: Circuit, gamma: float = 0.9) -> np.ndarray:
     """Symmetric qubit-interaction weights: E[a][b] += gamma**l per cz.
 

@@ -126,16 +126,20 @@ def _workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gates-per-qubit", type=float, default=10.0)
 
 
-def _workload(args) -> WorkloadSpec:
+def _generate(args, config: ArchConfig):
+    """The circuit the workload arguments name.  Its size is checked against
+    the config's capacity first: generating it can take O(n^2)."""
+    if args.n > sum(partition_capacities(config)):
+        raise ValueError(f"{args.n} qubits exceed total array capacity")
     return WorkloadSpec(
         family=args.family, n_qubits=args.n, seed=args.seed, p=args.p,
         d=args.d, p_non_identity=args.p_non_identity, n_strings=args.n_strings,
         secret=args.secret, gates_per_qubit=args.gates_per_qubit,
-    )
+    ).generate()
 
 
 def cmd_gen(args) -> int:
-    circuit = _workload(args).generate()
+    circuit = _generate(args, _load_config(args)[0])
     with open(args.output, "w") as fh:
         fh.write(to_qasm(circuit))
     print(f"wrote {args.output}: {circuit.n_qubits} qubits, {len(circuit.gates)} gates")
@@ -145,10 +149,7 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     values = sorted(float(v) for v in args.values.split(","))
     config, params = _load_config(args)
-    # generating a circuit can take O(n^2), so its size is checked first
-    if args.n > sum(partition_capacities(config)):
-        raise ValueError(f"{args.n} qubits exceed total array capacity")
-    circuit = _workload(args).generate()
+    circuit = _generate(args, config)
     # every value is checked, as a config would check it, before any compile
     if args.param == "D_site":
         # geometry changes force a recompile per point
@@ -236,6 +237,7 @@ def _compile_command(p: argparse.ArgumentParser) -> None:
 
 
 def _gen_command(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="architecture/hardware JSON (bounds --n by its capacity)")
     _workload_args(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)

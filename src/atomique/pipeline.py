@@ -18,7 +18,7 @@ import numpy as np
 from .arch import ArchConfig, HardwareParams
 from .array_mapper import assign_arrays, partition_capacities
 from .atom_mapper import Placement, place_atoms
-from .circuit import Circuit, circuit_stats, gate_frequency_graph, to_basis
+from .circuit import Circuit, circuit_stats, cz_depth, gate_frequency_graph, to_basis
 from .fidelity import FidelityReport, TimeLedger, apply_schedule, execution_time
 from .stage_router import Schedule, route
 from .swap_router import RoutedCircuit, route_inter_array
@@ -120,6 +120,8 @@ def compile_circuit(
         "n_2q": report.N_2Q,
         "added_cx": routed.added_cx,
         "two_qubit_depth": schedule.depth,
+        "cz_depth": {"input": cz_depth(basis), "routed": cz_depth(routed.circuit)},
+        "deferrals": dict(schedule.deferrals),
         "n_stages": len(schedule.stages),
         "n_raman_layers": schedule.n_raman_layers,
         "n_coolings": report.N_cooling,

@@ -69,6 +69,10 @@ class Schedule:
     initial_row_lanes: list[list]
     initial_col_lanes: list[list]
     overlap_rejections: int
+    # ready CZs deferred, by reason (`select_parallel_gates`), and
+    # "popped": accepted by selection, then dropped so synthesis fits.
+    # Routing fills it; a loaded schedule has none.
+    deferrals: dict[str, int] = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
@@ -227,15 +231,31 @@ class _ArrayIndex:
 # ---------------------------------------------------------------------------
 
 
+def _blocked_lanes(prev, axis_pins, t: int) -> list:
+    """The sorted odd lanes on one axis that a parked row of array t may not
+    take, as far as selection can tell: each odd lane another array held
+    after the previous stage (`prev`, per array) and each odd lane pinned
+    in `axis_pins` (an even, gate-lane pin never blocks a park lane)."""
+    lanes = set().union(*(pinned for _, _, pinned in axis_pins))
+    for s, held in enumerate(prev):
+        if s != t:
+            lanes.update(held)
+    lanes.discard(None)
+    return sorted(lane for lane in lanes if lane % 2)
+
+
 def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
-                          config: ArchConfig):
+                          config: ArchConfig, prev_rows, prev_cols):
     """Greedy maximal legal parallel CZ set.
 
     `order` holds (gate_index, (a, b)) for the CZs to try, in the order
     `route` chose; `gate_pins` maps each gate index to its `_gate_pins`
-    table.  Each candidate either adds its lane pins to the stage or is
-    rejected back to the next stage.  Returns (accepted list of
-    (gate_index, pair), the stage's `_Pins`, C3 rejections).
+    table; `prev_rows`/`prev_cols` are the lanes after the previous stage,
+    per AOD.  Each candidate either adds its lane pins to the stage or is
+    deferred to the next stage.  Returns (accepted list of
+    (gate_index, pair), the stage's `_Pins`, deferrals), the deferrals a
+    dict counting the candidates each step below turned away: "pin",
+    "C2", "C3", "gap" and "C1".
 
     The accepted pins always satisfy every enabled constraint, so a
     candidate is checked only against what it adds: at most one new pin
@@ -249,12 +269,18 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
           (new, succ): the first violation a whole-array scan would report.
           (a) and (b) share one walk, and a conflict anywhere in the table
           rejects the candidate without counting a C3 verdict;
-      (c) C1 checks only the cells the new pins create: a new row times
+      (c) the parked rows strictly between each new anchor and either
+          pinned neighbour must fit on the odd lanes strictly between
+          their lanes that a parked row of that array could take: no lane
+          any array pins this stage, nor one another array held after the
+          previous stage.  Synthesis forbids both, and more (the lanes
+          the arrays before it park on this stage), so it can still
+          fail, and `route` then drops the last accepted CZ;
+      (d) C1 checks only the cells the new pins create: a new row times
           its array's pinned columns, pinned rows times a new column.  An
           atom added to a cell sits on a newly pinned row or column, so it
           is in no accepted pair: a two-atom cell is legal only as the
-          candidate's own pair;
-      (d) the pigeonhole check covers the two gaps beside each new anchor.
+          candidate's own pair.  It runs last, as the costliest step.
     """
     relaxed = config.relaxed
     check_c1 = "C1" not in relaxed
@@ -264,7 +290,11 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
     occupied = (index.occ_rows, index.occ_cols)
     cells: dict[tuple[int, int], list[int]] = {}  # gate cell -> AOD atoms on it
     accepted: list[tuple[int, tuple[int, int]]] = []
-    overlap_rejections = 0
+    n_pin = n_c1 = n_c2 = n_c3 = n_gap = 0
+    prev = (prev_rows, prev_cols)
+    # per axis and array, its `_blocked_lanes`, built when a gap first needs
+    # them and then kept up to date as pins are accepted
+    blocked = ([None] * config.n_aod, [None] * config.n_aod)
 
     for gi, pair in order:
         # (a) and (b) in one walk of the gate's table: an entry pinned to
@@ -302,12 +332,43 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
                 elif lane == succ and strict_c3:
                     verdict = "C3"
         if clash:
+            n_pin += 1
             continue
         if verdict:
             if verdict == "C3":
-                overlap_rejections += 1
+                n_c3 += 1
+            else:
+                n_c2 += 1
             continue
-        # (c) cell exclusivity against static atoms and other arrays
+        # (c) parked rows must still fit between the anchors: the occupied
+        # indices strictly between the new anchor and each pinned neighbour
+        # need as many free odd lanes strictly between their lanes.  The
+        # blocked lanes are counted only when the odd lanes alone would do.
+        fits = True
+        for (t, axis, i, lane, _), at in new:
+            occ = occupied[axis][t]
+            plist, held, _ = state[axis][t]
+            for j in plist[max(at - 1, 0):at + 1]:  # the pinned neighbours
+                need = (bisect_left(occ, i) - bisect_right(occ, j) if j < i
+                        else bisect_left(occ, j) - bisect_right(occ, i))
+                if not need:
+                    continue
+                lo, hi = (lane, held[j]) if lane < held[j] else (held[j], lane)
+                room = _odd_between(lo, hi)
+                if need <= room:
+                    lanes = blocked[axis][t]
+                    if lanes is None:
+                        lanes = blocked[axis][t] = _blocked_lanes(prev[axis], state[axis], t)
+                    room -= bisect_left(lanes, hi) - bisect_right(lanes, lo)
+                if need > room:
+                    fits = False
+                    break
+            if not fits:
+                break
+        if not fits:
+            n_gap += 1
+            continue
+        # (d) cell exclusivity against static atoms and other arrays
         if check_c1:
             added: dict[tuple[int, int], list[int]] = {}
             new_row = {}  # array -> this gate's new (row, lane) there
@@ -337,34 +398,21 @@ def select_parallel_gates(order, gate_pins: dict, index: _ArrayIndex,
                     clash = True
                     break
             if clash:
+                n_c1 += 1
                 continue
-        # (d) parked rows must still fit between the anchors: the occupied
-        # indices strictly between the new anchor and each pinned neighbour
-        # need as many odd lanes strictly between their lanes
-        fits = True
-        for (t, axis, i, lane, _), at in new:
-            occ = occupied[axis][t]
-            plist, held, _ = state[axis][t]
-            if at:
-                j = plist[at - 1]
-                if (bisect_left(occ, i) - bisect_right(occ, j)
-                        > _odd_between(min(lane, held[j]), max(lane, held[j]))):
-                    fits = False
-                    break
-            if at < len(plist):
-                j = plist[at]
-                if (bisect_left(occ, j) - bisect_right(occ, i)
-                        > _odd_between(min(lane, held[j]), max(lane, held[j]))):
-                    fits = False
-                    break
-        if not fits:
-            continue
         pins.add(gate_pins[gi])
+        for (_, axis, _, lane, _), _ in new:
+            if lane % 2:
+                for lanes in blocked[axis]:
+                    if lanes is not None:
+                        k = bisect_left(lanes, lane)
+                        if k == len(lanes) or lanes[k] != lane:
+                            lanes.insert(k, lane)
         if check_c1:
             for cell, atoms in added.items():
                 cells.setdefault(cell, []).extend(atoms)
         accepted.append((gi, pair))
-    return accepted, pins, overlap_rejections
+    return accepted, pins, {"pin": n_pin, "C2": n_c2, "C3": n_c3, "gap": n_gap, "C1": n_c1}
 
 
 def _past_free(lane: int, k: int, step: int, taken) -> int:
@@ -587,11 +635,13 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     intra-array CZ.  Loop: execute every ready one-qubit gate in Raman
     layers, then offer the ready CZs by descending DAG-descendant count
     (ties: lower gate index; only the first if `serial`) to
-    `select_parallel_gates`, synthesize the lane motion (dropping the
-    last accepted gate while the parked rows don't fit), emit.  Retiring
-    a gate files each gate it frees by kind, so the ready CZs stay sorted
-    and no pass rescans the front; a barrier retires as soon as it is
-    ready.  Then the emitted stages are audited in blocks: the first stage
+    `select_parallel_gates` with the previous stage's lanes, synthesize
+    the lane motion (dropping the last accepted gate while the parked rows
+    don't fit), emit.  Retiring a gate files each gate it frees by kind,
+    so the ready CZs stay sorted and no pass rescans the front; a barrier
+    retires as soon as it is ready.  The schedule's `deferrals` add up
+    selection's counts over the stages, and "popped" counts the dropped
+    gates.  Then the emitted stages are audited in blocks: the first stage
     in violation raises RuntimeError with its first four findings, also
     when routing failed after emitting it.
     """
@@ -642,7 +692,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     release([gi for gi, c in enumerate(pending) if c == 0])
     prev_rows, prev_cols = initial = initial_lanes(config, index)
     emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
-    overlap_rejections = 0
+    deferrals = {"pin": 0, "C2": 0, "C3": 0, "gap": 0, "C1": 0, "popped": 0}
 
     def audit() -> list[np.ndarray]:
         """Move distances per emitted stage; RuntimeError for the first in violation."""
@@ -668,8 +718,10 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 break
             # only CZs are left ready
             order = [(gi, gates[gi].qubits) for _, gi in (ready_cz[:1] if serial else ready_cz)]
-            accepted, pins, rej = select_parallel_gates(order, gate_pins, index, config)
-            overlap_rejections += rej
+            accepted, pins, deferred = select_parallel_gates(order, gate_pins, index, config,
+                                                             prev_rows, prev_cols)
+            for reason, count in deferred.items():
+                deferrals[reason] += count
             while True:
                 # only an interior gap fails, and with no pins there is none,
                 # so the pop below never underflows
@@ -677,6 +729,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 if synth is not None:
                     break
                 accepted.pop()
+                deferrals["popped"] += 1
                 pins = _Pins(config.n_aod)
                 for gi, _ in accepted:
                     pins.add(gate_pins[gi])
@@ -695,8 +748,8 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     stages = [Stage(raman, cz, rows, cols, offsets, distances,
                     config.T_per_move if (cz or distances.any()) else 0.0)
               for (raman, cz, rows, cols, offsets), distances in zip(emitted, audit())]
-    return Schedule(config, dict(placement), stages, list(routed.perm),
-                    *initial, overlap_rejections)
+    return Schedule(config, dict(placement), stages, list(routed.perm), *initial,
+                    deferrals["C3"], deferrals)
 
 
 def schedule_to_circuit(schedule: Schedule) -> Circuit:

@@ -37,11 +37,11 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     intra-array CZ.  Loop: execute every ready one-qubit gate in Raman
     layers, then offer the ready CZs by descending DAG-descendant count
     (ties: lower gate index; only the first if `serial`) to
-    `select_parallel_gates`, synthesize the lane motion (dropping the
-    last accepted gate while the parked rows don't fit), emit.  Then the
-    emitted stages are audited in blocks: the first stage in violation
-    raises RuntimeError with its first four findings, also when routing
-    failed after emitting it.
+    `select_parallel_gates` with the previous stage's lanes, synthesize
+    the lane motion (dropping the last accepted gate while the parked rows
+    don't fit), emit.  Then the emitted stages are audited in blocks: the
+    first stage in violation raises RuntimeError with its first four
+    findings, also when routing failed after emitting it.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -70,7 +70,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
 
     prev_rows, prev_cols = initial = initial_lanes(config, index)
     emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
-    overlap_rejections = 0
+    deferrals = dict.fromkeys(("pin", "C2", "C3", "gap", "C1", "popped"), 0)
 
     def audit() -> list[np.ndarray]:
         """Move distances per emitted stage; RuntimeError for the first in violation."""
@@ -104,9 +104,10 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             # only CZs are left ready
             order = [(gi, gates[gi].qubits)
                      for gi in sorted(ready, key=lambda gi: (-desc_count[gi], gi))]
-            accepted, pins, rej = select_parallel_gates(
-                order[:1] if serial else order, gate_pins, index, config)
-            overlap_rejections += rej
+            accepted, pins, deferred = select_parallel_gates(
+                order[:1] if serial else order, gate_pins, index, config, prev_rows, prev_cols)
+            for reason, count in deferred.items():
+                deferrals[reason] += count
             while True:
                 # only an interior gap fails, and with no pins there is none,
                 # so the pop below never underflows
@@ -114,6 +115,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 if synth is not None:
                     break
                 accepted.pop()
+                deferrals["popped"] += 1
                 pins = _Pins(config.n_aod)
                 for gi, _ in accepted:
                     pins.add(gate_pins[gi])
@@ -132,4 +134,4 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                     config.T_per_move if (cz or distances.any()) else 0.0)
               for (raman, cz, rows, cols, offsets), distances in zip(emitted, audit())]
     return Schedule(config, dict(placement), stages, list(routed.perm),
-                    *initial, overlap_rejections)
+                    *initial, deferrals["C3"], deferrals)

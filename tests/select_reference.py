@@ -4,7 +4,9 @@ The whole-stage versions of `atomique.stage_router.select_parallel_gates`,
 `_assign_park_lanes` and `synthesize_motion`, kept only as test oracles:
 every candidate CZ is checked by re-sorting all pins of the arrays it
 touches (`_order_ok`), walking every pinned row x pinned column
-(`_cells_ok`) and rescanning every gap (`_parkable`), every park-lane
+(`_cells_ok`) and, for each gap beside a new anchor, rescanning its
+indices and every odd lane in it against all pins and all previous lanes
+(`_parkable`), every park-lane
 assignment runs the full DP table, and the open side of a segment lists
 every free odd lane out to a margin that no optimum reaches.  Pins are
 the (array, index)-keyed dicts of this module's own `_Pins` and
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 from atomique.arch import ArchConfig
 from atomique.atom_mapper import Placement
-from atomique.stage_router import _ArrayIndex, _odd_between
+from atomique.stage_router import _ArrayIndex
 
 
 @dataclass
@@ -213,39 +215,50 @@ def _cells_ok(row_pins, col_pins, index: _ArrayIndex, intended) -> bool:
     return True
 
 
-def _parkable(pins: dict, t: int, occupied, relaxed) -> bool:
-    """Pigeonhole check: unpinned occupied indices must fit on odd lanes
-    strictly between consecutive pinned anchors."""
+def _parkable(pins: dict, new: set, t: int, occupied, prev) -> bool:
+    """Park check of array t on one axis: next to each anchor of `new`
+    (the candidate's pins there that are not pinned yet), the unpinned
+    occupied indices strictly between it and either neighbouring anchor
+    must fit on the odd lanes strictly between their lanes that no array
+    pins (`pins` holds the whole trial stage) and no other array held
+    (`prev`, the lanes after the previous stage, per array)."""
+    taken = set(pins.values())
+    taken.update(lane for s, lanes in enumerate(prev) if s != t for lane in lanes)
     anchors = sorted((i, pins[(t, i)]) for i in occupied if (t, i) in pins)
     for (ia, la), (ib, lb) in zip(anchors, anchors[1:]):
+        if (t, ia) not in new and (t, ib) not in new:
+            continue
         between = sum(1 for i in occupied if ia < i < ib and (t, i) not in pins)
         lo, hi = (la, lb) if la <= lb else (lb, la)
-        if between > _odd_between(lo, hi):
+        if between > sum(1 for lane in range(lo + 1, hi) if lane % 2 and lane not in taken):
             return False
     return True
 
 
 def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
-                          config: ArchConfig, desc_count, serial: bool = False):
+                          config: ArchConfig, desc_count, prev_rows, prev_cols,
+                          serial: bool = False):
     """Greedy maximal legal parallel CZ set.
 
     `front` holds (gate_index, (a, b)) for every ready CZ.  Candidates are
     tried by descending DAG-descendant count (ties: lower gate index); each
-    either merges its lane pins into the stage or is rejected back to the
-    next stage.  Returns (accepted list of (gate_index, pair), pins,
-    C3 rejections).
+    either merges its lane pins into the stage or is deferred to the next
+    stage.  `prev_rows`/`prev_cols` are the lanes after the previous stage.
+    Returns (accepted list of (gate_index, pair), pins, deferrals by
+    reason: "pin", "C2", "C3", "gap", "C1").
     """
     relaxed = config.relaxed
     order = sorted(front, key=lambda fg: (-desc_count[fg[0]], fg[0]))
     pins = _Pins()
     accepted: list[tuple[int, tuple[int, int]]] = []
     intended: set[frozenset] = set()
-    overlap_rejections = 0
+    deferrals = dict.fromkeys(("pin", "C2", "C3", "gap", "C1"), 0)
 
     for gi, pair in order:
         gate = _gate_pins(pair, placement, config)
         # (a) a row/col already pinned to a different lane or offset
         if _conflicts(pins, gate):
+            deferrals["pin"] += 1
             continue
         trial = _Pins({**pins.rows, **gate.rows}, {**pins.cols, **gate.cols},
                       {**pins.offsets, **gate.offsets})
@@ -258,21 +271,24 @@ def select_parallel_gates(front, placement: Placement, index: _ArrayIndex,
             if verdict:
                 break
         if verdict:
-            if verdict == "C3":
-                overlap_rejections += 1
+            deferrals[verdict] += 1
             continue
-        # (c) cell exclusivity against static atoms and other arrays
+        # (c) parked rows must still fit between the anchors
+        new_rows = gate.rows.keys() - pins.rows.keys()
+        new_cols = gate.cols.keys() - pins.cols.keys()
+        if not all(_parkable(trial.rows, new_rows, t, index.occ_rows[t], prev_rows)
+                   and _parkable(trial.cols, new_cols, t, index.occ_cols[t], prev_cols)
+                   for t in sorted(touched)):
+            deferrals["gap"] += 1
+            continue
+        # (d) cell exclusivity against static atoms and other arrays
         if "C1" not in relaxed and not _cells_ok(
                 trial.rows, trial.cols, index, intended | {frozenset(pair)}):
-            continue
-        # (d) parked rows must still fit between the anchors
-        if not all(_parkable(trial.rows, t, index.occ_rows[t], relaxed)
-                   and _parkable(trial.cols, t, index.occ_cols[t], relaxed)
-                   for t in sorted(touched)):
+            deferrals["C1"] += 1
             continue
         pins = trial
         accepted.append((gi, pair))
         intended.add(frozenset(pair))
         if serial:
             break
-    return accepted, pins, overlap_rejections
+    return accepted, pins, deferrals

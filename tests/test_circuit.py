@@ -4,12 +4,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomique.circuit import (
     Circuit,
     ParseError,
     build_dag,
     circuit_stats,
+    cz_depth,
     euler_angles,
     gate_frequency_graph,
     parse_qasm,
@@ -296,3 +299,40 @@ def test_qasm_roundtrip():
     c2 = parse_qasm(to_qasm(c))
     assert to_qasm(c2) == to_qasm(c)
     assert equivalent_up_to_permutation(c, c2)
+
+
+def test_cz_depth_counts_dependent_two_qubit_gates_and_fences_at_barriers():
+    c = Circuit(4)
+    c.add("cz", (0, 1))
+    c.add("u", (1,), (0.1, 0.2, 0.3))
+    c.add("cz", (2, 3))
+    c.add("cx", (1, 2))  # after both
+    assert cz_depth(c) == 2
+    c.add("barrier", (0,))  # fences all qubits, not only qubit 0
+    c.add("cz", (3, 0))
+    assert cz_depth(c) == 3
+    assert cz_depth(Circuit(3)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cz_depth_is_the_longest_two_qubit_path_of_the_dag(data):
+    # the whole-DAG longest path, counting two-qubit nodes, is the reference
+    n = data.draw(st.integers(2, 6))
+    qubits = st.integers(0, n - 1)
+    c = Circuit(n)
+    for kind in data.draw(st.lists(st.sampled_from(["u", "cz", "swap", "barrier"]),
+                                   max_size=30)):
+        if kind == "u":
+            c.add("u", (data.draw(qubits),), (0.0, 0.0, 0.0))
+        elif kind == "barrier":
+            c.add("barrier", tuple(data.draw(st.sets(qubits, min_size=1))))
+        else:
+            a = data.draw(qubits)
+            c.add(kind, (a, data.draw(qubits.filter(lambda b: b != a))))
+    dag = build_dag(c)
+    longest = []
+    for i, g in enumerate(c.gates):
+        two = g.kind in ("cz", "swap")
+        longest.append(two + max((longest[p] for p in dag.preds[i]), default=0))
+    assert cz_depth(c) == max(longest, default=0)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from atomique.arch import load_config
-from atomique.circuit import Circuit, parse_qasm, to_qasm
+from atomique.circuit import Circuit, cz_depth, parse_qasm, to_qasm
 from atomique import cli
 from atomique.cli import _write_json, main
 from atomique.fidelity import apply_schedule, execution_time
@@ -25,7 +25,8 @@ CFG, PARAMS = load_config({})
 
 STATS_KEYS = {
     "schema_version", "n_qubits", "n_1q_input", "n_2q_input", "n_1q", "n_2q",
-    "added_cx", "two_qubit_depth", "n_stages", "n_raman_layers", "n_coolings",
+    "added_cx", "two_qubit_depth", "cz_depth", "deferrals", "n_stages", "n_raman_layers",
+    "n_coolings",
     "overlap_rejections", "execution_time_s", "total_move_distance_mm",
     "fidelity", "neg_log", "times", "assignment", "placement", "perm",
     "compile_wall_time_s",
@@ -69,6 +70,44 @@ def test_stats_fields_complete_and_consistent():
     assert sorted(s["perm"]) == list(range(s["n_qubits"]))
     assert s["total_move_distance_mm"] > 0
     assert s["execution_time_s"] == pytest.approx(sum(s["times"].values()))
+    assert s["cz_depth"] == {"input": cz_depth(res.circuit), "routed": cz_depth(res.routed.circuit)}
+    assert s["deferrals"] == res.schedule.deferrals
+    assert set(s["deferrals"]) == {"pin", "C1", "C2", "C3", "gap", "popped"}
+    assert s["deferrals"]["C3"] == s["overlap_rejections"]
+
+
+@st.composite
+def compile_inputs(draw):
+    """A random circuit of one-qubit gates, CZ, CX, SWAP and barriers on a
+    few qubits, small arrays with one or two AODs, a relax set and the
+    serial flag."""
+    n_aod = draw(st.integers(1, 2))
+    side = draw(st.integers(2, 4))
+    cfg = dataclasses.replace(CFG, n_aod=n_aod, slm_rows=side, slm_cols=side,
+                              aod_rows=(side,) * n_aod, aod_cols=(side,) * n_aod,
+                              relaxed=frozenset(draw(st.sets(st.sampled_from(["C1", "C2", "C3"])))))
+    n = draw(st.integers(2, min(12, (n_aod + 1) * side * side)))
+    qubits = st.integers(0, n - 1)
+    circ = Circuit(n)
+    for kind in draw(st.lists(st.sampled_from(["u", "cz", "cx", "swap", "barrier"]),
+                              max_size=40)):
+        if kind == "u":
+            circ.add("u", (draw(qubits),), (0.1, 0.2, 0.3))
+        elif kind == "barrier":
+            circ.add("barrier", tuple(draw(st.sets(qubits, min_size=1))))
+        else:
+            a = draw(qubits)
+            circ.add(kind, (a, draw(qubits.filter(lambda b: b != a))))
+    return circ, cfg, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(compile_inputs())
+def test_no_schedule_is_shallower_than_its_cz_depth(inputs):
+    # two dependent CZs in one stage would put the depth below the bound
+    circ, cfg, serial = inputs
+    s = compile_circuit(circ, cfg, PARAMS, serial=serial).stats
+    assert s["two_qubit_depth"] >= s["cz_depth"]["routed"] >= s["cz_depth"]["input"]
 
 
 def test_compile_is_deterministic_up_to_wall_clock():
@@ -702,6 +741,28 @@ def test_sweep_checks_the_qubit_count_before_generating(tmp_path, capsys):
     assert time.perf_counter() - t0 < 0.5
     assert capsys.readouterr().err == "error: 100000 qubits exceed total array capacity\n"
     assert not path.exists()
+
+
+def test_gen_checks_the_qubit_count_before_generating(tmp_path, capsys, monkeypatch):
+    # as sweep: a huge --n fails at once, and nothing is generated or written
+    def generate(self):
+        raise AssertionError("generated an over-capacity circuit")
+    path = tmp_path / "x.qasm"
+    with monkeypatch.context() as m:
+        m.setattr(cli.WorkloadSpec, "generate", generate)
+        assert main(["gen", "--family", "qaoa-rand", "--n", "100000", "-o", str(path)]) == 1
+        assert capsys.readouterr().err == "error: 100000 qubits exceed total array capacity\n"
+        assert main(["gen", "--family", "bv", "--n", "301", "-o", str(path)]) == 1
+    assert not path.exists()
+    # the default config holds 300 qubits; --config names a larger one
+    assert main(["gen", "--family", "bv", "--n", "300", "-o", str(path)]) == 0
+    assert parse_qasm(path.read_text()).n_qubits == 300
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"slm_rows": 11, "slm_cols": 11,
+                                  "aod_rows": [10, 10], "aod_cols": [10, 10]}))
+    assert main(["gen", "--config", str(config), "--family", "bv", "--n", "321",
+                 "-o", str(path)]) == 0
+    assert parse_qasm(path.read_text()).n_qubits == 321
 
 
 @pytest.mark.parametrize("param,values", [("T_per_move", "1e-4,3e-4,5e-4"),

@@ -46,33 +46,33 @@ FLAGS = {
 
 GOLDEN = {
     ("qaoa-rand-30", "default"):
-        "c600f1f3afcede73d0437610b22d8a6a40ca70aa21ad1d3b9e1478adf5b8a5c3",
+        "b94981fe5b9c0117d3899333f8e042d0ab354324e6a3e07eb8eca1df88bb1b37",
     ("qaoa-rand-30", "relax-C1"):
         "2f72034551ce84fa198640609f949e1681c474f7da9013ab201e5a6d046789d2",
     ("qaoa-rand-30", "relax-C2"):
-        "968738de073d6d84fca6d7ff8536bd1b219c2cb0f9fb629fd5e08cad7d6d49ca",
+        "9d329c4d7b36174fae4f3f32f0cdf15c4fdc4dbd6ead641cd0c638da685a496f",
     ("qaoa-rand-30", "relax-C3"):
-        "b5ad7e2f2d7c075464a9f2cc696e118cbfea3a6071b823a47d55d45534675121",
+        "53eb68e5c00dc7a7550376b98d52102714464d61ff96d4fb2b3d63ce71150522",
     ("qaoa-rand-30", "relax-C2-C3"):
-        "094630b228da6284dd80054027c74ecba738ea877ac7f43007495848cb335ffb",
+        "326365aebbf518beeacc839dd62049ec1a70f29dea6e77e88b917c73d702ff75",
     ("qaoa-rand-30", "serial"):
         "0bd6f7ac5c823f83c7ea7181a3dccc1b1690a78c65849771a942e42d02d5b68b",
     ("qaoa-rand-30", "mapper-random"):
-        "7bf7aac8433d7a4fd67fa79ef81acd4dcf7a3e626d307e7631caf5fe891999fa",
+        "fd6219bb92c47e01f6e58e52c8f633294beeaf8d8827ca9c7cab9b335c607531",
     ("qaoa-regular-40", "default"):
-        "b45821fadae734dcd0f57c55ef6ee02f9fa51c9bc513e754b4f1b37628d46341",
+        "1c16eeebaa299aec6efc35124836df3d174866a056821b9428aae831cb1d98d1",
     ("qaoa-regular-40", "relax-C1"):
-        "b9c84a6bbcc090d40c859527d7c8ac8893feab5626cdd74d316628cc31cfd8a3",
+        "ac20554750ea650b321450f511c749774253720f8aa31a26a9130caf56333aba",
     ("qaoa-regular-40", "relax-C2"):
-        "3884696b9cf3035fea748e407a7c879f14cb2fb617f3aa9b8fcc31fa55410a7a",
+        "f95a9045b044282482c197ad058777c76284917497d505127a09ddf3677b1a32",
     ("qaoa-regular-40", "relax-C3"):
-        "48d5bdce762684d56502fb1c8df93146f406784e16481d1f7f0e8591b83d5ea0",
+        "bda548009c56e8b2a996c8e81afb331012909a366d7645a99a3fc889c897e6d4",
     ("qaoa-regular-40", "relax-C2-C3"):
-        "9cda9b7ddaf6593ecee7ac95a5d4c8d359c7dfce0509778f97a5b16797257f79",
+        "0472de9a4d63377aed35ae648744dc075d39279301dc1ee53e3323801e7aa5e4",
     ("qaoa-regular-40", "serial"):
         "b81be6ad3f670e6654e70d6cf29b0f6db7e381e09f074ae80fb82952fe633481",
     ("qaoa-regular-40", "mapper-random"):
-        "6f82bdcfeb6940af19074fab44bb6d3557c35bbbea8ba978fc74cb55fd053279",
+        "e9c765bafff005e696b73a55b6f25630ef7e5c41d340fd4e6556c1bd3c321b9a",
     ("qsim-rand-24", "default"):
         "6b4299714d4c425dbe37407622c6d625c96b5c5e82df21740318677f2409de9e",
     ("qsim-rand-24", "relax-C1"):
@@ -88,19 +88,19 @@ GOLDEN = {
     ("qsim-rand-24", "mapper-random"):
         "baf1da68c96388470590e8f4a2607a2a73ffcfde72bf5757b1f238d630743214",
     ("random-pairs-40", "default"):
-        "74da13477633b0942a2f9aee4bae1d7e67e914760b9bc78c8ba5485020ed6564",
+        "09738061a8055c8b2e0363177359c41e545632cb93759725ccfa1ad5506ff688",
     ("random-pairs-40", "relax-C1"):
-        "3a468e18a8faf29e3917407f1d8d97bc4bce24c6fd2aec435009cae801081b48",
+        "be868abafeac82ce214076d80c52081e7580c444607197dbefda195bee170780",
     ("random-pairs-40", "relax-C2"):
-        "843e09616afa110bc9e585ff67b928af09873f42520a6e4627e2b051cb64ae2a",
+        "9a5c836fad50201d0948d81f453b3140345414c0671f143964be12c48427749e",
     ("random-pairs-40", "relax-C3"):
-        "358b7cc542e6778714369656564beb3a85b77ca9cc77def227e6f984dd05e8b8",
+        "cf897e7b1d95b9b1d46b6ad2b8467bf5a88cd7fb31ab79e7e4aaa51bf11d2d17",
     ("random-pairs-40", "relax-C2-C3"):
-        "aa734da6e88e73210abbeb334d0203a11b4f0a8043c171aa7b2af4c16124278b",
+        "d163eac9008f1bbf314ca8d31ad95ec4926c341eb6e9db7f1b93262b7ff9460c",
     ("random-pairs-40", "serial"):
         "eca9ba4f66e3062f608f6d70306b7d7c3d13ba3f2ee30fb88ac1eab4e19b7cf3",
     ("random-pairs-40", "mapper-random"):
-        "f608ac8ec9d01a9a19482313a06b3362bd0f9ec7e1f3425b696443421be27c65",
+        "ecd669fd52e1469dec6f1f723936496ee652203fd3eca3c86605e2ce0f3931ba",
     ("bv-40", "default"):
         "164ff9dcb6aba85298955c8b5bde135bd16768d08de696032a80a8c497b53cb5",
     ("bv-40", "relax-C1"):
@@ -120,75 +120,75 @@ GOLDEN = {
 
 GOLDEN_STATS = {
     ("bv-40", "default"):
-        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+        "c8933624b48e669f1ae1008610eeb40eacd8cc4fdf46ef00f08f6ecc1ecb7351",
     ("bv-40", "mapper-random"):
-        "30d33ea4990735f078da754e6811a382e3851d07639fc38dcd76e55a8cafeb89",
+        "1fb2a72c29e45039d102b666bc09d5a68aca820e1331d1b7627cac6285d364a2",
     ("bv-40", "relax-C1"):
-        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+        "c8933624b48e669f1ae1008610eeb40eacd8cc4fdf46ef00f08f6ecc1ecb7351",
     ("bv-40", "relax-C2"):
-        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+        "c8933624b48e669f1ae1008610eeb40eacd8cc4fdf46ef00f08f6ecc1ecb7351",
     ("bv-40", "relax-C2-C3"):
-        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+        "c8933624b48e669f1ae1008610eeb40eacd8cc4fdf46ef00f08f6ecc1ecb7351",
     ("bv-40", "relax-C3"):
-        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+        "c8933624b48e669f1ae1008610eeb40eacd8cc4fdf46ef00f08f6ecc1ecb7351",
     ("bv-40", "serial"):
-        "3975e3bb4ee562eed70851492effda15dfacb1bd6d18da84133bb7f3155aec0b",
+        "c8933624b48e669f1ae1008610eeb40eacd8cc4fdf46ef00f08f6ecc1ecb7351",
     ("qaoa-rand-30", "default"):
-        "91e5546ca7b224fc08d4726a1739904d0efca330de133a9cd1ba7cefcd09c712",
+        "0c47f48e73131fb0ff3c01f62a18dd4ab8926d9ae3f719240b4f92685e75b72f",
     ("qaoa-rand-30", "mapper-random"):
-        "b1fd17e9648759b8170459cae898b82536b8e40606fec906db37f5d5dc7877cb",
+        "a376a3a026a2b54f4301688554b6e90c132b2c259eb20bd2535c60eae697e8b2",
     ("qaoa-rand-30", "relax-C1"):
-        "0b76b0bb949bf15fcfa06261a41f3c3d5fdd1850eaffc0c2e7f9f310f418aaf8",
+        "06df23eadd4a9b87f0cf2c46157330f925094b6510c86ff96c01ccc87b23e68a",
     ("qaoa-rand-30", "relax-C2"):
-        "4f637381e71574afde164e0123a4160670ff8b09d7788cc0cc901f1f55227bdc",
+        "1f5138f6b9c3dce4e3a8446032115c555737fae7b9f56a23b7edbfcc7423262a",
     ("qaoa-rand-30", "relax-C2-C3"):
-        "7c5c66f6458e7d30e3d12b0679ade142f17979094bd7f91712721da0b903ceb6",
+        "f0adb9ed17163f2dd931104598055dc67a66625cee9874135bfdfb26ddb18401",
     ("qaoa-rand-30", "relax-C3"):
-        "d2cefc4b350de57978f47531d77b5b41d0d37de9b789dfece7e223e0d75cc703",
+        "219eb51d537eb1dbb894cf0c051ac109a3afd6756f95fa97a34bd5ef298a14c3",
     ("qaoa-rand-30", "serial"):
-        "50fabbe75e1088fd41a3287a841d5fddee2903017ea84cea2fac8cfd6081d680",
+        "21069df45e9e395ea556bf98ddda26d0bf7e7f86aeeb764301047e9f78774e41",
     ("qaoa-regular-40", "default"):
-        "e8877e7a87377d8cf0ffbba67f7505c1a72035f61ec2973ea833718026faddef",
+        "ef9e8505c3b34637ca15b4982e9f5537cc8e8ac1ca5e31135ecbaf83ffef2668",
     ("qaoa-regular-40", "mapper-random"):
-        "6b8171da59a2f2f5035fa2f2158a29dbf023ee19ed2b3ba3e59b1ccd79cb923b",
+        "d990c56344b94cf012e8321c8a2ef119e0b41a992f847d6ff8c4016f90300388",
     ("qaoa-regular-40", "relax-C1"):
-        "867f468fc62dac18f881f19492ddbf78cf1673ea210ef3c882d8cfa990d854f2",
+        "a755573aad6e9a7312d3565cfcf25788f202a2e0482711da6487b6d5dff186a5",
     ("qaoa-regular-40", "relax-C2"):
-        "1de67695aa33503fa48475c0308e5203920683434c6778ce5fdf5a31bff2f593",
+        "a7c341d15265125f138deec9b0dca06bedafd5e0a949a39e700e7512dbb5d53e",
     ("qaoa-regular-40", "relax-C2-C3"):
-        "931e4833cfb25e97f447fb3032346cd00de6bf09a9ff66c571fb46039035f7cc",
+        "38ef626d6f9b225495f6d99e0846bf83d414a5f010a0f795a5d66ce21b50e964",
     ("qaoa-regular-40", "relax-C3"):
-        "434519d2c45ac891c3af45f773090a3f6c429a5df17eaa60b8c911c2722b0f0f",
+        "ad0efa892666954cb5cc486f9b87c19eec5879af4f27c56c82bbdcfa43824b53",
     ("qaoa-regular-40", "serial"):
-        "823ebd319e28639dfda1702157439e3c5f3ebbeeeb108ffacfc56a28464a87a6",
+        "631a42b7e2aba48eccb6f526844bf60cf43b03659fee369abd58bb39acbc34c3",
     ("qsim-rand-24", "default"):
-        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+        "a2a561d54dbdaba5f6530237555240a2e37db7add6426cc7058bfcdd9dc996b1",
     ("qsim-rand-24", "mapper-random"):
-        "b40587dd7032b0e0b99314f8eef69c05d29fe446226d53840345fbe8b03bb02f",
+        "6a6e030b12a3d6face48f2541e351a84d2c43c1579af216a83ac28f66ed93a83",
     ("qsim-rand-24", "relax-C1"):
-        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+        "a2a561d54dbdaba5f6530237555240a2e37db7add6426cc7058bfcdd9dc996b1",
     ("qsim-rand-24", "relax-C2"):
-        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+        "a2a561d54dbdaba5f6530237555240a2e37db7add6426cc7058bfcdd9dc996b1",
     ("qsim-rand-24", "relax-C2-C3"):
-        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+        "a2a561d54dbdaba5f6530237555240a2e37db7add6426cc7058bfcdd9dc996b1",
     ("qsim-rand-24", "relax-C3"):
-        "70b5b72d527f4186180987216e8dd77168e9f0697217b98c2a948a28ce447db0",
+        "a2a561d54dbdaba5f6530237555240a2e37db7add6426cc7058bfcdd9dc996b1",
     ("qsim-rand-24", "serial"):
-        "f1b94451be500f4c43dfb524dc7fe6267010ae154f00e3e7e193229530e84cc3",
+        "9cb62f9eb5cc4c548a516b47b218874fdc188a45543ebcded67f401a47da8ffa",
     ("random-pairs-40", "default"):
-        "322c756dd0b615d7ca4949f5781a4183bcb5517d7ca5346c481492f15549aa4a",
+        "6000ecf2a3352e99256eeedc22d4c30165618e03986aab0aa4d9ea8fee21b131",
     ("random-pairs-40", "mapper-random"):
-        "6c55dbd9eceb0f7f2d755e134a438cea86d28b970138b7f1f2afdc93bc42c731",
+        "4c84ab919dcfbf7c035654365407a6fb0c472264e9ec9fcda6ad08e185a063f5",
     ("random-pairs-40", "relax-C1"):
-        "dd867aceebd27c0e81b80188046f80596752b097c7b394633768423f5f3bcf85",
+        "40f8d3b3bf1e718af2923ea28a049051c4961d41db95be3aa2e8523bcc3dd81a",
     ("random-pairs-40", "relax-C2"):
-        "17d648691f57d8de97acd987c93710d2e84bcae5d6f02098c5d15f28bb05ff12",
+        "18adc31c17ab76e120f3a741cecb11400640cdc5bdb5fcda7c11ea85aa7747bd",
     ("random-pairs-40", "relax-C2-C3"):
-        "e11851080e05670f36c879276da1b3bedce684e05459052c9284a8ad165f3c21",
+        "6183d195571f9986fc8d202cffa34da9b71563713a8ff69a38657d70bb30cc9f",
     ("random-pairs-40", "relax-C3"):
-        "cb6166b3d075a56d514f26aee87940abe3a1b3f4efcd6e52bd8f6edfc33fb172",
+        "70faab2e86456eff324cb1e148a182b4bc584444bb0fa3f17d7ef557fcf9503b",
     ("random-pairs-40", "serial"):
-        "f95443763921da4bbbf89efb0b096352c2b0e75abda78eaa1c01ab133d7b19f8",
+        "736a4c6ae5b583055895b3bd8b011ae26b889f61d72ee46662dfcd90ff4ec60b",
 }
 
 # flag set -> the `atomique compile` arguments that select it
@@ -214,11 +214,11 @@ SWEEP_VALUES = {
 }
 
 GOLDEN_SWEEP = {
-    "T_per_move": "f3d200f270bca0df98da9336d0e9da2e80b23e062877ca7197e83d484d8873f4",
-    "f_2Q": "32e16c427e6792069b178f429f1c4f319bb2298fbf03cf0cab48013454a9207a",
-    "n_cool_threshold": "876460853dc74529091a71bfb33f05a7c3e80a5210f9805f79c8274584bb2731",
-    "T1": "73d57f30fa23c799fe307ab21f4b6c140ac4a21a56ee8b61378178af96bff32a",
-    "D_site": "49c8254b8d606691137ea94968892545aea7cbed7f3da9aebe98a718d50842e6",
+    "T_per_move": "e106d6b70fb1b3bd779ece3ec1126d351baa78904ed549d3e7216a803854d51a",
+    "f_2Q": "af350fcc171504017ef908eb86c04faacb39f4a28eead8649545c81db1826587",
+    "n_cool_threshold": "f262830c9a95155058c6a4946f80283d19dfd097aa8b85e8b2e79ecef6fba4dd",
+    "T1": "3e85a128f6e6fcfc5c6fa3ad6a238f0863b8dd17ab3221709498b4e7ab5eefc7",
+    "D_site": "9119f12830dd303f558eebcbc62dbad7acb79d3dc07155bc0c0a8d821fa3c2d2",
 }
 
 

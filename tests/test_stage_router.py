@@ -451,11 +451,63 @@ def test_selection_with_crossed_rows_counts_the_shared_lane(relaxed, accepted,
                  4: AtomCoord(1, 3, 2), 5: AtomCoord(0, 2, 2)}
     front = [(0, (0, 1)), (1, (2, 3)), (2, (4, 5))]
     gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
-    got, pins, rej = select_parallel_gates(front, gate_pins, _ArrayIndex(placement, cfg), cfg)
+    index = _ArrayIndex(placement, cfg)
+    got, pins, deferred = select_parallel_gates(front, gate_pins, index, cfg,
+                                                *initial_lanes(cfg, index))
     assert [gi for gi, _ in got] == accepted
-    assert rej == c3_rejections
+    assert deferred["C3"] == c3_rejections
     rows = as_reference(pins).rows
     assert [rows[(0, r)] for r in (1, 2, 3)[:len(accepted)]] == [4, 2, 4][:len(accepted)]
+
+
+def three_aod_stage():
+    """Three 4 x 4 AODs and CZs A (AOD 0 with AOD 1: rows on lane 3,
+    columns on lane 1), C (AOD 2 row 0 onto lane 0), B (AOD 2 row 3 onto
+    lane 4) and P (AOD 2 row 3 onto lane 4 too, which C1 rejects after C:
+    AOD 2's atom at (0, 3) would share the cell of an SLM atom).  AOD 2's
+    rows 1 and 2 then park strictly between lanes 0 and 4, on lanes 1 and
+    3, and need both.  Previous lanes: AOD 0 and 1 hold neither."""
+    cfg = ArchConfig(n_aod=3, slm_rows=4, slm_cols=4, aod_rows=(4,) * 3, aod_cols=(4,) * 3)
+    placement = {0: AtomCoord(1, 1, 0), 1: AtomCoord(2, 2, 1),
+                 2: AtomCoord(3, 0, 0), 3: AtomCoord(0, 0, 0),
+                 4: AtomCoord(3, 1, 1), 5: AtomCoord(3, 3, 2), 6: AtomCoord(0, 2, 2),
+                 7: AtomCoord(3, 2, 1), 8: AtomCoord(3, 3, 3), 9: AtomCoord(0, 2, 3),
+                 10: AtomCoord(3, 0, 3), 11: AtomCoord(0, 0, 3)}
+    rows = [[None, 11, None, None], [None, None, 13, None], [17, 19, 21, 23]]
+    cols = [[15, None, None, None], [None, 25, None, None], [27, 29, 31, 33]]
+    gates = {"A": (0, (0, 1)), "C": (1, (2, 3)), "B": (2, (5, 6)), "P": (3, (8, 9))}
+    gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in gates.values()}
+    index = _ArrayIndex(placement, cfg)
+
+    def select(names, rows=rows):
+        got, pins, deferred = select_parallel_gates([gates[x] for x in names], gate_pins,
+                                                    index, cfg, rows, cols)
+        return "".join(x for x in names if gates[x] in got), pins, deferred
+    return select, gate_pins, index, cfg, rows, cols
+
+
+def test_a_lane_another_aod_pins_is_no_park_lane():
+    select, gate_pins, index, cfg, rows, cols = three_aod_stage()
+    assert select("CB")[0] == "CB"
+    # A pins lane 3 first: B's gap keeps one free lane for two rows
+    got, pins, deferred = select("ACB")
+    assert got == "AC"
+    assert deferred == {"pin": 0, "C2": 0, "C3": 0, "gap": 1, "C1": 0}
+    pins.add(gate_pins[2])  # ... which synthesis could not have parked
+    assert synthesize_motion(pins, rows, cols, index, cfg) is None
+    # also when P's gap check counted AOD 2's blocked lanes before A pinned
+    assert select("CPB")[0] == "CB"
+    assert select("CPAB")[0] == "CA"
+
+
+def test_a_lane_another_aod_held_is_no_park_lane():
+    select, *_ = three_aod_stage()
+    held = [[None, 3, None, None], [None, None, 13, None], [17, 19, 21, 23]]
+    got, _, deferred = select("CB", held)  # AOD 0's row 1 parked on lane 3
+    assert got == "C"
+    assert deferred["gap"] == 1
+    own = [[None, 11, None, None], [None, None, 13, None], [17, 3, 21, 23]]
+    assert select("CB", own)[0] == "CB"  # AOD 2's own lane does not block it
 
 
 # ---------------------------------------------------------------------------
@@ -716,12 +768,13 @@ def routed_circuits(draw):
 
 
 def route_outcome(route_fn, routed, placement, cfg, serial):
-    """The schedule's stages as JSON dicts, or the exception route raised."""
+    """The schedule as a JSON dict with its deferrals, or the exception
+    route raised."""
     try:
         sched = route_fn(routed, placement, cfg, serial=serial)
     except (RuntimeError, ValueError) as e:
         return type(e), str(e)
-    return schedule_to_dict(sched)
+    return {**schedule_to_dict(sched), "deferrals": sched.deferrals}
 
 
 @settings(max_examples=300, deadline=None)

@@ -40,25 +40,40 @@ def stage_inputs(draw):
     return placement, cfg, front, desc, draw(st.booleans())
 
 
-def select(front, placement, index, cfg, desc, serial=False):
+def select(front, placement, index, cfg, desc, prev, serial=False):
     """Selection as `route` runs it: the front by descending descendant
-    count (ties: lower gate index), only its first CZ if serial."""
+    count (ties: lower gate index), only its first CZ if serial, after
+    the lanes `prev` (rows, columns)."""
     order = sorted(front, key=lambda fg: (-desc[fg[0]], fg[0]))
     gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
-    return select_parallel_gates(order[:1] if serial else order, gate_pins, index, cfg)
+    return select_parallel_gates(order[:1] if serial else order, gate_pins, index, cfg, *prev)
+
+
+def random_lanes(data, cfg, index):
+    """Previous lanes: the initial ones, or random ints (even, odd,
+    crossing, shared between arrays) on the occupied rows and columns."""
+    prev = initial_lanes(cfg, index)
+    if data.draw(st.booleans()):
+        lanes = st.integers(-3, 2 * cfg.slm_rows + 3)
+        prev = tuple([[None if lane is None else data.draw(lanes) for lane in per_t]
+                      for per_t in axis] for axis in prev)
+    return prev
 
 
 @settings(max_examples=400, deadline=None)
-@given(stage_inputs())
-def test_selection_matches_the_whole_stage_reference(inputs):
+@given(stage_inputs(), st.data())
+def test_selection_matches_the_whole_stage_reference(inputs, data):
     placement, cfg, front, desc, serial = inputs
     index = _ArrayIndex(placement, cfg)
-    got_acc, got_pins, got_rej = select(front, placement, index, cfg, desc, serial)
-    want_acc, want_pins, want_rej = ref.select_parallel_gates(front, placement, index,
-                                                              cfg, desc, serial)
+    prev = random_lanes(data, cfg, index)
+    got_acc, got_pins, got_deferred = select(front, placement, index, cfg, desc, prev, serial)
+    want_acc, want_pins, want_deferred = ref.select_parallel_gates(
+        front, placement, index, cfg, desc, *prev, serial)
     assert got_acc == want_acc
-    assert got_rej == want_rej
+    assert got_deferred == want_deferred
     assert ref.as_reference(got_pins) == want_pins
+    assert sum(got_deferred.values()) + len(got_acc) == (min(len(front), 1) if serial
+                                                         else len(front))
 
 
 @settings(max_examples=400, deadline=None)
@@ -67,12 +82,8 @@ def test_synthesis_matches_the_full_range_reference(inputs, data):
     # previous lanes: the initial ones, or random ints (even, odd, crossing)
     placement, cfg, front, desc, _ = inputs  # not serial: one gate leaves no interior gap
     index = _ArrayIndex(placement, cfg)
-    _, pins, _ = select(front, placement, index, cfg, desc)
-    prev = initial_lanes(cfg, index)
-    if data.draw(st.booleans()):
-        lanes = st.integers(-3, 2 * cfg.slm_rows + 3)
-        prev = tuple([[None if lane is None else data.draw(lanes) for lane in per_t]
-                      for per_t in axis] for axis in prev)
+    prev = random_lanes(data, cfg, index)
+    _, pins, _ = select(front, placement, index, cfg, desc, prev)
     got = synthesize_motion(pins, *prev, index, cfg)
     assert got == ref.synthesize_motion(ref.as_reference(pins), *prev, index, cfg)
     # route() drops gates until synthesis succeeds; with no pins it must
@@ -103,7 +114,7 @@ def test_two_stages_in_a_row_match_the_reference(inputs, data):
     gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
     prev = initial_lanes(cfg, index)
     for _ in range(2):
-        accepted, pins, _ = select(front, placement, index, cfg, desc)
+        accepted, pins, _ = select(front, placement, index, cfg, desc, prev)
         rows, cols, _ = synthesize_as_route(accepted, pins, prev, index, cfg, gate_pins)
         prev = rows, cols
         front = data.draw(st.permutations(front)).copy()
@@ -113,14 +124,15 @@ def test_two_stages_in_a_row_match_the_reference(inputs, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stage_inputs())
-def test_pins_rebuilt_from_the_accepted_gates_match_selection(inputs):
+@given(stage_inputs(), st.data())
+def test_pins_rebuilt_from_the_accepted_gates_match_selection(inputs, data):
     # route() rebuilds the stage's pins with `add` after synthesis drops the
     # last accepted gate; selection over the kept gates gives the same state
     placement, cfg, front, desc, serial = inputs
     index = _ArrayIndex(placement, cfg)
+    prev = random_lanes(data, cfg, index)
     gate_pins = {gi: _gate_pins(pair, placement, cfg) for gi, pair in front}
-    accepted, pins, _ = select(front, placement, index, cfg, desc, serial)
+    accepted, pins, _ = select(front, placement, index, cfg, desc, prev, serial)
 
     def rebuilt(kept):
         out = _Pins(cfg.n_aod)
@@ -129,7 +141,7 @@ def test_pins_rebuilt_from_the_accepted_gates_match_selection(inputs):
         return out.axes, out.col_offsets
 
     assert rebuilt(accepted) == (pins.axes, pins.col_offsets)
-    kept, kept_pins, _ = select_parallel_gates(accepted[:-1], gate_pins, index, cfg)
+    kept, kept_pins, _ = select_parallel_gates(accepted[:-1], gate_pins, index, cfg, *prev)
     assert kept == accepted[:-1]
     assert rebuilt(kept) == (kept_pins.axes, kept_pins.col_offsets)
 
