@@ -206,8 +206,8 @@ def lane_gather(placement: dict[int, AtomCoord]):
     atom reads once per set of list lengths, so a walk that gathers many
     blocks of stages pays that per-atom work once, not once per block."""
     sites = [placement[q] for q in range(len(placement))]
-    slm = [q for q, p in enumerate(sites) if p.array == 0]
-    aod = [q for q, p in enumerate(sites) if p.array != 0]
+    slm = np.array([q for q, p in enumerate(sites) if p.array == 0], dtype=np.intp)
+    aod = np.array([q for q, p in enumerate(sites) if p.array != 0], dtype=np.intp)
     slm_lanes = np.array([(2 * sites[q].col, 0.0, 2 * sites[q].row) for q in slm],
                          dtype=np.float64).reshape(-1, 3)
     columns = {}  # (row, col, offset list lengths) -> each AOD atom's three columns
@@ -219,10 +219,10 @@ def lane_gather(placement: dict[int, AtomCoord]):
                             else _lane_table(col_offsets))
         key = (row_widths, col_widths, off_widths)
         if key not in columns:
-            columns[key] = (
+            columns[key] = [np.array(c, dtype=np.intp) for c in (
                 [_column(row_widths, sites[q].array - 1, sites[q].row) for q in aod],
                 [_column(col_widths, sites[q].array - 1, sites[q].col) for q in aod],
-                [_column(off_widths, sites[q].array - 1, sites[q].col) for q in aod])
+                [_column(off_widths, sites[q].array - 1, sites[q].col) for q in aod])]
         ri, ci, oi = columns[key]
         out = np.empty((len(row_lanes), len(sites), 3))
         out[:, slm] = slm_lanes

@@ -28,6 +28,7 @@ from .render import render_schedule
 from .stage_router import (
     DistanceMismatch,
     MoveTimeMismatch,
+    audit_routed,
     audit_schedule,
     schedule_from_dict,
     schedule_to_circuit,
@@ -152,12 +153,15 @@ def cmd_sweep(args) -> int:
     circuit = _generate(args, config)
     # every value is checked, as a config would check it, before any compile
     if args.param == "D_site":
-        # geometry changes force a recompile per point
+        # no routing decision reads D_site: route once, then per value audit
+        # the new positions as route does and score the distances they give
         configs = [dataclasses.replace(config, D_site=v) for v in values]
+        *_, schedule = build_schedule(circuit, configs[0], seed=args.seed)
         results = []
         for point_config in configs:
-            res = compile_circuit(circuit, point_config, params, seed=args.seed)
-            results.append((res.report, res.ledger))
+            point = dataclasses.replace(schedule, config=point_config)
+            point.total_distance_um = audit_routed(point)
+            results += apply_schedule(point, [(params, None)])
     else:
         # pure-model parameters rescore one compiled schedule, all points in
         # one walk

@@ -23,17 +23,16 @@ walk that heats and multiplies one atom at a time (that walk is kept as
   per-point value only in elementwise ``+ - * /``, ``sqrt``, comparisons
   and ``where``, which round each element as the scalar operation does.
   So each point's floats are those of scoring it alone.
-* Stages are read ``BLOCK // 16`` at a time: one array pass finds the moved
-  atoms and checks that no static atom moves and that each stage's
-  ``move_time_s`` is ``config.T_per_move``, or 0.0 for a stage that moves
-  no atom (what ``route()`` writes); only if a check fails are the stages
-  checked one by one, so the error names the first bad stage.
+* Move distances come from the stages' lanes, one block of the stage
+  router's lane walk at a time, and a stage moves (is charged a move
+  time) by the router's one rule, ``move_times``: it has a CZ or its lanes
+  move an atom.  One array pass per walk block finds the moved atoms.
 * One loop runs over blocks of stages, split by size only.  The quanta
   each moved atom gains depend on nothing but its distance and the point's
   move time, so one ``delta_nvib`` pass heats a whole block.  A walk over
   the block's stages then keeps only the sequential state: ``n_vib``,
-  heated where ``distances_um > 0``, and the per-AOD cooling check.  It
-  records the post-move ``n_vib`` of the moved atoms (ascending qubit
+  heated where a move distance is above 0, and the per-AOD cooling check.
+  It records the post-move ``n_vib`` of the moved atoms (ascending qubit
   order) and the ``n_vib`` pair of each CZ.
 * ``n_vib`` starts at 0, rises only by a move, and every cooling check
   leaves each AOD at or below the (non-negative) threshold.  So a check
@@ -74,7 +73,7 @@ from operator import add, gt, le
 import numpy as np
 
 from .arch import HardwareParams
-from .stage_router import Schedule
+from .stage_router import Schedule, lane_walk, move_times
 
 # math.erf(x) == 1.0 for every x >= ERF_ONE (tests/test_fidelity.py checks it)
 ERF_ONE = 6.0
@@ -200,20 +199,19 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     Every stage that moves is charged one move of the point's T_per_move:
     None keeps ``schedule.config.T_per_move``, and any other value goes
     through ``dataclasses.replace(schedule.config, T_per_move=...)``, so a
-    value that ``ArchConfig`` rejects raises its ValueError.  Distances stay
-    fixed, which is what a move-time sweep rescores.  Gate times are charged
-    per layer/stage (parallel pulses share a clock tick).  N_transfer is 0
-    for native schedules and only non-zero when scoring externally produced
-    schedules that reload atoms between stages.
+    value that ``ArchConfig`` rejects raises its ValueError.  Move distances
+    follow from the lanes and ``schedule.config`` alone, so a move-time
+    sweep rescores the same moves.  Gate times are charged per layer/stage
+    (parallel pulses share a clock tick).  N_transfer is 0 for native
+    schedules and only non-zero when scoring externally produced schedules
+    that reload atoms between stages.
 
     The report's ``cooling`` lists, per stage, the AOD indices whose atoms
     were swapped against the cold reserve after that stage.
 
-    Raises ValueError, naming the first bad stage, when a stage's
-    ``distances_um`` does not hold one entry per atom, a static atom has a
-    nonzero distance, its ``move_time_s`` is neither
-    ``schedule.config.T_per_move`` nor 0.0 for a stage that moves no atom,
-    or a ``cz`` names a qubit outside range(n_qubits).
+    Raises the lane walk's ValueError: naming the first stage whose ``cz``
+    names a qubit outside range(n_qubits), or on lanes that do not give
+    every atom a finite position.
     """
     config = schedule.config
     placement = schedule.placement
@@ -227,8 +225,6 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     aod_order = np.array([q for array in sorted(aod_atoms) for q in aod_atoms[array]],
                          dtype=np.int64)
     aod_starts = np.cumsum([0] + [len(atoms) for _, atoms in aods[:-1]])
-    movable = np.zeros(n_mapped, dtype=bool)
-    movable[aod_order] = True
 
     hw = [p for p, _ in points]
     times = [config.T_per_move if t is None else replace(config, T_per_move=t).T_per_move
@@ -253,21 +249,21 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     n_1q = n_2q = n_layers = rydberg_stages = n_moving = k = 0
     events = []  # (stage index, AOD, points cooled)
     flat = n_vib.reshape(-1)  # entry (atom q, point i) at q * n_pts + i
-    for block, atoms, dist in _read_stages(schedule.stages, movable, config.T_per_move, n_pts):
+    for block, atoms, dist in _read_stages(schedule, n_pts):
         if atoms.size:
             gain = _gain(dist[:, None], scale)
-            rises = iter(np.maximum.reduceat(gain, [lo for _, lo, hi in block if hi > lo]).tolist())
+            starts = [lo for _, _, lo, hi in block if hi > lo]
+            rises = iter(np.maximum.reduceat(gain, starts).tolist())
             gain = gain.ravel()
             rows = (atoms[:, None] * n_pts + np.arange(n_pts)).ravel()
         # the post-move n_vib of each moved atom, and the n_vib pair of each
         # CZ, in stage-then-qubit order
         after, pairs = [], []
-        for stage, lo, hi in block:
+        for stage, moving, lo, hi in block:
             for layer in stage.raman:
                 n_1q += len(layer)
             n_layers += len(stage.raman)
-            if stage.move_time_s:
-                n_moving += 1
+            n_moving += moving
 
             hot = False
             if hi > lo:
@@ -339,72 +335,33 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     return scores
 
 
-# Stages are read, and their factors folded in, in blocks of up to BLOCK
-# moved atoms, 16 * BLOCK entries (moved atoms times points) or BLOCK // 16
-# stages: enough to share numpy's per-call cost, too few to add to the
-# memory peak of a compile or a sweep.
+# Stages are scored, and their factors folded in, in blocks of up to BLOCK
+# moved atoms or 16 * BLOCK entries (moved atoms times points) within one
+# lane-walk block: enough to share numpy's per-call cost, too few to add
+# to the memory peak of a compile or a sweep.
 BLOCK = 1024
 
 
-def _read_stages(stages, movable: np.ndarray, T_per_move: float, width: int):
-    """Check each stage and yield blocks of stages, as ([(stage, start and
-    end of the atoms it moves)], those atoms, their distances), for
-    ``width`` points.
-
-    Stages are read BLOCK // 16 at a time, in one array pass; only where a
-    check fails are they checked one by one, so that the error names the
-    first bad stage."""
-    n = len(movable)
-    for c0 in range(0, len(stages), BLOCK // 16):
-        chunk = stages[c0:c0 + BLOCK // 16]
-        dists = [np.asarray(stage.distances_um, dtype=float) for stage in chunk]
-        ok = (all(d.shape == (n,) for d in dists)
-              and all(0 <= a < n and 0 <= b < n for stage in chunk for a, b in stage.cz))
-        if ok:
-            # every stage's distances back to back, and the moved ones
-            flat = np.concatenate(dists)
-            at = (flat > 0.0).nonzero()[0]
-            atoms = at % n
-            ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
-            ok = (np.count_nonzero(movable[atoms]) == atoms.size
-                  and all(stage.move_time_s == T_per_move
-                          or (stage.move_time_s == 0.0 and start == end)
-                          for stage, start, end in zip(chunk, [0, *ends], ends)))
-        if not ok:
-            for k, (stage, dist) in enumerate(zip(chunk, dists), c0):
-                _check_stage(k, stage, dist, movable, T_per_move)
-        dist = flat[at]
+def _read_stages(schedule: Schedule, width: int):
+    """Yield blocks of stages, as ([(stage, whether it moves, start and end
+    of the atoms it moves)], those atoms, their distances), for ``width``
+    points, from one lane walk."""
+    n = len(schedule.placement)
+    for k0, _, moved in lane_walk(schedule):
+        chunk = schedule.stages[k0:k0 + len(moved)]
+        # every stage's distances back to back, and the moved ones
+        flat = moved.reshape(-1)
+        at = (flat > 0.0).nonzero()[0]
+        atoms, dist = at % n, flat[at]
+        ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
+        times = move_times(chunk, moved, schedule.config.T_per_move)
 
         block, first, start = [], 0, 0
-        for stage, end in zip(chunk, ends):
-            block.append((stage, start - first, end - first))
+        for stage, move_time, end in zip(chunk, times, ends):
+            block.append((stage, move_time > 0.0, start - first, end - first))
             start = end
             if start - first >= BLOCK or (start - first) * width >= 16 * BLOCK:
                 yield block, atoms[first:start], dist[first:start]
                 block, first = [], start
         if block:
             yield block, atoms[first:start], dist[first:start]
-
-
-def _check_stage(k: int, stage, dist: np.ndarray, movable: np.ndarray,
-                 T_per_move: float) -> None:
-    """Raise ValueError, naming stage k, if its distances do not hold one
-    entry per atom, a static atom moves, its move time is neither T_per_move
-    nor 0.0 for a stage that moves no atom, or a CZ names a qubit out of
-    range."""
-    n = len(movable)
-    if dist.shape != (n,):
-        raise ValueError(f"stage {k}: distances_um has shape {dist.shape}, "
-                         f"needs one entry per atom ({n})")
-    moved = (dist > 0.0).nonzero()[0]
-    if np.count_nonzero(movable[moved]) != moved.size:
-        q = int(moved[~movable[moved]][0])
-        raise ValueError(f"stage {k}: static atom {q} has move distance "
-                         f"{float(dist[q])!r} um")
-    t = stage.move_time_s
-    if not (t == T_per_move or (t == 0.0 and not moved.size)):
-        raise ValueError(f"stage {k}: move_time_s {t!r} with {moved.size} atom(s) moved, "
-                         f"needs T_per_move ({T_per_move!r}), or 0.0 if no atom moves")
-    for a, b in stage.cz:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")

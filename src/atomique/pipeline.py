@@ -25,13 +25,18 @@ from .swap_router import RoutedCircuit, route_inter_array
 
 
 def random_assignment(n: int, config: ArchConfig, seed: int) -> np.ndarray:
-    """Ablation baseline: qubits dropped uniformly onto free array slots."""
+    """Ablation baseline: qubits dropped uniformly onto free array slots.
+    If n >= 2 qubits land in one array, where no CZ runs, the last drawn
+    slot is swapped with the first undrawn one of another array, if any."""
     slots = np.repeat(np.arange(config.n_arrays),
                       [config.array_capacity(a) for a in range(config.n_arrays)])
     rng = np.random.default_rng(seed)
     rng.shuffle(slots)
     if n > len(slots):
         raise ValueError(f"{n} qubits exceed total capacity {len(slots)}")
+    other = n + np.flatnonzero(slots[n:] != slots[0])
+    if n >= 2 and (slots[:n] == slots[0]).all() and other.size:
+        slots[[n - 1, other[0]]] = slots[[other[0], n - 1]]
     return slots[:n].copy()
 
 

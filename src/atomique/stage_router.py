@@ -16,17 +16,19 @@ Three legality constraints govern what fits into one stage:
   C3  two rows (or columns) of one array cannot merge onto one lane.
 Any of the three can be disabled for ablation studies; the continuous
 min-separation audit remains the ground truth and is run on every stage.
-One walk audits the stages of `route` and `audit_schedule` in blocks of
-up to AUDIT_BLOCK atoms, one lane gather and separation scan per block:
-the scan's fixed cost is paid per block, and the cap bounds its arrays.
+A stage holds lanes only.  One walk (`lane_walk`) derives its move
+distances and move time, in blocks of up to AUDIT_BLOCK atoms with one lane
+gather each, for the audit (plus a separation scan per block), scoring and
+the serializer: fixed costs are paid per block, and the cap bounds arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
-from operator import lt
+from operator import add, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +57,6 @@ class Stage:
     row_lanes: list[list]                # per AOD: lane per row index (None = empty row)
     col_lanes: list[list]
     col_offsets: list[list[float]]       # per AOD: x offset (um) per column
-    distances_um: np.ndarray             # per-atom move distance this stage
-    move_time_s: float
     cooling: list[int] = field(default_factory=list)  # AOD indices reset after this stage
 
 
@@ -73,6 +73,11 @@ class Schedule:
     # "popped": accepted by selection, then dropped so synthesis fits.
     # Routing fills it; a loaded schedule has none.
     deferrals: dict[str, int] = field(default_factory=dict)
+    total_distance_um: float = 0.0  # per-stage sums added in stage order
+    # a loaded file's stored move distances and move time per stage, for
+    # `audit_schedule` alone; routing derives both from the lanes
+    stored_distances_um: list[np.ndarray] | None = None
+    stored_move_times_s: list[float] | None = None
 
     @property
     def depth(self) -> int:
@@ -82,10 +87,6 @@ class Schedule:
     @property
     def n_raman_layers(self) -> int:
         return sum(len(s.raman) for s in self.stages)
-
-    @property
-    def total_distance_um(self) -> float:
-        return float(sum(s.distances_um.sum() for s in self.stages))
 
     def stage_positions(self, k: int) -> np.ndarray:
         s = self.stages[k]
@@ -526,46 +527,77 @@ def synthesize_motion(pins: _Pins, prev_rows, prev_cols, index: _ArrayIndex,
                                 for off_t, prev_t in zip(pins.col_offsets, prev_cols)]
 
 
+# target gates per sweep of `_descendant_counts`
+DESCENDANT_BLOCK = 2048
+
+
 def _descendant_counts(dag) -> list[int]:
-    """Number of DAG descendants per gate (reachability via bitsets)."""
-    n = dag.n_nodes
-    reach = [0] * n
-    for i in range(n - 1, -1, -1):
-        m = 0
-        for s in dag.succs[i]:
-            m |= reach[s] | (1 << s)
-        reach[i] = m
-    return [r.bit_count() for r in reach]
+    """Number of DAG descendants per gate.  A gate's successors have higher
+    indices, so one reverse sweep per block of DESCENDANT_BLOCK target gates
+    gives each gate the bitset of the block's gates it reaches: gates x
+    DESCENDANT_BLOCK bits at a time, not gates^2."""
+    n, succs = dag.n_nodes, dag.succs
+    counts = [0] * n
+    for b0 in range(0, n, DESCENDANT_BLOCK):
+        b1 = min(n, b0 + DESCENDANT_BLOCK)
+        reach = [0] * b1
+        for i in range(b1 - 1, -1, -1):
+            m = 0
+            for s in succs[i]:
+                if s < b0:
+                    m |= reach[s]
+                elif s < b1:
+                    m |= reach[s] | (1 << (s - b0))
+            reach[i] = m
+            counts[i] += m.bit_count()
+    return counts
 
 
-# atoms per audited block of stages (a block holds at least one stage)
+# atoms per block of stages of a lane walk (a block holds at least one stage)
 AUDIT_BLOCK = 8192
 
 
-def _audit_walk(placement: Placement, config: ArchConfig, initial_rows, initial_cols,
-                stages):
-    """Audit `stages`, one (cz, row_lanes, col_lanes, col_offsets) each, in
-    blocks of up to AUDIT_BLOCK atoms.  Yields (first stage index, (k, n)
-    move distances from the lanes before, findings) per block of k stages.
-    Findings are (stage index, `Violation`) pairs in pair order, minus the
-    ones a relaxed constraint deliberately permits (cross-array closeness
-    under C1, same-array lane collisions under C3).  Raises ValueError on a
-    CZ qubit outside range(n)."""
+def lane_walk(schedule: Schedule):
+    """Yields (first stage index, `atom_lanes`, (k, n) move distances from
+    the lanes before, the initial ones first) per block of k stages of up
+    to AUDIT_BLOCK atoms, one lane gather each.  First raises ValueError
+    naming the first stage with a CZ qubit outside range(n)."""
+    placement, config, stages = schedule.placement, schedule.config, schedule.stages
     n = len(placement)
+    for k, s in enumerate(stages):
+        for a, b in s.cz:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")
     per_block = max(1, AUDIT_BLOCK // max(n, 1))
     gather = lane_gather(placement)
-    prev = gather([initial_rows], [initial_cols])
+    prev = gather([schedule.initial_row_lanes], [schedule.initial_col_lanes])
     for k0 in range(0, len(stages), per_block):
-        czs, rows, cols, offsets = zip(*stages[k0:k0 + per_block])
-        lanes = gather(rows, cols, offsets)
+        block = stages[k0:k0 + per_block]
+        lanes = gather([s.row_lanes for s in block], [s.col_lanes for s in block],
+                       [s.col_offsets for s in block])
         moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
-        pairs = []
-        for k, cz in enumerate(czs):
-            for a, b in cz:
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError(f"cz {[a, b]} names a qubit outside range({n})")
-                pairs.append((k * n + a, k * n + b))
-        stage = np.repeat(np.arange(len(czs)), n)
+        yield k0, lanes, moved.reshape(len(block), n)
+        prev = lanes[len(lanes) - n:]
+
+
+def move_times(stages, moved: np.ndarray, T_per_move: float) -> list[float]:
+    """Each stage's move time: T_per_move if it has a CZ or its lanes move an
+    atom (`moved`: the stages' (k, n) move distances), else 0.0."""
+    return [T_per_move if (s.cz or m) else 0.0 for s, m in zip(stages, moved.any(axis=1).tolist())]
+
+
+def _audit_walk(schedule: Schedule):
+    """`lane_walk` with each block's separation scan.  Yields (first stage
+    index, (k, n) move distances, findings) per block of k stages.
+    Findings are (stage index, `Violation`) pairs in pair order, minus the
+    ones a relaxed constraint deliberately permits (cross-array closeness
+    under C1, same-array lane collisions under C3)."""
+    placement, config = schedule.placement, schedule.config
+    n = len(placement)
+    for k0, lanes, moved in lane_walk(schedule):
+        pairs = [(k * n + a, k * n + b)
+                 for k, s in enumerate(schedule.stages[k0:k0 + len(moved)]) for a, b in s.cz]
+        stage = np.repeat(np.arange(len(moved)), n)
         found = []
         for v in min_separation_audit(atom_positions(lanes, config), pairs, config, stage):
             k = v.i // n
@@ -577,8 +609,20 @@ def _audit_walk(placement: Placement, config: ArchConfig, initial_rows, initial_
                     and v.distance_um < 1e-9):
                 continue
             found.append((k0 + k, Violation(i, j, v.distance_um, v.kind)))
-        yield k0, moved.reshape(len(czs), n), found
-        prev = lanes[len(lanes) - n:]
+        yield k0, moved, found
+
+
+def audit_routed(schedule: Schedule) -> float:
+    """The total move distance of a routed schedule, summed in one audit
+    walk; RuntimeError with the first four findings of the first stage in
+    violation, if any."""
+    total = 0.0
+    for _, moved, found in _audit_walk(schedule):
+        if found:
+            raise RuntimeError("stage geometry violates separation: "
+                               f"{[v for k, v in found if k == found[0][0]][:4]}")
+        total = reduce(add, moved.sum(axis=1).tolist(), total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -590,8 +634,7 @@ class DistanceMismatch:
 
 
 class MoveTimeMismatch(NamedTuple):
-    """A stored move time other than the stage needs: `T_per_move` for a
-    stage that has a CZ or whose lanes move an atom, 0.0 for any other.
+    """A stored move time other than the stage needs (`move_times`).
     (A NamedTuple: it costs a fraction of a dataclass to define at import.)"""
     stored_s: float
     needed_s: float
@@ -600,29 +643,25 @@ class MoveTimeMismatch(NamedTuple):
 def audit_schedule(schedule: Schedule) -> list:
     """(stage index, finding) pairs over the whole schedule; empty = legal.
 
-    Findings are separation violations (`Violation`), stored move
-    distances that are not exactly the ones the lanes give, starting from
-    the initial lanes (`DistanceMismatch`), and stored move times that are
-    not exactly the ones the stage needs (`MoveTimeMismatch`): per stage,
-    its violations in pair order, then its distance mismatches in qubit
-    order, then its move-time mismatch.
+    Findings are separation violations (`Violation`) and, in a loaded
+    file, stored move distances other than the lanes give, starting from
+    the initial lanes (`DistanceMismatch`), and stored move times other
+    than the stage needs (`MoveTimeMismatch`): per stage, its violations
+    in pair order, then its distance mismatches in qubit order, then its
+    move-time mismatch.
     """
     stages, findings = schedule.stages, []
-    per_stage = [(s.cz, s.row_lanes, s.col_lanes, s.col_offsets) for s in stages]
-    T_per_move = schedule.config.T_per_move
-    for k0, moved, found in _audit_walk(schedule.placement, schedule.config,
-                                        schedule.initial_row_lanes,
-                                        schedule.initial_col_lanes, per_stage):
-        block = stages[k0:k0 + len(moved)]
-        stored = np.array([s.distances_um for s in block])
-        found += [(k0 + k, DistanceMismatch(q, float(stored[k, q]), float(moved[k, q])))
-                  for k, q in np.argwhere(stored != moved).tolist()]
-        times = np.array([s.move_time_s for s in block], dtype=float)
-        needed = np.where(np.array([bool(s.cz) for s in block]) | moved.any(axis=1),
-                          T_per_move, 0.0)
-        found += [(k0 + k, MoveTimeMismatch(float(times[k]), float(needed[k])))
-                  for k in np.flatnonzero(times != needed).tolist()]
-        found.sort(key=lambda f: f[0])  # stable: keeps the order above within a stage
+    for k0, moved, found in _audit_walk(schedule):
+        if schedule.stored_distances_um is not None:
+            k1 = k0 + len(moved)
+            stored = np.array(schedule.stored_distances_um[k0:k1])
+            found += [(k0 + k, DistanceMismatch(q, float(stored[k, q]), float(moved[k, q])))
+                      for k, q in np.argwhere(stored != moved).tolist()]
+            times = np.array(schedule.stored_move_times_s[k0:k1], dtype=float)
+            needed = np.array(move_times(stages[k0:k1], moved, schedule.config.T_per_move))
+            found += [(k0 + k, MoveTimeMismatch(float(times[k]), float(needed[k])))
+                      for k in np.flatnonzero(times != needed).tolist()]
+            found.sort(key=lambda f: f[0])  # stable: keeps the order above within a stage
         findings += found
     return findings
 
@@ -641,9 +680,10 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     so the ready CZs stay sorted and no pass rescans the front; a barrier
     retires as soon as it is ready.  The schedule's `deferrals` add up
     selection's counts over the stages, and "popped" counts the dropped
-    gates.  Then the emitted stages are audited in blocks: the first stage
-    in violation raises RuntimeError with its first four findings, also
-    when routing failed after emitting it.
+    gates.  Then the emitted stages are audited in blocks, which also sums
+    their move distances: the first stage in violation raises RuntimeError
+    with its first four findings (`audit_routed`), also when routing
+    failed after emitting it.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -690,20 +730,11 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 freed += retire(gi)
 
     release([gi for gi, c in enumerate(pending) if c == 0])
-    prev_rows, prev_cols = initial = initial_lanes(config, index)
-    emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
+    prev_rows, prev_cols = initial_lanes(config, index)
     deferrals = {"pin": 0, "C2": 0, "C3": 0, "gap": 0, "C1": 0, "popped": 0}
-
-    def audit() -> list[np.ndarray]:
-        """Move distances per emitted stage; RuntimeError for the first in violation."""
-        distances = []
-        for _, moved, found in _audit_walk(placement, config, *initial,
-                                           [e[1:] for e in emitted]):
-            if found:
-                violations = [v for k, v in found if k == found[0][0]]
-                raise RuntimeError(f"stage geometry violates separation: {violations[:4]}")
-            distances.extend(moved)
-        return distances
+    stages: list[Stage] = []
+    schedule = Schedule(config, dict(placement), stages, list(routed.perm), prev_rows, prev_cols,
+                        0, deferrals)
 
     try:
         while True:
@@ -736,20 +767,18 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             # synthesize_motion gives every occupied row and column a finite
             # lane, so the audit's lane gather cannot fail; its lists are
             # fresh on every call, so each stage owns the ones it is given
-            emitted.append((raman_layers, [pair for _, pair in accepted], *synth))
+            stages.append(Stage(raman_layers, [pair for _, pair in accepted], *synth))
             for gi, _ in accepted:
                 del ready_cz[bisect_left(ready_cz, (-desc_count[gi], gi))]
                 release(retire(gi))
             prev_rows, prev_cols, _ = synth
     except Exception:
-        audit()
+        audit_routed(schedule)
         raise
 
-    stages = [Stage(raman, cz, rows, cols, offsets, distances,
-                    config.T_per_move if (cz or distances.any()) else 0.0)
-              for (raman, cz, rows, cols, offsets), distances in zip(emitted, audit())]
-    return Schedule(config, dict(placement), stages, list(routed.perm), *initial,
-                    deferrals["C3"], deferrals)
+    schedule.overlap_rejections = deferrals["C3"]
+    schedule.total_distance_um = audit_routed(schedule)
+    return schedule
 
 
 def schedule_to_circuit(schedule: Schedule) -> Circuit:
@@ -767,20 +796,25 @@ def schedule_to_circuit(schedule: Schedule) -> Circuit:
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
-    stages = []
-    for s in schedule.stages:
-        stages.append({
-            "aod": [{"row_lanes": s.row_lanes[t],
-                     "col_lanes": s.col_lanes[t],
-                     "col_offsets_um": s.col_offsets[t]}
-                    for t in range(schedule.config.n_aod)],
-            "cz": [list(p) for p in s.cz],
-            "raman": [[[g.qubits[0], *map(float, g.params)] for g in layer]
-                      for layer in s.raman],
-            "cooling": list(s.cooling),
-            "move_time_s": s.move_time_s,
-            "distances_um": s.distances_um.tolist(),
-        })
+    """The schema-1 JSON form of a schedule, each stage's move distances
+    and move time taken from one lane walk."""
+    stages, config = [], schedule.config
+    for k0, _, moved in lane_walk(schedule):
+        block = schedule.stages[k0:k0 + len(moved)]
+        for s, move_time, distances in zip(block, move_times(block, moved, config.T_per_move),
+                                           moved.tolist()):
+            stages.append({
+                "aod": [{"row_lanes": s.row_lanes[t],
+                         "col_lanes": s.col_lanes[t],
+                         "col_offsets_um": s.col_offsets[t]}
+                        for t in range(config.n_aod)],
+                "cz": [list(p) for p in s.cz],
+                "raman": [[[g.qubits[0], *map(float, g.params)] for g in layer]
+                          for layer in s.raman],
+                "cooling": list(s.cooling),
+                "move_time_s": move_time,
+                "distances_um": distances,
+            })
     n = len(schedule.placement)
     return {
         "schema_version": 1,
@@ -832,9 +866,10 @@ def _aod_lists(where: str, aods, n_aod: int, *keys: str) -> list:
 LOAD_BLOCK = 64
 
 
-def _load_stage(k: int, s: dict, n: int, n_aod: int) -> Stage:
-    """Stage k, with each check run on it alone, in the loader's order:
-    distances_um, move_time_s, cz, raman, cooling, then the lanes."""
+def _load_stage(k: int, s: dict, n: int, n_aod: int) -> tuple[Stage, np.ndarray, float]:
+    """Stage k, its stored move distances and its stored move time, with
+    each check run on it alone, in the loader's order: distances_um,
+    move_time_s, cz, raman, cooling, then the lanes."""
     if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
         raise ValueError(f"stage {k}: distances_um needs one number per qubit")
     if type(s["move_time_s"]) not in _NUMBER:
@@ -859,8 +894,8 @@ def _load_stage(k: int, s: dict, n: int, n_aod: int) -> Stage:
         raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
                          f"indices in range({n_aod})")
     lanes = _aod_lists(f"stage {k}", s["aod"], n_aod, "row_lanes", "col_lanes", "col_offsets_um")
-    return Stage(raman, cz, *lanes, np.asarray(s["distances_um"], dtype=float),
-                 float(s["move_time_s"]), list(s["cooling"]))
+    return (Stage(raman, cz, *lanes, list(s["cooling"])),
+            np.asarray(s["distances_um"], dtype=float), float(s["move_time_s"]))
 
 
 def _in_range(values: list, bound: int) -> bool:
@@ -869,15 +904,15 @@ def _in_range(values: list, bound: int) -> bool:
             and (not values or (min(values) >= 0 and max(values) < bound)))
 
 
-def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[Stage]:
-    """The stages of `block`, the first of them stage k0, built and then
-    checked in one pass over the block: its chained distances, move
-    times, lanes, offsets, cz and raman qubits, raman angles and cooling
-    entries each by one type and range check, its distances by one
-    `np.array`.  Only each stage's cz pairs are checked on their own
-    (no qubit twice).  When the pass fails, or an entry is malformed,
-    `_load_stage` loads the block stage by stage, and so raises for the
-    first bad stage what the loader always raised."""
+def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[tuple]:
+    """Each stage of `block` (the first is stage k0) with its stored move
+    distances and move time, built and then checked in one pass over the
+    block: its chained distances, move times, lanes, offsets, cz and raman
+    qubits, raman angles and cooling entries each by one type and range
+    check, its distances by one `np.array`.  Only each stage's cz pairs are
+    checked on their own (no qubit twice).  When the pass fails, or an entry
+    is malformed, `_load_stage` loads the block stage by stage, and so
+    raises for the first bad stage what the loader always raised."""
     flat = chain.from_iterable
     try:
         aods = [s["aod"] for s in block]
@@ -906,9 +941,8 @@ def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[Stage]:
         passed = False
     if not passed:
         return [_load_stage(k0 + i, s, n, n_aod) for i, s in enumerate(block)]
-    return [Stage(*fields, float(s["move_time_s"]), cooling)
-            for s, *fields, cooling in zip(block, ramans, czs, rows, cols, offs, distances,
-                                           coolings)]
+    return [(Stage(*fields), row, float(s["move_time_s"]))
+            for s, row, *fields in zip(block, distances, ramans, czs, rows, cols, offs, coolings)]
 
 
 def schedule_from_dict(d: dict) -> Schedule:
@@ -927,7 +961,8 @@ def schedule_from_dict(d: dict) -> Schedule:
 
     Stages are checked in blocks of LOAD_BLOCK (`_load_block`): one type
     pass per block, and stage by stage only where the pass fails, so the
-    first bad stage and its message are those of a stage-by-stage load."""
+    first bad stage and its message are those of a stage-by-stage load.
+    The stored distances and move times are kept for `audit_schedule`."""
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])
@@ -942,12 +977,15 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
     if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
         raise ValueError(f"perm is not a permutation of range({n})")
-    raw, stages = d["stages"], []
+    raw, loaded = d["stages"], []
     for k0 in range(0, len(raw), LOAD_BLOCK):
-        stages += _load_block(k0, raw[k0:k0 + LOAD_BLOCK], n, config.n_aod)
+        loaded += _load_block(k0, raw[k0:k0 + LOAD_BLOCK], n, config.n_aod)
     rejections = d["metrics"]["overlap_rejections"]
     if type(rejections) is not int or rejections < 0:
         raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
+    stages, distances, times = map(list, zip(*loaded)) if loaded else ([], [], [])
     return Schedule(config, placement, stages, list(d["perm"]),
                     *_aod_lists("initial", d["initial"]["aod"], config.n_aod,
-                                "row_lanes", "col_lanes"), rejections)
+                                "row_lanes", "col_lanes"), rejections,
+                    total_distance_um=float(reduce(add, (row.sum() for row in distances), 0.0)),
+                    stored_distances_um=distances, stored_move_times_s=times)

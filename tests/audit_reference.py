@@ -3,7 +3,11 @@
 The audit as it was before stages were audited in blocks: one lane array,
 one separation scan, one move-distance check and one move-time check per
 stage (the move-time rule was added to both audits later).  The package's
-block audit must return equal findings, by `repr`, on any schedule.
+block audit must return equal findings, by `repr`, on any schedule.  The
+two stored-value checks apply to a loaded file's stored columns only.
+
+`stage_moves` derives each stage's move distances from its lanes, one
+stage at a time, for this and the other test oracles.
 """
 
 import numpy as np
@@ -47,22 +51,39 @@ def stage_violations(positions, cz, placement, config) -> list:
     return keep
 
 
+def stage_moves(schedule):
+    """Per stage, its (n, 3) lane array and its move distances from the
+    lanes before (the first stage's from the initial lanes)."""
+    placement, config = schedule.placement, schedule.config
+    prev = atom_lanes(placement, schedule.initial_row_lanes, schedule.initial_col_lanes)
+    for s in schedule.stages:
+        lanes = atom_lanes(placement, s.row_lanes, s.col_lanes, s.col_offsets)
+        yield lanes, move_distances(prev, lanes, config)
+        prev = lanes
+
+
+def move_time(stage, moved, config) -> float:
+    """T_per_move for a stage that has a CZ or moves an atom, else 0.0."""
+    return config.T_per_move if (stage.cz or moved.any()) else 0.0
+
+
 def audit_schedule(schedule) -> list:
     """(stage index, finding) pairs over the whole schedule; empty = legal."""
     placement, config = schedule.placement, schedule.config
+    stored = schedule.stored_distances_um is not None
     findings = []
-    prev = atom_lanes(placement, schedule.initial_row_lanes, schedule.initial_col_lanes)
-    for k, s in enumerate(schedule.stages):
-        lanes = atom_lanes(placement, s.row_lanes, s.col_lanes, s.col_offsets)
+    for k, (s, (lanes, moved)) in enumerate(zip(schedule.stages, stage_moves(schedule))):
         findings += [(k, v) for v in stage_violations(atom_positions(lanes, config),
                                                       s.cz, placement, config)]
-        moved = move_distances(prev, lanes, config)
-        wrong = s.distances_um != moved
+        if not stored:
+            continue
+        distances = schedule.stored_distances_um[k]
+        wrong = distances != moved
         if wrong.any():
-            findings += [(k, DistanceMismatch(int(q), float(s.distances_um[q]), float(moved[q])))
+            findings += [(k, DistanceMismatch(int(q), float(distances[q]), float(moved[q])))
                          for q in np.flatnonzero(wrong)]
-        needed = config.T_per_move if (s.cz or moved.any()) else 0.0
-        if s.move_time_s != needed:
-            findings.append((k, MoveTimeMismatch(float(s.move_time_s), needed)))
-        prev = lanes
+        needed = move_time(s, moved, config)
+        if schedule.stored_move_times_s[k] != needed:
+            findings.append((k, MoveTimeMismatch(float(schedule.stored_move_times_s[k]),
+                                                 needed)))
     return findings

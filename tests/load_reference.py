@@ -4,7 +4,7 @@ The loader as it was before it checked stages in blocks: every check runs
 per stage, in the order cz, raman, cooling after distances_um and
 move_time_s and before the lanes.  The package's block loader must raise
 the same exception, with the same message, on any input, and load any
-valid one to `Stage` fields equal by `repr`.
+valid one to `Stage` fields and stored columns equal by `repr`.
 """
 
 from itertools import chain
@@ -68,7 +68,7 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
     if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
         raise ValueError(f"perm is not a permutation of range({n})")
-    stages = []
+    stages, distances, move_times = [], [], []
     for k, s in enumerate(d["stages"]):
         if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
             raise ValueError(f"stage {k}: distances_um needs one number per qubit")
@@ -95,11 +95,17 @@ def schedule_from_dict(d: dict) -> Schedule:
                              f"indices in range({config.n_aod})")
         lanes = _aod_lists(f"stage {k}", s["aod"], config.n_aod,
                            "row_lanes", "col_lanes", "col_offsets_um")
-        stages.append(Stage(raman, cz, *lanes, np.asarray(s["distances_um"], dtype=float),
-                            float(s["move_time_s"]), list(s["cooling"])))
+        stages.append(Stage(raman, cz, *lanes, list(s["cooling"])))
+        distances.append(np.asarray(s["distances_um"], dtype=float))
+        move_times.append(float(s["move_time_s"]))
     rejections = d["metrics"]["overlap_rejections"]
     if type(rejections) is not int or rejections < 0:
         raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
+    total = 0.0
+    for row in distances:
+        total += row.sum()
     return Schedule(config, placement, stages, list(d["perm"]),
                     *_aod_lists("initial", d["initial"]["aod"], config.n_aod,
-                                "row_lanes", "col_lanes"), rejections)
+                                "row_lanes", "col_lanes"), rejections,
+                    total_distance_um=float(total), stored_distances_um=distances,
+                    stored_move_times_s=move_times)

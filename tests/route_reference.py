@@ -5,11 +5,13 @@ replaced: `ready` is one set, each Raman iteration scans all of it twice
 (barriers, then one-qubit gates), and each stage sorts it by descending
 DAG-descendant count (ties: lower gate index).  Selection, synthesis and
 the audit are the package's own, so a difference between the two routes
-is a difference of the front alone.  Kept only as a test oracle: the
-package's `route` must give the same schedule, stage by stage.
-"""
+is a difference of the front or of the descendant counts.  Kept only as a
+test oracle: the package's `route` must give the same schedule, stage by
+stage.
 
-import numpy as np
+`descendant_counts` keeps the count the package's blocked sweeps
+replaced: one bitset of every descendant per gate, gates^2 bits in all.
+"""
 
 from atomique.arch import ArchConfig
 from atomique.atom_mapper import Placement
@@ -18,15 +20,26 @@ from atomique.stage_router import (
     Schedule,
     Stage,
     _ArrayIndex,
-    _audit_walk,
-    _descendant_counts,
     _gate_pins,
     _Pins,
+    audit_routed,
     initial_lanes,
     select_parallel_gates,
     synthesize_motion,
 )
 from atomique.swap_router import RoutedCircuit
+
+
+def descendant_counts(dag) -> list[int]:
+    """Number of DAG descendants per gate (reachability via bitsets)."""
+    n = dag.n_nodes
+    reach = [0] * n
+    for i in range(n - 1, -1, -1):
+        m = 0
+        for s in dag.succs[i]:
+            m |= reach[s] | (1 << s)
+        reach[i] = m
+    return [r.bit_count() for r in reach]
 
 
 def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
@@ -39,14 +52,15 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     (ties: lower gate index; only the first if `serial`) to
     `select_parallel_gates` with the previous stage's lanes, synthesize
     the lane motion (dropping the last accepted gate while the parked rows
-    don't fit), emit.  Then the emitted stages are audited in blocks: the
-    first stage in violation raises RuntimeError with its first four
-    findings, also when routing failed after emitting it.
+    don't fit), emit.  Then the emitted stages are audited in blocks, which
+    also sums their move distances: the first stage in violation raises
+    RuntimeError with its first four findings, also when routing failed
+    after emitting it.
     """
     circuit = routed.circuit
     gates = circuit.gates
     dag = build_dag(circuit)
-    desc_count = _descendant_counts(dag)
+    desc_count = descendant_counts(dag)
     index = _ArrayIndex(placement, config)
     gate_pins: dict[int, tuple] = {}  # CZ gate index -> its lane pin table
     for gi, g in enumerate(gates):
@@ -68,20 +82,12 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             if pending[s] == 0:
                 ready.add(s)
 
-    prev_rows, prev_cols = initial = initial_lanes(config, index)
-    emitted: list[tuple] = []  # (raman, cz, row_lanes, col_lanes, col_offsets)
+    prev_rows, prev_cols = initial_lanes(config, index)
     deferrals = dict.fromkeys(("pin", "C2", "C3", "gap", "C1", "popped"), 0)
+    stages: list[Stage] = []
+    schedule = Schedule(config, dict(placement), stages, list(routed.perm), prev_rows, prev_cols,
+                        0, deferrals)
 
-    def audit() -> list[np.ndarray]:
-        """Move distances per emitted stage; RuntimeError for the first in violation."""
-        distances = []
-        for _, moved, found in _audit_walk(placement, config, *initial,
-                                           [e[1:] for e in emitted]):
-            if found:
-                violations = [v for k, v in found if k == found[0][0]]
-                raise RuntimeError(f"stage geometry violates separation: {violations[:4]}")
-            distances.extend(moved)
-        return distances
 
     try:
         while True:
@@ -122,16 +128,14 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
             # synthesize_motion gives every occupied row and column a finite
             # lane, so the audit's lane gather cannot fail; its lists are
             # fresh on every call, so each stage owns the ones it is given
-            emitted.append((raman_layers, [pair for _, pair in accepted], *synth))
+            stages.append(Stage(raman_layers, [pair for _, pair in accepted], *synth))
             for gi, _ in accepted:
                 finish(gi)
             prev_rows, prev_cols, _ = synth
     except Exception:
-        audit()
+        audit_routed(schedule)
         raise
 
-    stages = [Stage(raman, cz, rows, cols, offsets, distances,
-                    config.T_per_move if (cz or distances.any()) else 0.0)
-              for (raman, cz, rows, cols, offsets), distances in zip(emitted, audit())]
-    return Schedule(config, dict(placement), stages, list(routed.perm),
-                    *initial, deferrals["C3"], deferrals)
+    schedule.overlap_rejections = deferrals["C3"]
+    schedule.total_distance_um = audit_routed(schedule)
+    return schedule

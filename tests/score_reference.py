@@ -2,14 +2,17 @@
 
 `apply_schedule` as a scalar Python walk, kept only as a test oracle: every
 moved atom is heated, and its survival multiplied in, one at a time, in
-stage-then-qubit order; every CZ's heating factor likewise.  The scalar
-formulas are copied here, so the package's array passes must reproduce
-these floats bit for bit (compare with `repr`).
+stage-then-qubit order; every CZ's heating factor likewise.  Each stage's
+move distances come from its lanes, one stage at a time
+(`audit_reference.stage_moves`).  The scalar formulas are copied here, so
+the package's array passes must reproduce these floats bit for bit
+(compare with `repr`).
 """
 
 import math
 
 from atomique.fidelity import FidelityReport, TimeLedger
+from audit_reference import move_time, stage_moves
 
 
 def delta_nvib(D_um, params, T_move_s):
@@ -47,16 +50,16 @@ def apply_schedule(schedule, params, *, T_per_move=None, n_transfer=0):
     rydberg_stages = 0
     cooling = []
 
-    for stage in schedule.stages:
+    for stage, (_, distances) in zip(schedule.stages, stage_moves(schedule)):
         for layer in stage.raman:
             n_1q += len(layer)
             ledger.T_1Q_total += params.t_1Q
 
-        move_t = stage.move_time_s
+        move_t = move_time(stage, distances, schedule.config)
         if T_per_move is not None and move_t > 0.0:
             move_t = T_per_move
         if move_t > 0.0:
-            for q, dist in enumerate(stage.distances_um):
+            for q, dist in enumerate(distances):
                 if dist > 0.0:
                     n_vib[q] += delta_nvib(float(dist), params, move_t)
                     F_mov_loss *= move_survival(n_vib[q], params)

@@ -13,15 +13,16 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from atomique.arch import AtomCoord, load_config
+from atomique.arch import load_config
 from atomique.array_mapper import greedy_max_kcut
 from atomique.circuit import Circuit
 from atomique.fidelity import apply_schedule, delta_nvib, move_survival
 from atomique.oracle import equivalent_up_to_permutation
 from atomique.pipeline import compile_circuit
-from atomique.stage_router import Schedule, Stage, audit_schedule, schedule_to_circuit
+from atomique.stage_router import audit_schedule, schedule_to_circuit
 from atomique.workloads import WorkloadSpec, bv_secret
 from kcut_reference import cut_value, kcut_exhaustive
+from test_fidelity import one_move_schedule
 
 CFG, PARAMS = load_config({})
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -84,10 +85,7 @@ def test_criterion_02_loss_model():
 
 def test_criterion_03_decoherence_scaling():
     def one_move(n):
-        placement = {q: AtomCoord(0, q // 10, q % 10) for q in range(n)}
-        stage = Stage([], [], [[]], [[]], [[]], np.zeros(n), CFG.T_per_move)
-        sched = Schedule(CFG, placement, [stage], list(range(n)), [[]], [[]], 0)
-        [(report, _)] = apply_schedule(sched, [(PARAMS, None)])
+        [(report, _)] = apply_schedule(one_move_schedule(n), [(PARAMS, None)])
         return report.F_mov_deco
 
     checks = [(10, 0.998), (50, 0.990), (100, 0.980)]

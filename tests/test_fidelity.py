@@ -26,23 +26,32 @@ from atomique.fidelity import (
 from atomique.pipeline import compile_circuit
 from atomique.stage_router import Schedule, Stage, schedule_to_dict
 from atomique.workloads import FAMILIES, WorkloadSpec
+from audit_reference import move_time, stage_moves
 
 CFG, PARAMS = load_config({})
 
 
 def one_move_schedule(n_qubits):
-    """Synthetic schedule: a single timed move, no gates, all atoms static."""
-    placement = {q: AtomCoord(0, q // 10, q % 10) for q in range(n_qubits)}
-    stage = Stage(
-        raman=[],
-        cz=[],
-        row_lanes=[[]],
-        col_lanes=[[]],
-        col_offsets=[[]],
-        distances_um=np.zeros(n_qubits),
-        move_time_s=CFG.T_per_move,
-    )
-    return Schedule(CFG, placement, [stage], list(range(n_qubits)), [[]], [[]], 0)
+    """Synthetic schedule: a single timed move, no gates.  Every atom but
+    the last is static; the last, alone in AOD 0, moves one park lane
+    (15 um), too little to lose it or to call for a cooling."""
+    placement = {q: AtomCoord(0, q // 10, q % 10) for q in range(n_qubits - 1)}
+    placement[n_qubits - 1] = AtomCoord(1, 0, 0)
+
+    def aod_lanes(lane, sizes):
+        """AOD 0's first row or column on `lane`, every other one empty."""
+        return [[lane] + [None] * (sizes[0] - 1), [None] * sizes[1]]
+
+    stage = Stage(raman=[], cz=[], row_lanes=aod_lanes(3, CFG.aod_rows),
+                  col_lanes=aod_lanes(1, CFG.aod_cols),
+                  col_offsets=[[0.0] * cols for cols in CFG.aod_cols])
+    return Schedule(CFG, placement, [stage], list(range(n_qubits)),
+                    aod_lanes(1, CFG.aod_rows), aod_lanes(1, CFG.aod_cols), 0)
+
+
+def stage_distances(schedule):
+    """Each stage's move distances, derived from the lanes stage by stage."""
+    return [moved for _, moved in stage_moves(schedule)]
 
 
 def single_cz_result():
@@ -213,7 +222,8 @@ def test_scoring_leaves_the_schedule_unchanged():
 def test_move_time_override_rescales_heating_and_clock():
     circ = WorkloadSpec("qaoa-rand", 10, seed=7, p=0.5).generate()
     res = compile_circuit(circ, CFG, PARAMS)
-    moving = sum(1 for s in res.schedule.stages if s.move_time_s > 0)
+    moving = sum(1 for s, d in zip(res.schedule.stages, stage_distances(res.schedule))
+                 if move_time(s, d, CFG) > 0)
     rep_fast, led_fast = score(res.schedule, PARAMS, T_per_move=150e-6)
     rep_slow, led_slow = score(res.schedule, PARAMS, T_per_move=600e-6)
     assert led_fast.T_move_total == pytest.approx(moving * 150e-6)
@@ -270,10 +280,10 @@ def test_cooling_keeps_atoms_below_threshold_plus_one_move():
         if c.array > 0:
             by_array.setdefault(c.array, []).append(q)
     peak = biggest_step = 0.0
-    for stage in res.schedule.stages:
-        for q, d in enumerate(stage.distances_um):
+    for stage, distances in zip(res.schedule.stages, stage_distances(res.schedule)):
+        for q, d in enumerate(distances):
             if d > 0:
-                step = delta_nvib(float(d), PARAMS, stage.move_time_s)
+                step = delta_nvib(float(d), PARAMS, cfg60.T_per_move)
                 n_vib[q] += step
                 biggest_step = max(biggest_step, step)
         peak = max(peak, max(n_vib.values()))
@@ -351,14 +361,17 @@ def scored_schedules(draw):
         hw.update(f_2Q=0.5, lam=10.0)
     elif heat == "random":
         hw.update(f_2Q=draw(st.floats(0.5, 1.0)), lam=draw(st.floats(0.0, 20.0)))
-    # idle stages among moving ones, as route() writes them (no CZ, no move,
-    # move time 0.0): they sit inside a block without heating it, and only
-    # a move may call for a cooling
+    # idle stages among moving ones, as route() writes them (no CZ, the
+    # lanes of the stage before, so no move and move time 0.0): they sit
+    # inside a block without heating it, and only a move may call for a
+    # cooling
     idle = draw(st.sets(st.integers(1, max(1, len(schedule.stages) - 2)), max_size=4))
-    schedule = dataclasses.replace(schedule, stages=[
-        dataclasses.replace(s, cz=[], distances_um=np.zeros_like(s.distances_um),
-                            move_time_s=0.0) if k in idle else s
-        for k, s in enumerate(schedule.stages)])
+    stages = []
+    for k, s in enumerate(schedule.stages):
+        stages.append(s)
+        if k in idle:
+            stages.append(Stage([], [], s.row_lanes, s.col_lanes, s.col_offsets))
+    schedule = dataclasses.replace(schedule, stages=stages)
     T_per_move = draw(OVERRIDES)
     kwargs = {"T_per_move": T_per_move, "n_transfer": draw(st.integers(0, 5))}
     return schedule, dataclasses.replace(PARAMS, **hw), kwargs
@@ -444,7 +457,7 @@ def test_a_move_time_that_overflows_n_vib_gives_nan_like_the_walk():
 
 def test_a_schedule_larger_than_a_block_matches_the_walk():
     schedule = compiled_schedule("qaoa-regular", 60, 0, frozenset(), 60.0)
-    moved = sum(int((s.distances_um > 0).sum()) for s in schedule.stages)
+    moved = sum(int((d > 0).sum()) for d in stage_distances(schedule))
     assert moved > fidelity.BLOCK
     report, _ = assert_scores_like_the_walk(schedule, PARAMS)
     assert report.N_cooling > 0
@@ -511,13 +524,6 @@ def assert_rejected(bad, match):
     assert str(batch.value) == str(single.value)
 
 
-@pytest.mark.parametrize("length", [0, 1, 3])
-def test_scoring_rejects_distances_of_the_wrong_length(length):
-    schedule = single_cz_result().schedule
-    bad = with_stage(schedule, 0, distances_um=np.full(length, 15.0))
-    assert_rejected(bad, "stage 0: distances_um")
-
-
 @pytest.mark.parametrize("pair", [(0, 2), (-1, 1), (1, 7)])
 def test_scoring_rejects_a_cz_on_a_qubit_that_does_not_exist(pair):
     schedule = single_cz_result().schedule
@@ -527,45 +533,18 @@ def test_scoring_rejects_a_cz_on_a_qubit_that_does_not_exist(pair):
 
 
 def test_the_first_bad_stage_is_named_whatever_its_fault():
-    # stages are checked many at a time: a later stage's fault of another
-    # kind must not hide an earlier one
+    # the CZs of every stage are checked before any lane is read: a later
+    # stage's fault, a bad CZ or lanes that give an atom no position, must
+    # not hide an earlier one
     schedule = compiled_schedule("qaoa-rand", 12, 0, frozenset(), 15.0)
-    moving = [k for k, s in enumerate(schedule.stages) if s.move_time_s > 0]
-    j, k = moving[1], moving[2]
-    q = next(q for q, c in schedule.placement.items() if c.array == 0)
-    dist = schedule.stages[j].distances_um.copy()
-    dist[q] = 7.5
-    static_first = with_stage(with_stage(schedule, j, distances_um=dist),
-                              k, distances_um=np.zeros(2))
-    with pytest.raises(ValueError, match=f"^stage {j}: static atom {q} has move distance 7.5"):
-        score(static_first, PARAMS)
-    length_first = with_stage(with_stage(schedule, j, distances_um=np.zeros(2)),
-                              k, distances_um=dist)
-    with pytest.raises(ValueError, match=f"^stage {j}: distances_um has shape"):
-        score(length_first, PARAMS)
-    cz_first = with_stage(with_stage(schedule, j, cz=[(0, 99)]), k, distances_um=dist)
-    with pytest.raises(ValueError, match=rf"^stage {j}: cz \[0, 99\]"):
-        score(cz_first, PARAMS)
-    time_first = with_stage(with_stage(schedule, j, move_time_s=1.5e-4), k, cz=[(0, 99)])
-    with pytest.raises(ValueError, match=f"^stage {j}: move_time_s 0.00015"):
-        score(time_first, PARAMS)
-
-
-def test_scoring_rejects_a_static_atom_that_moves():
-    schedule = single_cz_result().schedule
-    q = next(q for q, c in schedule.placement.items() if c.array == 0)
-    k = next(k for k, s in enumerate(schedule.stages) if s.move_time_s > 0)
-    dist = schedule.stages[k].distances_um.copy()
-    dist[q] = 15.0
-    bad = with_stage(schedule, k, distances_um=dist)
-    assert_rejected(bad, f"stage {k}: static atom {q} has move distance 15.0")
-
-
-@pytest.mark.parametrize("move_time_s", [1.5e-4, math.nan, 0.0])
-def test_scoring_rejects_a_move_time_route_does_not_write(move_time_s):
-    # a moving stage takes the config's T_per_move; 0.0 only moves no atom
-    schedule = single_cz_result().schedule
-    k = next(k for k, s in enumerate(schedule.stages) if (s.distances_um > 0).any())
-    bad = with_stage(schedule, k, move_time_s=move_time_s)
-    assert_rejected(bad, rf"^stage {k}: move_time_s {move_time_s!r} with 1 atom\(s\) moved, "
-                         rf"needs T_per_move \({CFG.T_per_move!r}\)")
+    j, k = [k for k, s in enumerate(schedule.stages) if s.cz][1:3]
+    later_cz = with_stage(with_stage(schedule, j, cz=[(0, 99)]), k, cz=[(0, 98)])
+    assert_rejected(later_cz, rf"^stage {j}: cz \[0, 99\] names a qubit not in range\(12\)$")
+    t, i = next((t, i) for t, rows in enumerate(schedule.stages[k].row_lanes)
+                for i, lane in enumerate(rows) if lane is not None)
+    rows = [list(per_aod) for per_aod in schedule.stages[k].row_lanes]
+    rows[t][i] = None
+    later_lanes = with_stage(with_stage(schedule, j, cz=[(0, 99)]), k, row_lanes=rows)
+    assert_rejected(later_lanes, rf"^stage {j}: cz \[0, 99\]")
+    with pytest.raises(ValueError, match="^an occupied AOD row or column has no lane"):
+        score(with_stage(schedule, k, row_lanes=rows), PARAMS)

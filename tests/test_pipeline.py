@@ -11,15 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from atomique.arch import load_config
+from atomique.arch import Violation, load_config
 from atomique.circuit import Circuit, cz_depth, parse_qasm, to_qasm
-from atomique import cli
+from atomique import cli, pipeline, stage_router
 from atomique.cli import _write_json, main
 from atomique.fidelity import apply_schedule, execution_time
 from atomique.oracle import equivalent_up_to_permutation
-from atomique.pipeline import compile_circuit, random_assignment
-from atomique.stage_router import audit_schedule, schedule_to_circuit
-from atomique.workloads import WorkloadSpec
+from atomique.pipeline import build_schedule, compile_circuit, random_assignment
+from atomique.stage_router import audit_schedule, route, schedule_to_circuit
+from atomique.workloads import FAMILIES, WorkloadSpec
 
 CFG, PARAMS = load_config({})
 
@@ -127,6 +127,21 @@ def test_random_mapper_is_seeded_and_valid():
     assert audit_schedule(a.schedule) == []
     with pytest.raises(ValueError):
         compile_spec(spec, mapper="telepathic")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_mapper_puts_the_qubits_of_a_cz_in_two_arrays(tmp_path, seed):
+    # one AOD and one SLM of 16 slots each: seeds 0-3 draw both qubits into
+    # one array, where no CZ can run, unless the mapper moves one of them
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"n_aod": 1, "slm_rows": 4, "slm_cols": 4,
+                                  "aod_rows": [4], "aod_cols": [4]}))
+    qasm = tmp_path / "cz.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncz q[0],q[1];\n')
+    out = tmp_path / "out"
+    assert main(["compile", str(qasm), "--config", str(config), "--mapper", "random",
+                 "--seed", str(seed), "-o", str(out)]) == 0
+    assert main(["audit", str(out / "schedule.json")]) == 0
 
 
 def test_random_assignment_respects_capacity():
@@ -698,6 +713,80 @@ def test_sweep_coherence_time_is_monotone(tmp_path):
     col = header.index("F_mov_deco")
     vals = [r[col] for r in rows]
     assert vals == sorted(vals)
+
+
+def test_a_pitch_sweep_routes_once_and_scores_each_value_as_its_compile(tmp_path, monkeypatch):
+    routes = []
+
+    def counted(*args, **kwargs):
+        routes.append(args)
+        return route(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "route", counted)
+    header, rows = read_csv(sweep(tmp_path, "D_site", "30,15,16.3"))
+    assert len(routes) == 1
+    monkeypatch.undo()
+    for value, row in zip([15.0, 16.3, 30.0], rows):
+        res = compile_circuit(WorkloadSpec("qaoa-rand", 8, seed=2).generate(),
+                              dataclasses.replace(CFG, D_site=value), PARAMS, seed=2)
+        report = res.report
+        assert row == [value, report.F_total, *(report.factors()[k] for k in header[2:9]),
+                       execution_time(res.ledger), report.N_cooling]
+
+
+def test_a_pitch_sweep_raises_the_routing_error_of_a_value_in_violation(tmp_path, capsys,
+                                                                         monkeypatch):
+    # a pitch whose geometry fails the audit fails the sweep as a compile at
+    # that pitch fails: with route's error for the first stage in violation
+    real = stage_router.min_separation_audit
+
+    def too_close_at_30(positions, pairs, config, stage=None):
+        found = real(positions, pairs, config, stage)
+        return [Violation(0, 1, 0.0, "too_close"), *found] if config.D_site == 30.0 else found
+    monkeypatch.setattr(stage_router, "min_separation_audit", too_close_at_30)
+    with pytest.raises(RuntimeError) as err:
+        compile_circuit(WorkloadSpec("qaoa-rand", 8, seed=2).generate(),
+                        dataclasses.replace(CFG, D_site=30.0), PARAMS, seed=2)
+    path = tmp_path / "x.csv"
+    assert main(["sweep", "--param", "D_site", "--values", "15,30", "--family", "qaoa-rand",
+                 "--n", "8", "--seed", "2", "-o", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert str(err.value).startswith("stage geometry violates separation: [Violation(i=0, j=1")
+    assert not path.exists()
+
+
+def routing_of(schedule) -> str:
+    """What routing decided, by `repr`: the placement, the perm, the initial
+    lanes and every stage's Raman layers, CZs, lanes and offsets."""
+    return repr((schedule.placement, schedule.perm, schedule.initial_row_lanes,
+                 schedule.initial_col_lanes,
+                 [(s.raman, s.cz, s.row_lanes, s.col_lanes, s.col_offsets)
+                  for s in schedule.stages]))
+
+
+SMALL = {"n_aod": 1, "slm_rows": 5, "slm_cols": 5, "aod_rows": [5], "aod_cols": [5]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(2, 6).map(lambda k: 2 * k),
+       seed=st.integers(0, 3), base=st.sampled_from([{}, SMALL]),
+       relaxed=st.frozensets(st.sampled_from(["C1", "C2", "C3"])),
+       mapper=st.sampled_from(["greedy", "random"]),
+       pitches=st.lists(st.sampled_from([15.0, 16.3, 22.5, 30.0, 60.0]),
+                        min_size=2, max_size=3, unique=True))
+def test_routing_reads_no_pitch(family, n, seed, base, relaxed, mapper, pitches):
+    # what lets a D_site sweep route once: every compile that succeeds
+    # routes the circuit the same way, whatever the pitch
+    circuit = WorkloadSpec(family, n, seed=seed).generate()
+    config, _ = load_config({**base, "relaxed": sorted(relaxed)})
+    routings = set()
+    for pitch in pitches:
+        try:
+            *_, schedule = build_schedule(circuit, dataclasses.replace(config, D_site=pitch),
+                                          seed=seed, mapper=mapper)
+        except (RuntimeError, ValueError):
+            continue
+        routings.add(routing_of(schedule))
+    assert len(routings) <= 1
 
 
 def test_sweep_lattice_pitch_recompiles(tmp_path):

@@ -202,15 +202,15 @@ CLI_FLAGS = {
     "mapper-random": ["--mapper", "random"],
 }
 
-# sweep parameter -> values; each but D_site rescoring one compile of
-# SWEEP_CIRCUIT
+# sweep parameter -> values; each rescoring one routing of SWEEP_CIRCUIT
+# (D_site re-derives the move distances per value)
 SWEEP_CIRCUIT = ["--family", "qaoa-rand", "--n", "30", "--seed", "3", "--p", "0.3"]
 SWEEP_VALUES = {
     "T_per_move": "30e-6,100e-6,200e-6,300e-6,600e-6,1e-3",
     "n_cool_threshold": "0,0.001,0.01,0.1,1,15",
     "f_2Q": "0.9,0.99,0.995,0.999,1.0",
     "T1": "0.01,0.1,0.5,1.5,10",
-    "D_site": "15,20,30,45,60",  # recompiles per point
+    "D_site": "15,20,30,45,60",  # the bytes a compile per value gave
 }
 
 GOLDEN_SWEEP = {

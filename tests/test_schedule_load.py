@@ -4,7 +4,8 @@
 stage-by-stage checks where a block's type pass fails.  On schedules of
 more than one block with faults injected at random stages and fields, it
 must raise what the stage-by-stage loader raises (class and message), and
-a file that loads must give `Stage` fields equal by `repr`.
+a file that loads must give `Stage` fields, stored columns and total move
+distance equal by `repr`.
 """
 
 import functools
@@ -132,12 +133,14 @@ def outcome(load, doc):
         schedule = load(doc)
     except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
         return ("raised", type(exc), str(exc))
-    fields = [(s.raman, s.cz, s.row_lanes, s.col_lanes, s.col_offsets,
-               s.distances_um.dtype, s.distances_um.shape, s.distances_um.tolist(),
-               s.move_time_s, s.cooling) for s in schedule.stages]
+    fields = [(s.raman, s.cz, s.row_lanes, s.col_lanes, s.col_offsets, d.dtype, d.shape,
+               d.tolist(), t, s.cooling)
+              for s, d, t in zip(schedule.stages, schedule.stored_distances_um,
+                                 schedule.stored_move_times_s, strict=True)]
     return ("loaded", repr(fields), repr((schedule.perm, schedule.initial_row_lanes,
                                           schedule.initial_col_lanes,
-                                          schedule.overlap_rejections)))
+                                          schedule.overlap_rejections,
+                                          schedule.total_distance_um)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,10 +20,13 @@ from atomique.arch import (
     min_separation_audit,
 )
 from atomique import stage_router
-from atomique.circuit import Circuit
+from atomique.circuit import Circuit, build_dag
 from atomique.pipeline import compile_circuit
 from atomique.swap_router import RoutedCircuit
+from atomique.fidelity import apply_schedule
 from atomique.stage_router import (
+    DistanceMismatch,
+    MoveTimeMismatch,
     Schedule,
     _ArrayIndex,
     _Pins,
@@ -131,8 +134,9 @@ def test_single_cz_routes_in_one_stage_onto_static_site():
     assert stage.col_offsets[0][0] == pytest.approx(-cfg.delta)
     pos = sched.stage_positions(0)
     assert np.hypot(*(pos[1] - pos[0])) == pytest.approx(cfg.delta)
-    assert stage.distances_um[0] == 0.0 and stage.distances_um[1] > 0.0
-    assert stage.move_time_s == pytest.approx(cfg.T_per_move)
+    [written] = schedule_to_dict(sched)["stages"]
+    assert written["distances_um"][0] == 0.0 and written["distances_um"][1] > 0.0
+    assert written["move_time_s"] == cfg.T_per_move
 
 
 def test_movable_movable_gate_meets_on_dual_lanes():
@@ -161,8 +165,9 @@ def test_one_qubit_only_circuit_needs_no_motion():
     sched = route(as_routed(circ, placement), placement, cfg)
     assert sched.depth == 0 and n_2q(sched) == 0
     assert n_1q(sched) == 2
-    assert all(s.move_time_s == 0.0 for s in sched.stages)
-    assert all(not s.distances_um.any() for s in sched.stages)
+    written = schedule_to_dict(sched)["stages"]
+    assert all(s["move_time_s"] == 0.0 for s in written)
+    assert all(not any(s["distances_um"]) for s in written)
 
 
 def test_route_rejects_an_intra_array_cz():
@@ -568,13 +573,35 @@ def test_stored_move_distances_match_the_lanes(d_site):
 def test_audit_reports_a_stored_distance_off_by_one_bit():
     circ = WorkloadSpec("qaoa-rand", 10, seed=2).generate()
     cfg, params = load_config({})
-    sched = compile_circuit(circ, cfg, params).schedule
-    k, stage = next((k, s) for k, s in enumerate(sched.stages) if s.distances_um.any())
-    q = int(np.flatnonzero(stage.distances_um)[0])
-    stage.distances_um[q] = np.nextafter(stage.distances_um[q], np.inf)
+    sched = schedule_from_dict(schedule_to_dict(compile_circuit(circ, cfg, params).schedule))
+    k, stored = next((k, d) for k, d in enumerate(sched.stored_distances_um) if d.any())
+    q = int(np.flatnonzero(stored)[0])
+    stored[q] = np.nextafter(stored[q], np.inf)
     [(k_found, finding)] = audit_schedule(sched)
     assert k_found == k and finding.q == q
-    assert finding.stored_um == stage.distances_um[q] != finding.lanes_um
+    assert finding.stored_um == stored[q] != finding.lanes_um
+
+
+def test_only_the_audit_reads_a_loaded_files_stored_columns():
+    # a stored distance and a stored move time tampered with: the audit
+    # reports both, and scoring, which reads the lanes, is unchanged
+    cfg, params = load_config({})
+    compiled = compile_circuit(WorkloadSpec("qaoa-rand", 10, seed=2).generate(), cfg,
+                               params).schedule
+    doc = schedule_to_dict(compiled)
+    k, stage = next((k, s) for k, s in enumerate(doc["stages"]) if any(s["distances_um"]))
+    q = next(q for q, d in enumerate(stage["distances_um"]) if d)
+    stage["distances_um"][q] += 1.0
+    stage["move_time_s"] = 1.5e-4
+    loaded = schedule_from_dict(doc)
+    findings = audit_schedule(loaded)
+    assert [(k_found, type(f)) for k_found, f in findings] == [(k, DistanceMismatch),
+                                                                (k, MoveTimeMismatch)]
+    assert findings[0][1].q == q
+    assert audit_schedule(compiled) == []
+    assert compiled.stored_distances_um is None and compiled.stored_move_times_s is None
+    points = [(params, None), (params, 1e-4)]
+    assert repr(apply_schedule(loaded, points)) == repr(apply_schedule(compiled, points))
 
 
 def test_routing_is_deterministic():
@@ -606,22 +633,24 @@ def test_schedule_dict_roundtrip():
 
 @functools.lru_cache(maxsize=None)
 def compiled(family: str, n: int, relaxed: tuple):
+    """A compiled schedule as its file loads: with the stored columns."""
     cfg, params = load_config({"relaxed": list(relaxed)})
-    return compile_circuit(WorkloadSpec(family, n, seed=n).generate(), cfg, params,
-                           seed=1).schedule
+    return schedule_from_dict(schedule_to_dict(compile_circuit(
+        WorkloadSpec(family, n, seed=n).generate(), cfg, params, seed=1).schedule))
 
 
 @st.composite
 def corrupted_schedules(draw):
-    """A compiled schedule with a few stages corrupted: a row or column
-    lane moved (often onto another lane of the stage), an x offset changed,
-    the CZ pairs redrawn, or one bit of a stored move distance flipped."""
+    """A loaded schedule with a few stages corrupted: a row or column lane
+    moved (often onto another lane of the stage), an x offset changed, the
+    CZ pairs redrawn, or one bit of a stored move distance flipped."""
     family, n = draw(st.sampled_from([("qaoa-rand", 6), ("random-pairs", 9),
                                       ("qaoa-rand", 14)]))
     relaxed = draw(st.sampled_from([(), ("C1",), ("C3",), ("C1", "C3")]))
     sched = copy.deepcopy(compiled(family, n, relaxed))
     for _ in range(draw(st.integers(1, 6))):
-        stage = sched.stages[draw(st.integers(0, len(sched.stages) - 1))]
+        k = draw(st.integers(0, len(sched.stages) - 1))
+        stage = sched.stages[k]
         what = draw(st.sampled_from(["row", "col", "offset", "cz", "distance"]))
         if what in ("row", "col"):
             lanes = stage.row_lanes if what == "row" else stage.col_lanes
@@ -639,7 +668,7 @@ def corrupted_schedules(draw):
             stage.cz = draw(st.lists(st.tuples(qubit, qubit), max_size=4))
         else:
             q = draw(st.integers(0, n - 1))
-            bits = stage.distances_um[q:q + 1].view(np.uint64)
+            bits = sched.stored_distances_um[k][q:q + 1].view(np.uint64)
             bits ^= np.uint64(1) << np.uint64(draw(st.integers(0, 63)))
     return sched
 
@@ -775,6 +804,17 @@ def route_outcome(route_fn, routed, placement, cfg, serial):
     except (RuntimeError, ValueError) as e:
         return type(e), str(e)
     return {**schedule_to_dict(sched), "deferrals": sched.deferrals}
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=routed_circuits())
+def test_blocked_descendant_counts_match_the_whole_dag_bitsets(block, inputs, monkeypatch):
+    # small blocks, so one circuit's gates straddle several of them
+    monkeypatch.setattr(stage_router, "DESCENDANT_BLOCK", block)
+    dag = build_dag(inputs[0].circuit)
+    assert stage_router._descendant_counts(dag) == route_reference.descendant_counts(dag)
 
 
 @settings(max_examples=300, deadline=None)
