@@ -9,10 +9,10 @@ ground truth that any lane assignment must satisfy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class ArchConfig:
         return 2.5 * self.r_b
 
     def __post_init__(self):
+        _check_numbers(self)
         for key in ("n_aod", "slm_rows", "slm_cols"):
             if not _is_size(getattr(self, key)):
                 raise ValueError(f"{key} must be an int >= 1")
@@ -68,6 +69,16 @@ class ArchConfig:
     @property
     def n_arrays(self) -> int:
         return self.n_aod + 1
+
+
+def _check_numbers(obj) -> None:
+    """Raise ValueError naming the first `float` field that holds a bool or
+    a non-number (an int or a numpy number passes)."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "float" and (isinstance(v, bool) or not isinstance(v, Real)):
+            name = "lambda" if f.name == "lam" else f.name
+            raise ValueError(f"{name} must be a number, not {v!r}")
 
 
 def _check_finite(obj, keys, sign: str) -> None:
@@ -114,6 +125,7 @@ class HardwareParams:
     n_cool_threshold: float = 15.0  # quanta triggering an array cooling reset
 
     def __post_init__(self):
+        _check_numbers(self)
         for key in ("f_1Q", "f_2Q"):
             v = getattr(self, key)
             if not 0.0 < v <= 1.0:
@@ -131,17 +143,15 @@ _ARCH_KEYS = {f.name for f in fields(ArchConfig)}
 _HW_KEYS = {f.name for f in fields(HardwareParams)} - {"lam"}
 
 
-def load_config(path_or_dict) -> tuple[ArchConfig, HardwareParams]:
-    """Build (ArchConfig, HardwareParams) from a JSON file or dict.
+def load_config(raw: dict) -> tuple[ArchConfig, HardwareParams]:
+    """Build (ArchConfig, HardwareParams) from a parsed JSON object.
 
     Keys match the dataclass field names; the heating coefficient is
-    spelled "lambda".  Unknown keys raise ValueError.
+    spelled "lambda".  Anything but a dict, and unknown keys, raise
+    ValueError.  Reading a config file is the caller's job.
     """
-    if isinstance(path_or_dict, dict):
-        raw = dict(path_or_dict)
-    else:
-        with open(path_or_dict) as fh:
-            raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config needs a JSON object, not {type(raw).__name__}")
     arch_kw, hw_kw = {}, {}
     for key, value in raw.items():
         if key == "lambda":
@@ -152,8 +162,6 @@ def load_config(path_or_dict) -> tuple[ArchConfig, HardwareParams]:
             hw_kw[key] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if "relaxed" in arch_kw:
-        arch_kw["relaxed"] = frozenset(arch_kw["relaxed"])
     return ArchConfig(**arch_kw), HardwareParams(**hw_kw)
 
 
@@ -183,10 +191,10 @@ def slm_position(row: int, col: int, config: ArchConfig) -> tuple[float, float]:
     return (col * config.D_site, row * config.D_site)
 
 
-def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
-               col_offsets=None) -> np.ndarray:
-    """(k * n, 3) lane coordinates of k stages of n atoms, row k * n + q
-    for qubit q: x lane, x offset (um), y lane.
+def lane_gather(placement: dict[int, AtomCoord]):
+    """A function of (row_lanes, col_lanes, col_offsets=None) giving the
+    (k * n, 3) lane coordinates of k stages of n atoms, row k * n + q for
+    qubit q: x lane, x offset (um), y lane.
 
     row_lanes, col_lanes and col_offsets hold one entry per stage, each a
     list per AOD of the lane of every row or column (None = empty) or of
@@ -196,15 +204,10 @@ def atom_lanes(placement: dict[int, AtomCoord], row_lanes, col_lanes,
     Raises ValueError when an occupied row or column has no lane (None or
     no entry), a lane or offset is not finite, or the stages' lists differ
     in length.
-    """
-    return lane_gather(placement)(row_lanes, col_lanes, col_offsets)
 
-
-def lane_gather(placement: dict[int, AtomCoord]):
-    """`atom_lanes` for one placement, as a function of (row_lanes,
-    col_lanes, col_offsets=None).  It works out which table column each
-    atom reads once per set of list lengths, so a walk that gathers many
-    blocks of stages pays that per-atom work once, not once per block."""
+    It works out which table column each atom reads once per set of list
+    lengths, so a walk that gathers many blocks of stages pays that
+    per-atom work once, not once per block."""
     sites = [placement[q] for q in range(len(placement))]
     slm = np.array([q for q, p in enumerate(sites) if p.array == 0], dtype=np.intp)
     aod = np.array([q for q, p in enumerate(sites) if p.array != 0], dtype=np.intp)
@@ -263,7 +266,7 @@ def _column(widths: tuple[int, ...], t: int, i: int) -> int:
 
 
 def atom_positions(lanes: np.ndarray, config: ArchConfig) -> np.ndarray:
-    """(n, 2) x/y positions in um from an `atom_lanes` array: x = x lane *
+    """(n, 2) x/y positions in um from a `lane_gather` array: x = x lane *
     D_site/2 + x offset, y = y lane * D_site/2."""
     pos = lanes[:, ::2] * (config.D_site / 2.0)
     pos[:, 0] += lanes[:, 1]
@@ -271,7 +274,7 @@ def atom_positions(lanes: np.ndarray, config: ArchConfig) -> np.ndarray:
 
 
 def move_distances(prev: np.ndarray, new: np.ndarray, config: ArchConfig) -> np.ndarray:
-    """Per-atom move distance (um) between two `atom_lanes` arrays, from
+    """Per-atom move distance (um) between two `lane_gather` arrays, from
     the lane and offset deltas (not from differences of positions, which
     round differently when D_site/2 is not dyadic)."""
     d = (new - prev) * (config.D_site / 2.0)  # its offset column is unused

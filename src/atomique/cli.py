@@ -41,7 +41,8 @@ SWEEP_PARAMS = ("T_per_move", "D_site", "n_cool_threshold", "T1", "f_2Q")
 
 def _load_config(args) -> tuple[ArchConfig, HardwareParams]:
     if getattr(args, "config", None):
-        return load_config(args.config)
+        with open(args.config) as fh:
+            return load_config(json.load(fh))
     return ArchConfig(), HardwareParams()
 
 
@@ -174,15 +175,12 @@ def cmd_sweep(args) -> int:
         *_, schedule = build_schedule(circuit, config, seed=args.seed)
         results = apply_schedule(schedule, points)
 
-    factor_names = ("F_1Q", "F_2Q", "F_transfer", "F_mov_heating",
-                    "F_mov_loss", "F_mov_cooling", "F_mov_deco")
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["value", "F_total", *factor_names,
+        writer.writerow(["value", "F_total", *results[0][0].factors(),
                          "execution_time_s", "n_coolings"])
         for value, (report, ledger) in zip(values, results):
-            writer.writerow([value, report.F_total,
-                             *(report.factors()[k] for k in factor_names),
+            writer.writerow([value, report.F_total, *report.factors().values(),
                              execution_time(ledger), report.N_cooling])
     print(f"wrote {args.output}: {len(values)} points of {args.param}")
     return 0

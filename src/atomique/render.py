@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import os
 
-from .arch import slm_position
-from .stage_router import Schedule
+from .arch import atom_positions, slm_position
+from .stage_router import Schedule, lane_walk
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -20,16 +20,15 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_stage_svg(schedule: Schedule, k: int) -> str:
-    """SVG document for stage k."""
+def render_stage_svg(schedule: Schedule, k: int, pos) -> str:
+    """SVG document for stage k, its atoms at the (n, 2) positions `pos`."""
     cfg = schedule.config
-    pos = {q: p for q, p in enumerate(schedule.stage_positions(k))}
     stage = schedule.stages[k]
 
     lattice = [slm_position(r, c, cfg)
                for r in range(cfg.slm_rows) for c in range(cfg.slm_cols)]
-    xs = [p[0] for p in lattice] + [p[0] for p in pos.values()]
-    ys = [p[1] for p in lattice] + [p[1] for p in pos.values()]
+    xs = [p[0] for p in lattice] + [p[0] for p in pos]
+    ys = [p[1] for p in lattice] + [p[1] for p in pos]
     pad = cfg.D_site
     x0, y0 = min(xs) - pad, min(ys) - pad
     w, h = max(xs) - x0 + pad, max(ys) - y0 + pad
@@ -47,8 +46,7 @@ def render_stage_svg(schedule: Schedule, k: int) -> str:
         xb, yb = pos[b]
         out.append(f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
                    f'stroke="#999999" stroke-width="{_fmt(r_atom / 2)}"/>')
-    for q in sorted(pos):
-        x, y = pos[q]
+    for q, (x, y) in enumerate(pos):
         arr = schedule.placement[q].array
         color = "#000000" if arr == 0 else _PALETTE[(arr - 1) % len(_PALETTE)]
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r_atom)}" fill="{color}"/>')
@@ -61,12 +59,15 @@ def render_stage_svg(schedule: Schedule, k: int) -> str:
 
 
 def render_schedule(schedule: Schedule, out_dir: str) -> list[str]:
-    """Write one SVG per stage into out_dir; return the paths written."""
+    """Write one SVG per stage, a lane walk block at a time, into out_dir;
+    return the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for k in range(len(schedule.stages)):
-        path = os.path.join(out_dir, f"stage_{k:03d}.svg")
-        with open(path, "w") as fh:
-            fh.write(render_stage_svg(schedule, k))
-        paths.append(path)
+    for k0, lanes, moved in lane_walk(schedule):
+        block = atom_positions(lanes, schedule.config).reshape(*moved.shape, 2)
+        for k, pos in enumerate(block.tolist(), k0):
+            path = os.path.join(out_dir, f"stage_{k:03d}.svg")
+            with open(path, "w") as fh:
+                fh.write(render_stage_svg(schedule, k, pos))
+            paths.append(path)
     return paths

@@ -38,7 +38,6 @@ from .arch import (
     AtomCoord,
     Violation,
     arch_to_dict,
-    atom_lanes,
     atom_positions,
     lane_gather,
     load_config,
@@ -87,11 +86,6 @@ class Schedule:
     @property
     def n_raman_layers(self) -> int:
         return sum(len(s.raman) for s in self.stages)
-
-    def stage_positions(self, k: int) -> np.ndarray:
-        s = self.stages[k]
-        return atom_positions(atom_lanes(self.placement, [s.row_lanes], [s.col_lanes],
-                                         [s.col_offsets]), self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +552,9 @@ AUDIT_BLOCK = 8192
 
 
 def lane_walk(schedule: Schedule):
-    """Yields (first stage index, `atom_lanes`, (k, n) move distances from
-    the lanes before, the initial ones first) per block of k stages of up
-    to AUDIT_BLOCK atoms, one lane gather each.  First raises ValueError
+    """Yields (first stage index, `lane_gather` lanes, (k, n) move distances
+    from the lanes before, the initial ones first) per block of k stages of
+    up to AUDIT_BLOCK atoms, one lane gather each.  First raises ValueError
     naming the first stage with a CZ qubit outside range(n)."""
     placement, config, stages = schedule.placement, schedule.config, schedule.stages
     n = len(placement)
@@ -957,12 +951,15 @@ def schedule_from_dict(d: dict) -> Schedule:
     by int entries; also on a non-number `move_time_s`, `distances_um` or
     `col_offsets_um` entry, a lane neither int nor null, an `aod` list of
     other than n_aod entries, a raman gate without three numeric angles,
-    or an `overlap_rejections` not an int >= 0 (a bool is no int).
+    an `overlap_rejections` not an int >= 0 (a bool is no int), or a top
+    level or `config` not a JSON object (a config path is never opened).
 
     Stages are checked in blocks of LOAD_BLOCK (`_load_block`): one type
     pass per block, and stage by stage only where the pass fails, so the
     first bad stage and its message are those of a stage-by-stage load.
     The stored distances and move times are kept for `audit_schedule`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"schedule needs a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])

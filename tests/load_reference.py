@@ -52,7 +52,10 @@ def schedule_from_dict(d: dict) -> Schedule:
     by int entries; also on a non-number `move_time_s`, `distances_um` or
     `col_offsets_um` entry, a lane neither int nor null, an `aod` list of
     other than n_aod entries, a raman gate without three numeric angles,
-    or an `overlap_rejections` not an int >= 0 (a bool is no int)."""
+    an `overlap_rejections` not an int >= 0 (a bool is no int), or a top
+    level or `config` not a JSON object (a config path is never opened)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"schedule needs a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     config, _ = load_config(d["config"])

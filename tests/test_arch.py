@@ -10,9 +10,8 @@ from atomique.arch import (
     AtomCoord,
     HardwareParams,
     arch_to_dict,
-    atom_lanes,
-    lane_gather,
     atom_positions,
+    lane_gather,
     load_config,
     min_separation_audit,
     move_distances,
@@ -81,11 +80,13 @@ def test_hardware_validation():
         HardwareParams(n_cool_threshold=40.0)  # above n_vib_max
 
 
+FLOAT_KEYS = ("D_site", "r_b", "delta", "T_per_move", "f_1Q", "f_2Q", "t_1Q", "t_2Q", "T1",
+              "P_loss_transfer", "T_transfer", "x_zpf", "omega0", "lambda", "n_vib_max",
+              "n_cool_threshold")
+
+
 @pytest.mark.parametrize("key,value", [
-    *((key, float("nan")) for key in (
-        "D_site", "r_b", "delta", "T_per_move", "f_1Q", "f_2Q", "t_1Q", "t_2Q", "T1",
-        "P_loss_transfer", "T_transfer", "x_zpf", "omega0", "lambda", "n_vib_max",
-        "n_cool_threshold")),
+    *((key, float("nan")) for key in FLOAT_KEYS),
     ("aod_rows", [2.7, 3]), ("aod_cols", 2.0), ("aod_rows", [True, 3]),
     ("n_aod", 2.0), ("slm_rows", True), ("slm_cols", 10.5),
 ])
@@ -104,6 +105,32 @@ def test_load_config_rejects_an_infinite_time_or_length(key):
         load_config({key: float("-inf")})
 
 
+def test_the_float_keys_are_every_float_field():
+    assert set(FLOAT_KEYS) == {"lambda" if f.name == "lam" else f.name
+                               for cls in (ArchConfig, HardwareParams)
+                               for f in fields(cls) if f.type == "float"}
+
+
+@pytest.mark.parametrize("value", [True, False, "15", None, [1.0], {"um": 15.0}])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_load_config_rejects_a_bool_or_a_non_number(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a number, not "):
+        load_config({key: value})
+
+
+@pytest.mark.parametrize("value", [np.float64(20.0), np.float32(20.0), np.int64(20), 20])
+def test_a_numpy_number_or_an_int_is_a_number(value):
+    cfg, hw = load_config({"D_site": value, "T1": value})
+    assert cfg.D_site == hw.T1 == 20.0
+
+
+@pytest.mark.parametrize("raw", ["cfg.json", ["D_site", 20.0], 15.0, None])
+def test_load_config_takes_only_a_json_object(raw):
+    message = f"^config needs a JSON object, not {type(raw).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        load_config(raw)
+
+
 def test_infinite_values_are_rejected_together_and_alone():
     with pytest.raises(ValueError, match="^D_site must be finite$"):
         load_config({"T_per_move": float("inf"), "D_site": float("inf")})
@@ -116,7 +143,7 @@ def test_infinite_values_are_rejected_together_and_alone():
 def test_atom_positions_mixed():
     cfg = ArchConfig()
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(1, 0, 0)}
-    lanes = atom_lanes(placement, [[[1], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
+    lanes = lane_gather(placement)([[[1], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
     assert lanes.tolist() == [[4.0, 0.0, 2.0], [3.0, -0.5, 1.0]]
     pos = atom_positions(lanes, cfg)
     assert pos[0] == pytest.approx([30.0, 15.0])
@@ -127,7 +154,7 @@ def test_atom_positions_mixed():
 
 def test_atom_lanes_rejects_an_occupied_row_without_a_lane():
     with pytest.raises(ValueError):
-        atom_lanes({0: AtomCoord(1, 0, 0)}, [[[None]]], [[[1]]])
+        lane_gather({0: AtomCoord(1, 0, 0)})([[[None]]], [[[1]]])
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
@@ -136,15 +163,15 @@ def test_atom_lanes_rejects_a_lane_or_offset_that_is_not_finite(bad):
     for rows, cols, offsets in (([[[bad]]], [[[1]]], None), ([[[1]]], [[[bad]]], None),
                                 ([[[1]]], [[[1]]], [[[bad]]])):
         with pytest.raises(ValueError, match="not finite"):
-            atom_lanes(placement, rows, cols, offsets)
+            lane_gather(placement)(rows, cols, offsets)
 
 
 def test_atom_lanes_of_a_block_stack_its_stages():
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(2, 1, 0), 2: AtomCoord(1, 0, 1)}
     stages = [([[1], [None, 5]], [[None, 3], [7]], [[0.0, -0.5], [0.25]]),
               ([[9], [None, 11]], [[None, 13], [15]], [[0.0, 0.5], [-0.0]])]
-    block = atom_lanes(placement, *zip(*stages))
-    one_by_one = [atom_lanes(placement, [r], [c], [o]) for r, c, o in stages]
+    block = lane_gather(placement)(*zip(*stages))
+    one_by_one = [lane_gather(placement)([r], [c], [o]) for r, c, o in stages]
     assert block.tobytes() == np.concatenate(one_by_one).tobytes()
     assert block.tolist() == [[4.0, 0.0, 2.0], [7.0, 0.25, 5.0], [3.0, -0.5, 1.0],
                               [4.0, 0.0, 2.0], [15.0, -0.0, 11.0], [13.0, 0.5, 9.0]]
@@ -153,9 +180,9 @@ def test_atom_lanes_of_a_block_stack_its_stages():
 def test_atom_lanes_rejects_lane_lists_that_do_not_line_up():
     placement = {0: AtomCoord(1, 0, 0), 1: AtomCoord(2, 1, 0)}
     with pytest.raises(ValueError, match="differ"):  # same total, other split
-        atom_lanes(placement, [[[1], [3, 5]], [[1, 3], [5]]], [[[1], [3]]] * 2)
+        lane_gather(placement)([[[1], [3, 5]], [[1, 3], [5]]], [[[1], [3]]] * 2)
     with pytest.raises(ValueError, match="no lane"):  # AOD 2 has no row 1
-        atom_lanes(placement, [[[1], [3]]], [[[1], [3]]])
+        lane_gather(placement)([[[1], [3]]], [[[1], [3]]])
 
 
 def test_a_lane_gather_follows_list_lengths_that_change_between_calls():
@@ -164,8 +191,8 @@ def test_a_lane_gather_follows_list_lengths_that_change_between_calls():
     gather = lane_gather(placement)
     short = ([[[1], [7]]], [[[3, 5], [9]]], [[[0.5, -0.5], [0.25]]])
     longer = ([[[1, None], [7]]], [[[None, 5, 3], [11, None]]], None)
-    for args in (short, longer, short):
-        assert gather(*args).tobytes() == atom_lanes(placement, *args).tobytes()
+    for args in (short, longer, short):  # a fresh gather has no columns yet
+        assert gather(*args).tobytes() == lane_gather(placement)(*args).tobytes()
     assert gather(*longer).tolist() == [[5.0, 0.0, 1.0], [6.0, 0.0, 4.0], [11.0, 0.0, 7.0]]
     with pytest.raises(ValueError, match="no lane"):  # AOD 0 has no column 1
         gather([[[1], [7]]], [[[3], [9]]])
@@ -176,8 +203,8 @@ def test_move_distances_come_from_lane_deltas():
     # differences of positions round differently
     cfg = ArchConfig(D_site=16.3)
     placement = {0: AtomCoord(0, 0, 0), 1: AtomCoord(1, 0, 0)}
-    prev = atom_lanes(placement, [[[7], [None]]], [[[1], [None]]])
-    new = atom_lanes(placement, [[[7], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
+    prev = lane_gather(placement)([[[7], [None]]], [[[1], [None]]])
+    new = lane_gather(placement)([[[7], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
     got = move_distances(prev, new, cfg)
     assert got[0] == 0.0
     assert got[1] == 2 * 8.15 - 0.5 == 15.8
@@ -243,7 +270,7 @@ def test_load_config_roundtrip(tmp_path):
     assert d["relaxed"] == ["C3"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
-    cfg2, hw2 = load_config(str(path))
+    cfg2, hw2 = load_config(json.loads(path.read_text()))
     assert cfg2 == cfg
     assert hw2 == hw
 

@@ -521,6 +521,52 @@ def test_audit_command_rejects_overlap_rejections_that_are_not_a_count(tmp_path,
     assert err == f"error: metrics: overlap_rejections {value!r} is not an int >= 0\n"
 
 
+@pytest.mark.parametrize("config", ["path", ["D_site", 30.0], 15.0])
+def test_a_schedule_config_that_is_not_an_object_is_rejected(tmp_path, capsys, config):
+    # a path string is rejected, not opened: the file it names holds the
+    # schedule's own config, which would load and audit clean
+    def edit(doc):
+        if config == "path":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc["config"]))
+            doc["config"] = str(path)
+        else:
+            doc["config"] = config
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    doc = json.loads((tmp_path / "bad.json").read_text())
+    message = f"config needs a JSON object, not {type(doc['config']).__name__}"
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stage_router.schedule_from_dict(doc)
+
+
+@pytest.mark.parametrize("command", ["audit", "render"])
+def test_a_schedule_file_that_is_not_an_object_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "schedule.json"
+    path.write_text("[]\n")
+    with pytest.raises(ValueError, match="^schedule needs a JSON object, not list$"):
+        stage_router.schedule_from_dict([])
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: schedule needs a JSON object, not list\n")
+
+
+@pytest.mark.parametrize("config,message", [
+    ([{"D_site": 30.0}], "config needs a JSON object, not list"),
+    ({"T_per_move": True}, "T_per_move must be a number, not True"),
+    ({"n_cool_threshold": False}, "n_cool_threshold must be a number, not False"),
+    ({"D_site": "15"}, "D_site must be a number, not '15'"),
+])
+def test_compile_rejects_a_config_file_that_is_not_an_object_of_numbers(tmp_path, capsys,
+                                                                        config, message):
+    qasm = write_benchmark(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["compile", str(qasm), "-o", str(tmp_path / "out"), "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _gating(doc):
     k = next(k for k, s in enumerate(doc["stages"]) if s["cz"])
     doc["stages"][k]["move_time_s"] = 0.0

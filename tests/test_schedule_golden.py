@@ -1,4 +1,4 @@
-"""Golden schedule, stats and sweep hashes: a byte-identity check for refactors.
+"""Golden schedule, stats, sweep and render hashes: a byte-identity check for refactors.
 
 Each ``GOLDEN`` entry is the sha256 of ``schedule_to_dict`` (JSON, sorted
 keys) for one seeded circuit compiled under one flag set: the bytes of the
@@ -6,9 +6,10 @@ keys) for one seeded circuit compiled under one flag set: the bytes of the
 Each ``GOLDEN_STATS`` entry is the sha256 of the same compile's
 ``stats.json`` bytes without ``compile_wall_time_s``.  ``GOLDEN_SWEEP`` pins
 the CSV that ``atomique sweep`` writes for one small circuit per sweep
-parameter.  A change that is meant to keep outputs byte-identical must leave
-every hash as it is; a change that is meant to alter them updates the table
-and says why.
+parameter, and ``GOLDEN_RENDER`` the SVG frames that ``atomique render``
+writes for two compiled schedules.  A change that is meant to keep outputs
+byte-identical must leave every hash as it is; a change that is meant to
+alter them updates the table and says why.
 """
 
 import dataclasses
@@ -222,6 +223,16 @@ GOLDEN_SWEEP = {
 }
 
 
+# (circuit, flag set) -> (frame count, sha256 of the "<name> <sha256>\n"
+# line of every frame, in name order)
+GOLDEN_RENDER = {
+    ("qaoa-rand-30", "default"):
+        (178, "d30aee227c3d288f7a08c379ef937e4590136ad5fbbf5a2a9dfec4f54c40603b"),
+    ("qaoa-regular-40", "relax-C1"):
+        (49, "894cf57ea43b360c485cd4f764ab66c8dcd566c9930e6383a2f6328238f8ca6e"),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def compile_hashes(circuit_name: str, flags: str) -> tuple[str, str, str]:
     """(schedule sha256, stats.json sha256 without compile_wall_time_s,
@@ -244,6 +255,20 @@ def sweep_hash(param: str, out_dir) -> str:
                *SWEEP_CIRCUIT, "-o", str(path)])
     assert rc == 0
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def render_hash(circuit_name: str, flags: str, tmp_path) -> tuple[int, str]:
+    """(frame count, manifest sha256) of `atomique render` run on the
+    schedule.json of `atomique compile`."""
+    qasm, out, frames = tmp_path / "in.qasm", tmp_path / "out", tmp_path / "frames"
+    qasm.write_text(to_qasm(CIRCUITS[circuit_name].generate()))
+    assert main(["compile", str(qasm), "-o", str(out), "--seed", "1",
+                 *CLI_FLAGS[flags]]) == 0
+    assert main(["render", str(out / "schedule.json"), "-o", str(frames)]) == 0
+    paths = sorted(frames.iterdir())
+    manifest = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                       for p in paths)
+    return len(paths), hashlib.sha256(manifest.encode()).hexdigest()
 
 
 def test_the_golden_table_covers_every_circuit_and_flag_set():
@@ -272,6 +297,11 @@ def test_every_golden_schedule_audits_clean_after_loading(circuit_name, flags):
 @pytest.mark.parametrize("param", sorted(SWEEP_VALUES))
 def test_sweep_csv_bytes_match_the_golden_hash(param, tmp_path):
     assert sweep_hash(param, tmp_path) == GOLDEN_SWEEP[param]
+
+
+@pytest.mark.parametrize("circuit_name,flags", sorted(GOLDEN_RENDER))
+def test_render_frames_match_the_golden_hash(circuit_name, flags, tmp_path):
+    assert render_hash(circuit_name, flags, tmp_path) == GOLDEN_RENDER[(circuit_name, flags)]
 
 
 @pytest.mark.parametrize("circuit_name,flags", [
