@@ -51,6 +51,9 @@ class ArchConfig:
             raise ValueError("D_site/2 - delta must be >= s_min (lanes too dense)")
         if self.D_site < 6 * self.r_b:
             raise ValueError("D_site must be >= 6 * r_b")
+        if not (isinstance(self.relaxed, (list, tuple, set, frozenset))
+                and all(isinstance(name, str) for name in self.relaxed)):
+            raise ValueError(f"relaxed must be a list of constraint names, not {self.relaxed!r}")
         object.__setattr__(self, "relaxed", frozenset(self.relaxed))
         unknown = self.relaxed - {"C1", "C2", "C3"}
         if unknown:

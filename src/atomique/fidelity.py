@@ -34,13 +34,10 @@ walk that heats and multiplies one atom at a time (that walk is kept as
   heated where a move distance is above 0, and the per-AOD cooling check.
   It records the post-move ``n_vib`` of the moved atoms (ascending qubit
   order) and the ``n_vib`` pair of each CZ.
-* ``n_vib`` starts at 0, rises only by a move, and every cooling check
-  leaves each AOD at or below the (non-negative) threshold.  So a check
-  can call for a cooling only after a move, and only once some atom may be
-  above the threshold: each point keeps a bound on its AOD atoms, exact
-  after a check and raised by each moving stage's largest gain, and the
-  check runs only where a bound passes its threshold.  Rounding is
-  monotone, so the bound stays an upper bound.
+* ``n_vib`` rises only by a move, and after every cooling check each AOD
+  whose peak is a number is at or below the threshold.  So a check can
+  cool something only after a stage that moves an atom above the
+  threshold, and the check runs only there.
 * Each point's decoherence per move is ``math.exp`` once, multiplied in
   once per moving stage with ``math.prod``, and its move time is added
   once per moving stage, as the per-stage walk does.
@@ -68,7 +65,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, gt, le
+from operator import add, gt
 
 import numpy as np
 
@@ -230,6 +227,11 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     times = [config.T_per_move if t is None else replace(config, T_per_move=t).T_per_move
              for _, t in points]
     thresholds = [p.n_cool_threshold for p in hw]
+    # the largest float at or below each threshold, so that a float n_vib
+    # is above it exactly when it is above the threshold (an int threshold
+    # may lie between two floats)
+    limits = np.array([math.nextafter(float(t), -math.inf) if float(t) > t else float(t)
+                       for t in thresholds])
     n_vib_max = np.array([p.n_vib_max for p in hw], dtype=float)[:, None]
     heat_coeff = np.array([p.lam * (1.0 - p.f_2Q) for p in hw], dtype=float)
     scale = np.array([p.x_zpf * p.omega0 ** 2 * t ** 2 for p, t in zip(hw, times)], dtype=float)
@@ -241,21 +243,11 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     F_mov_loss = [1.0] * n_pts
     F_mov_cooling = [1.0] * n_pts
     n_cooling = [0] * n_pts
-    # per point, a bound on every AOD atom's n_vib (an AOD whose peak is NaN
-    # is never cooled and needs none): exact after a per-AOD check, raised
-    # by each moving stage's largest gain in between.  A stage whose bound
-    # stays at or below the threshold needs no check.
-    bound = [0.0] * n_pts
+    cooling = [[[] for _ in schedule.stages] for _ in points]
     n_1q = n_2q = n_layers = rydberg_stages = n_moving = k = 0
-    events = []  # (stage index, AOD, points cooled)
-    flat = n_vib.reshape(-1)  # entry (atom q, point i) at q * n_pts + i
     for block, atoms, dist in _read_stages(schedule, n_pts):
         if atoms.size:
             gain = _gain(dist[:, None], scale)
-            starts = [lo for _, _, lo, hi in block if hi > lo]
-            rises = iter(np.maximum.reduceat(gain, starts).tolist())
-            gain = gain.ravel()
-            rows = (atoms[:, None] * n_pts + np.arange(n_pts)).ravel()
         # the post-move n_vib of each moved atom, and the n_vib pair of each
         # CZ, in stage-then-qubit order
         after, pairs = [], []
@@ -267,11 +259,10 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
 
             hot = False
             if hi > lo:
-                moved = rows[lo * n_pts:hi * n_pts]
-                after.append(flat[moved] + gain[lo * n_pts:hi * n_pts])
-                flat[moved] = after[-1]
-                bound = list(map(add, bound, next(rises)))
-                hot = not all(map(le, bound, thresholds))
+                moved = atoms[lo:hi]
+                after.append(n_vib.take(moved, axis=0) + gain[lo:hi])
+                n_vib[moved] = after[-1]
+                hot = (after[-1] > limits).any()
 
             if stage.cz:
                 rydberg_stages += 1
@@ -280,21 +271,18 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
 
             if hot:
                 peaks = np.maximum.reduceat(n_vib.take(aod_order, axis=0), aod_starts).tolist()
-                bound = [0.0] * n_pts
-                for (aod, atoms), row in zip(aods, peaks):
+                for (aod, aod_q), row in zip(aods, peaks):
                     cooled = list(compress(range(n_pts), map(gt, row, thresholds)))
                     if cooled:
-                        n_vib[atoms, cooled] = 0.0
-                        events.append((k, aod, cooled))
+                        n_vib[aod_q, cooled] = 0.0
                         for i in cooled:
-                            F_mov_cooling[i] *= hw[i].f_2Q ** (2 * len(atoms))
+                            cooling[i][k].append(aod)
+                            F_mov_cooling[i] *= hw[i].f_2Q ** (2 * len(aod_q))
                             n_cooling[i] += 1
-                            row[i] = 0.0
-                    bound = list(map(max, bound, row))  # max(b, NaN) is b
             k += 1
 
         if after:
-            arg, need = _erf_args(np.concatenate(after).reshape(len(dist), n_pts).T, n_vib_max)
+            arg, need = _erf_args(np.concatenate(after).T, n_vib_max)
             factors = _survival(arg[need]).tolist()
             lo = 0
             for i, count in enumerate(need.sum(axis=1).tolist()):
@@ -306,10 +294,6 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
             for i, factors in enumerate(f):
                 F_mov_heating[i] = math.prod(factors, start=F_mov_heating[i])
 
-    cooling = [[[] for _ in range(k)] for _ in points]
-    for stage_k, aod, cooled in events:
-        for i in cooled:
-            cooling[i][stage_k].append(aod)
     T_1Q = {t: reduce(add, repeat(t, n_layers), 0.0) for t in {p.t_1Q for p in hw}}
     scores = []
     for i, (params, t) in enumerate(zip(hw, times)):

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -129,6 +130,20 @@ def test_load_config_takes_only_a_json_object(raw):
     message = f"^config needs a JSON object, not {type(raw).__name__}$"
     with pytest.raises(ValueError, match=message):
         load_config(raw)
+
+
+@pytest.mark.parametrize("value", ["C1", 5, None, {"C1": 1}, ["C1", 3], [["C1"]], True])
+def test_load_config_takes_relaxed_only_as_a_list_of_names(value):
+    with pytest.raises(ValueError, match=f"^relaxed must be a list of constraint names, "
+                                         f"not {re.escape(repr(value))}$"):
+        load_config({"relaxed": value})
+
+
+@pytest.mark.parametrize("value", [["C1", "C3"], ("C3", "C1"), {"C1", "C3"},
+                                   frozenset({"C1", "C3"}), ["C3", "C1", "C3"]])
+def test_relaxed_takes_a_list_tuple_or_set_of_names(value):
+    assert ArchConfig(relaxed=value).relaxed == frozenset({"C1", "C3"})
+    assert load_config({"relaxed": value})[0].relaxed == frozenset({"C1", "C3"})
 
 
 def test_infinite_values_are_rejected_together_and_alone():

@@ -437,6 +437,41 @@ def test_a_batch_gives_each_point_its_own_report():
     assert apply_schedule(schedule, []) == []
 
 
+def assert_cools_above_the_threshold_only(schedule, params, hop, T_per_move=None):
+    """Score at threshold ``hop`` (the one move's quanta) and at the largest
+    threshold below it, in one call: the first must not cool (the test is
+    strict), the second must cool once, each as the scalar walk does."""
+    below = math.nextafter(hop, -math.inf) if isinstance(hop, float) else hop - 1
+    points = [(dataclasses.replace(params, n_cool_threshold=t), T_per_move) for t in (hop, below)]
+    scores = apply_schedule(schedule, points)
+    for (point, _), got in zip(points, scores):
+        want = score_reference.apply_schedule(schedule, point, T_per_move=T_per_move)
+        assert score_repr(*got) == score_repr(*want)
+    (at, _), (under, _) = scores
+    assert (at.N_cooling, at.cooling) == (0, [[]])
+    assert (under.N_cooling, under.cooling) == (1, [[0]])
+
+
+def test_a_move_to_exactly_the_threshold_does_not_cool():
+    schedule = one_move_schedule(5)
+    [hop_um] = [d for d in stage_distances(schedule)[0] if d > 0.0]
+    hop = score_reference.delta_nvib(float(hop_um), PARAMS, CFG.T_per_move)
+    assert 0.0 < hop < PARAMS.n_cool_threshold
+    assert_cools_above_the_threshold_only(schedule, PARAMS, hop)
+
+
+def test_an_int_threshold_between_two_floats_is_compared_exactly():
+    # a 1 ns move heats by an integer-valued float far above 2**53, where
+    # floats are 4 apart or more: the int one below it rounds to it as a
+    # float, but the atom is still above it
+    schedule = one_move_schedule(5)
+    [hop_um] = [d for d in stage_distances(schedule)[0] if d > 0.0]
+    params = dataclasses.replace(PARAMS, n_vib_max=1e30)
+    hop = score_reference.delta_nvib(float(hop_um), params, 1e-9)
+    assert 2.0 ** 54 < hop < 1e30 and float(int(hop) - 1) == hop
+    assert_cools_above_the_threshold_only(schedule, params, int(hop), T_per_move=1e-9)
+
+
 @pytest.mark.parametrize("T_per_move,message", [
     (0.0, "T_per_move must be positive"), (-1e-4, "T_per_move must be positive"),
     (math.nan, "T_per_move must be positive"), (math.inf, "T_per_move must be finite")])

@@ -555,6 +555,9 @@ def test_a_schedule_file_that_is_not_an_object_is_rejected(tmp_path, capsys, com
     ({"T_per_move": True}, "T_per_move must be a number, not True"),
     ({"n_cool_threshold": False}, "n_cool_threshold must be a number, not False"),
     ({"D_site": "15"}, "D_site must be a number, not '15'"),
+    ({"relaxed": "C1"}, "relaxed must be a list of constraint names, not 'C1'"),
+    ({"relaxed": None}, "relaxed must be a list of constraint names, not None"),
+    ({"relaxed": {"C1": 1}}, "relaxed must be a list of constraint names, not {'C1': 1}"),
 ])
 def test_compile_rejects_a_config_file_that_is_not_an_object_of_numbers(tmp_path, capsys,
                                                                         config, message):
