@@ -83,7 +83,8 @@ def separation_scan(pos, partner, r_b, s_min, stage=None):
                                    far * m + partner[far])), kind="stable")
     iu, ju = code // m, code % m
     diff = pos[iu] - pos[ju]
-    d = np.sqrt((diff * diff).sum(axis=1))
+    with np.errstate(over="ignore"):  # a pair too far apart to square is at inf
+        d = np.sqrt((diff * diff).sum(axis=1))
     intended = partner[iu] == ju
     bad = np.where(intended, d >= float(r_b), d < float(s_min))
     kind = intended.astype(np.int64)

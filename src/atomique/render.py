@@ -1,7 +1,8 @@
 """Static per-stage SVG frames of a schedule.
 
-One file per stage (stage_000.svg, stage_001.svg, ...): empty lattice sites
-as faint dots, trapped atoms as filled circles (static array black, movable
+One file per stage (stage_000.svg, stage_001.svg, ...): the SLM lattice
+sites as faint dots (one SVG pattern fill, so a frame's size is the same for
+any SLM), trapped atoms as filled circles (static array black, movable
 arrays colored), and a line per two-qubit gate executed in that stage.  All
 coordinates are emitted with fixed precision so output is byte-deterministic.
 """
@@ -25,22 +26,28 @@ def render_stage_svg(schedule: Schedule, k: int, pos) -> str:
     cfg = schedule.config
     stage = schedule.stages[k]
 
-    lattice = [slm_position(r, c, cfg)
-               for r in range(cfg.slm_rows) for c in range(cfg.slm_cols)]
-    xs = [p[0] for p in lattice] + [p[0] for p in pos]
-    ys = [p[1] for p in lattice] + [p[1] for p in pos]
+    corners = [slm_position(0, 0, cfg), slm_position(cfg.slm_rows - 1, cfg.slm_cols - 1, cfg)]
+    xs = [p[0] for p in corners] + [p[0] for p in pos]
+    ys = [p[1] for p in corners] + [p[1] for p in pos]
     pad = cfg.D_site
     x0, y0 = min(xs) - pad, min(ys) - pad
     w, h = max(xs) - x0 + pad, max(ys) - y0 + pad
     r_atom = cfg.D_site / 6.0
+    half = cfg.D_site / 2
 
+    # the lattice is one rect filled with a D_site tile whose dot sits at its
+    # center, so a frame's size does not grow with the SLM
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(x0)} {_fmt(y0)} '
         f'{_fmt(w)} {_fmt(h)}" width="{_fmt(w * 4)}" height="{_fmt(h * 4)}">',
+        f'<defs><pattern id="sites" x="{_fmt(-half)}" y="{_fmt(-half)}" '
+        f'width="{_fmt(cfg.D_site)}" height="{_fmt(cfg.D_site)}" patternUnits="userSpaceOnUse">'
+        f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(r_atom / 3)}" fill="#cccccc"/>'
+        f'</pattern></defs>',
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="white"/>',
+        f'<rect x="{_fmt(-half)}" y="{_fmt(-half)}" width="{_fmt(cfg.slm_cols * cfg.D_site)}" '
+        f'height="{_fmt(cfg.slm_rows * cfg.D_site)}" fill="url(#sites)"/>',
     ]
-    for x, y in lattice:
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r_atom / 3)}" fill="#cccccc"/>')
     for a, b in stage.cz:
         xa, ya = pos[a]
         xb, yb = pos[b]

@@ -837,106 +837,89 @@ def _is_index(x, bound: int) -> bool:
     return type(x) is int and 0 <= x < bound
 
 
-_NUMBER = {int, float}         # JSON value types of a number (a bool is not one)
-_LANE = {int, type(None)}      # ... and of a lane: an int, or null for an empty row
-
-
-def _aod_lists(where: str, aods, n_aod: int, *keys: str) -> list:
-    """Per key, its list from each of the n_aod entries of `aods`: lanes are
-    ints or null, `col_offsets_um` entries numbers.  ValueError naming
-    `where` and the key otherwise."""
-    if len(aods) != n_aod:
-        raise ValueError(f"{where}: aod needs {n_aod} entries, one per AOD, not {len(aods)}")
-    out = [[list(a[key]) for a in aods] for key in keys]
-    for key, lists in zip(keys, out):
-        types, what = ((_NUMBER, "numbers") if key == "col_offsets_um"
-                       else (_LANE, "int or null lanes"))
-        if not set(map(type, chain.from_iterable(lists))) <= types:
-            raise ValueError(f"{where}: {key} needs {what}")
-    return out
-
-
-# stages per block of the loader's type pass
-LOAD_BLOCK = 64
-
-
-def _load_stage(k: int, s: dict, n: int, n_aod: int) -> tuple[Stage, np.ndarray, float]:
-    """Stage k, its stored move distances and its stored move time, with
-    each check run on it alone, in the loader's order: distances_um,
-    move_time_s, cz, raman, cooling, then the lanes."""
-    if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
-        raise ValueError(f"stage {k}: distances_um needs one number per qubit")
-    if type(s["move_time_s"]) not in _NUMBER:
-        raise ValueError(f"stage {k}: move_time_s {s['move_time_s']!r} is not a number")
-    cz, named = [], set()
-    for a, b in s["cz"]:
-        if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
-            raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct int qubits "
-                             f"in range({n}) that no other cz of the stage names")
-        named |= {a, b}
-        cz.append((a, b))
-    raman = [[Gate("u", (q,), tuple(params)) for q, *params in layer]
-             for layer in s["raman"]]
-    for q in (g.qubits[0] for layer in raman for g in layer):
-        if not _is_index(q, n):
-            raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
-    angles = [g.params for layer in raman for g in layer]
-    if (set(map(len, angles)) - {3}
-            or not set(map(type, chain.from_iterable(angles))) <= _NUMBER):
-        raise ValueError(f"stage {k}: raman gates need three numeric angles each")
-    if not all(_is_index(t, n_aod) for t in s["cooling"]):
-        raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
-                         f"indices in range({n_aod})")
-    lanes = _aod_lists(f"stage {k}", s["aod"], n_aod, "row_lanes", "col_lanes", "col_offsets_um")
-    return (Stage(raman, cz, *lanes, list(s["cooling"])),
-            np.asarray(s["distances_um"], dtype=float), float(s["move_time_s"]))
-
-
 def _in_range(values: list, bound: int) -> bool:
     """Whether every value is an int (a bool is not) in range(bound)."""
     return (set(map(type, values)) <= {int}
             and (not values or (min(values) >= 0 and max(values) < bound)))
 
 
+_NUMBER = {int, float}         # JSON value types of a number (a bool is not one)
+_LANE = {int, type(None)}      # ... and of a lane: an int, or null for an empty row
+
+
+def _aod_lists(aods: list, n_aod: int, *keys: str) -> list:
+    """Per key, its lists from the n_aod entries of each `aod` list in
+    `aods` (one per stage of a block, or the `initial` one alone): lanes
+    are ints or null, `col_offsets_um` entries numbers.  ValueError naming
+    the key otherwise; an entry count quoted is the first list's."""
+    if any(len(aod) != n_aod for aod in aods):
+        raise ValueError(f"aod needs {n_aod} entries, one per AOD, not {len(aods[0])}")
+    out = [[[list(a[key]) for a in aod] for aod in aods] for key in keys]
+    for key, lists in zip(keys, out):
+        types, what = ((_NUMBER, "numbers") if key == "col_offsets_um"
+                       else (_LANE, "int or null lanes"))
+        if not set(map(type, chain.from_iterable(chain.from_iterable(lists)))) <= types:
+            raise ValueError(f"{key} needs {what}")
+    return out
+
+
+# stages per block of the loader
+LOAD_BLOCK = 64
+
+
 def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[tuple]:
     """Each stage of `block` (the first is stage k0) with its stored move
-    distances and move time, built and then checked in one pass over the
-    block: its chained distances, move times, lanes, offsets, cz and raman
-    qubits, raman angles and cooling entries each by one type and range
-    check, its distances by one `np.array`.  Only each stage's cz pairs are
-    checked on their own (no qubit twice).  When the pass fails, or an entry
-    is malformed, `_load_stage` loads the block stage by stage, and so
-    raises for the first bad stage what the loader always raised."""
+    distances and move time.  Each check runs once over the whole block, in
+    the documented order: distances_um, move_time_s, cz (the pairs walked
+    in order), raman qubits, raman angles, cooling, then the lanes
+    (`_aod_lists`); a value a message quotes is the first stage's, or the
+    first bad one.  A block of more than one stage that fails a check or
+    holds a malformed entry is loaded again one stage at a time by this
+    function, so the first bad stage k raises what it raises alone: a
+    ValueError "stage k: " and the check's message or the entry's error."""
     flat = chain.from_iterable
     try:
-        aods = [s["aod"] for s in block]
-        rows, cols, offs = ([[list(a[key]) for a in aod] for aod in aods]
-                            for key in ("row_lanes", "col_lanes", "col_offsets_um"))
         dist = [s["distances_um"] for s in block]
-        czs = [[(a, b) for a, b in s["cz"]] for s in block]
+        if any(len(v) != n for v in dist) or not set(map(type, flat(dist))) <= _NUMBER:
+            raise ValueError("distances_um needs one number per qubit")
+        times = [s["move_time_s"] for s in block]
+        if not set(map(type, times)) <= _NUMBER:
+            raise ValueError(f"move_time_s {times[0]!r} is not a number")
+        czs = []
+        for s in block:
+            cz, named = [], set()
+            for a, b in s["cz"]:
+                if (not (_is_index(a, n) and _is_index(b, n))
+                        or a == b or a in named or b in named):
+                    raise ValueError(f"cz {[a, b]} needs two distinct int qubits in range({n}) "
+                                     f"that no other cz of the stage names")
+                named.update((a, b))
+                cz.append((a, b))
+            czs.append(cz)
         ramans = [[[Gate("u", (q,), tuple(params)) for q, *params in layer]
                    for layer in s["raman"]] for s in block]
-        coolings = [list(s["cooling"]) for s in block]
         gates = list(flat(flat(ramans)))
+        qubits = [g.qubits[0] for g in gates]
+        if not _in_range(qubits, n):
+            q = next(q for q in qubits if not _is_index(q, n))
+            raise ValueError(f"raman gate on qubit {q!r}, not an int in range({n})")
         angles = [g.params for g in gates]
-        passed = (all(len(a) == n_aod for a in aods)
-                  and all(len(v) == n for v in dist)
-                  and set(map(type, flat(dist))) <= _NUMBER
-                  and set(map(type, (s["move_time_s"] for s in block))) <= _NUMBER
-                  and set(map(type, flat(flat(chain(rows, cols))))) <= _LANE
-                  and set(map(type, flat(flat(offs)))) <= _NUMBER
-                  and _in_range([g.qubits[0] for g in gates] + list(flat(flat(czs))), n)
-                  and all(len(set(flat(cz))) == 2 * len(cz) for cz in czs)
-                  and set(map(len, angles)) <= {3}
-                  and set(map(type, flat(angles))) <= _NUMBER
-                  and _in_range(list(flat(coolings)), n_aod))
-        distances = np.array(dist, dtype=float).reshape(len(block), n) if passed else None
-    except (KeyError, TypeError, ValueError, OverflowError):  # a malformed entry
-        passed = False
-    if not passed:
-        return [_load_stage(k0 + i, s, n, n_aod) for i, s in enumerate(block)]
-    return [(Stage(*fields), row, float(s["move_time_s"]))
-            for s, row, *fields in zip(block, distances, ramans, czs, rows, cols, offs, coolings)]
+        if set(map(len, angles)) - {3} or not set(map(type, flat(angles))) <= _NUMBER:
+            raise ValueError("raman gates need three numeric angles each")
+        coolings = [list(s["cooling"]) for s in block]
+        if not _in_range(list(flat(coolings)), n_aod):
+            raise ValueError(f"cooling {block[0]['cooling']!r} needs int AOD "
+                             f"indices in range({n_aod})")
+        lanes = _aod_lists([s["aod"] for s in block], n_aod,
+                           "row_lanes", "col_lanes", "col_offsets_um")
+        distances = np.array(dist, dtype=float)
+        return [(Stage(raman, cz, *lanes_k, cooling), row, float(t))
+                for raman, cz, *lanes_k, cooling, row, t
+                in zip(ramans, czs, *lanes, coolings, distances, times)]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a check or a malformed entry
+        if len(block) == 1:
+            raise ValueError(f"stage {k0}: {exc}") from exc
+    return [loaded for k, s in enumerate(block, k0) for loaded in _load_block(k, [s], n, n_aod)]
 
 
 def schedule_from_dict(d: dict) -> Schedule:
@@ -954,10 +937,11 @@ def schedule_from_dict(d: dict) -> Schedule:
     an `overlap_rejections` not an int >= 0 (a bool is no int), or a top
     level or `config` not a JSON object (a config path is never opened).
 
-    Stages are checked in blocks of LOAD_BLOCK (`_load_block`): one type
-    pass per block, and stage by stage only where the pass fails, so the
-    first bad stage and its message are those of a stage-by-stage load.
-    The stored distances and move times are kept for `audit_schedule`."""
+    Stages are checked LOAD_BLOCK at a time by `_load_block`, which loads
+    a failing block again one stage at a time, so the error names the first
+    bad stage: "stage k: " and the failed check's message, or the error
+    text of a malformed entry (a missing key, a wrong container).  The
+    stored distances and move times are kept for `audit_schedule`."""
     if not isinstance(d, dict):
         raise ValueError(f"schedule needs a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != 1:
@@ -980,9 +964,12 @@ def schedule_from_dict(d: dict) -> Schedule:
     rejections = d["metrics"]["overlap_rejections"]
     if type(rejections) is not int or rejections < 0:
         raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
+    try:
+        (rows,), (cols,) = _aod_lists([d["initial"]["aod"]], config.n_aod,
+                                      "row_lanes", "col_lanes")
+    except ValueError as exc:
+        raise ValueError(f"initial: {exc}") from exc
     stages, distances, times = map(list, zip(*loaded)) if loaded else ([], [], [])
-    return Schedule(config, placement, stages, list(d["perm"]),
-                    *_aod_lists("initial", d["initial"]["aod"], config.n_aod,
-                                "row_lanes", "col_lanes"), rejections,
+    return Schedule(config, placement, stages, list(d["perm"]), rows, cols, rejections,
                     total_distance_um=float(reduce(add, (row.sum() for row in distances), 0.0)),
                     stored_distances_um=distances, stored_move_times_s=times)

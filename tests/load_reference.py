@@ -2,7 +2,9 @@
 
 The loader as it was before it checked stages in blocks: every check runs
 per stage, in the order cz, raman, cooling after distances_um and
-move_time_s and before the lanes.  The package's block loader must raise
+move_time_s and before the lanes, and any error a stage's content raises
+(a failed check, or a malformed entry such as a missing key) is a
+ValueError that starts "stage k: ".  The package's block loader must raise
 the same exception, with the same message, on any input, and load any
 valid one to `Stage` fields and stored columns equal by `repr`.
 """
@@ -73,34 +75,40 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError(f"perm is not a permutation of range({n})")
     stages, distances, move_times = [], [], []
     for k, s in enumerate(d["stages"]):
-        if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
-            raise ValueError(f"stage {k}: distances_um needs one number per qubit")
-        if type(s["move_time_s"]) not in _NUMBER:
-            raise ValueError(f"stage {k}: move_time_s {s['move_time_s']!r} is not a number")
-        cz, named = [], set()
-        for a, b in s["cz"]:
-            if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
-                raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct int qubits "
-                                 f"in range({n}) that no other cz of the stage names")
-            named |= {a, b}
-            cz.append((a, b))
-        raman = [[Gate("u", (q,), tuple(params)) for q, *params in layer]
-                 for layer in s["raman"]]
-        for q in (g.qubits[0] for layer in raman for g in layer):
-            if not _is_index(q, n):
-                raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
-        angles = [g.params for layer in raman for g in layer]
-        if (set(map(len, angles)) - {3}
-                or not set(map(type, chain.from_iterable(angles))) <= _NUMBER):
-            raise ValueError(f"stage {k}: raman gates need three numeric angles each")
-        if not all(_is_index(t, config.n_aod) for t in s["cooling"]):
-            raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
-                             f"indices in range({config.n_aod})")
-        lanes = _aod_lists(f"stage {k}", s["aod"], config.n_aod,
-                           "row_lanes", "col_lanes", "col_offsets_um")
-        stages.append(Stage(raman, cz, *lanes, list(s["cooling"])))
-        distances.append(np.asarray(s["distances_um"], dtype=float))
-        move_times.append(float(s["move_time_s"]))
+        try:
+            if len(s["distances_um"]) != n or not set(map(type, s["distances_um"])) <= _NUMBER:
+                raise ValueError(f"stage {k}: distances_um needs one number per qubit")
+            if type(s["move_time_s"]) not in _NUMBER:
+                raise ValueError(f"stage {k}: move_time_s {s['move_time_s']!r} is not a number")
+            cz, named = [], set()
+            for a, b in s["cz"]:
+                if not (_is_index(a, n) and _is_index(b, n)) or a == b or {a, b} & named:
+                    raise ValueError(f"stage {k}: cz {[a, b]} needs two distinct int qubits "
+                                     f"in range({n}) that no other cz of the stage names")
+                named |= {a, b}
+                cz.append((a, b))
+            raman = [[Gate("u", (q,), tuple(params)) for q, *params in layer]
+                     for layer in s["raman"]]
+            for q in (g.qubits[0] for layer in raman for g in layer):
+                if not _is_index(q, n):
+                    raise ValueError(f"stage {k}: raman gate on qubit {q!r}, not an int in range({n})")
+            angles = [g.params for layer in raman for g in layer]
+            if (set(map(len, angles)) - {3}
+                    or not set(map(type, chain.from_iterable(angles))) <= _NUMBER):
+                raise ValueError(f"stage {k}: raman gates need three numeric angles each")
+            if not all(_is_index(t, config.n_aod) for t in s["cooling"]):
+                raise ValueError(f"stage {k}: cooling {s['cooling']!r} needs int AOD "
+                                 f"indices in range({config.n_aod})")
+            lanes = _aod_lists(f"stage {k}", s["aod"], config.n_aod,
+                               "row_lanes", "col_lanes", "col_offsets_um")
+            stages.append(Stage(raman, cz, *lanes, list(s["cooling"])))
+            distances.append(np.asarray(s["distances_um"], dtype=float))
+            move_times.append(float(s["move_time_s"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # a stage's content raises as a ValueError that names the stage
+            if str(exc).startswith(f"stage {k}: "):
+                raise
+            raise ValueError(f"stage {k}: {exc}") from exc
     rejections = d["metrics"]["overlap_rejections"]
     if type(rejections) is not int or rejections < 0:
         raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -476,6 +477,44 @@ def test_audit_command_rejects_a_lane_that_is_not_an_int_or_null(tmp_path, capsy
     assert err == f"error: {where}: {key} needs int or null lanes\n"
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: s.pop("cz"), "'cz'"),
+    (lambda s: s.update(aod=5), "object of type 'int' has no len()"),
+    (lambda s: s.update(cz=[[0, 1, 2]]), "too many values to unpack (expected 2)"),
+    (lambda s: s["raman"].append(7), "'int' object is not iterable"),
+], ids=["cz-deleted", "aod-int", "cz-triple", "raman-layer-int"])
+def test_audit_command_names_the_stage_of_a_malformed_entry(tmp_path, capsys, edit,
+                                                             message):
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, lambda doc: edit(doc["stages"][2]))
+    assert (rc, out, err) == (1, "", f"error: stage 2: {message}\n")
+
+
+@pytest.mark.parametrize("where", ["col_offsets_um", "D_site"])
+def test_audit_command_reports_a_distance_past_the_float_range_without_a_warning(
+        tmp_path, capsys, where):
+    # 1e300 um squares past the float range: under filterwarnings = error a
+    # warning would fail the audit; an offset on a gate atom leaves its pair
+    # too far apart at inf
+    too_far = []
+
+    def edit(doc):
+        if where == "D_site":
+            doc["config"]["D_site"] = 1e300
+            return
+        array = [a for a, _, _ in doc["placement"]]
+        k, q = next((k, q) for k, s in enumerate(doc["stages"]) for a, b in s["cz"]
+                    for q in (a, b) if array[q] > 0 and array[a] != array[b])
+        col = doc["placement"][q][2]
+        doc["stages"][k]["aod"][array[q] - 1]["col_offsets_um"][col] = 1e300
+        too_far.append(k)
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    lines = out.splitlines()
+    assert rc == 1 and err == "" and "violation(s)" in lines[-1]
+    for k in too_far:
+        assert any(line.startswith(f"stage {k}: atoms ") and line.endswith(" at inf um")
+                   and "pair_too_far" in line for line in lines)
+
+
 @pytest.mark.parametrize("value", ["0", None, False])
 def test_audit_command_rejects_an_offset_that_is_not_a_number(tmp_path, capsys, value):
     def edit(doc):
@@ -662,6 +701,25 @@ def test_render_command_writes_one_svg_per_stage(tmp_path, capsys):
     files = sorted(f.name for f in frames.iterdir())
     assert files == [f"stage_{k:03d}.svg" for k in range(n_stages)]
     assert "<svg" in (frames / files[0]).read_text()
+
+
+def test_render_frames_do_not_grow_with_the_slm(tmp_path, capsys):
+    # a file whose config claims a 400 x 400 SLM: the lattice is one pattern
+    # fill, so each frame differs from the 10 x 10 one in its numbers only
+    qasm = write_benchmark(tmp_path)
+    main(["compile", str(qasm), "-o", str(tmp_path / "out")])
+    doc = json.loads((tmp_path / "out" / "schedule.json").read_text())
+    frames = {}
+    for size in (10, 400):
+        doc["config"].update(slm_rows=size, slm_cols=size)
+        path = tmp_path / f"slm-{size}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["render", str(path), "-o", str(tmp_path / f"frames-{size}")]) == 0
+        frames[size] = [f.read_text() for f in sorted((tmp_path / f"frames-{size}").iterdir())]
+    assert len(frames[10]) == len(doc["stages"]) and frames[10] != frames[400]
+    for small, big in zip(frames[10], frames[400]):
+        assert re.sub(r"-?\d+\.\d+", "#", small) == re.sub(r"-?\d+\.\d+", "#", big)
+        assert len(big) - len(small) <= 16
 
 
 def test_audit_and_render_read_an_indent_2_schedule_as_the_compact_one(tmp_path, capsys):

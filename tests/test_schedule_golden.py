@@ -224,12 +224,14 @@ GOLDEN_SWEEP = {
 
 
 # (circuit, flag set) -> (frame count, sha256 of the "<name> <sha256>\n"
-# line of every frame, in name order)
+# line of every frame, in name order).  Re-recorded when the lattice became
+# one SVG pattern fill instead of a circle per SLM site; every other line of
+# every frame is unchanged.
 GOLDEN_RENDER = {
     ("qaoa-rand-30", "default"):
-        (178, "d30aee227c3d288f7a08c379ef937e4590136ad5fbbf5a2a9dfec4f54c40603b"),
+        (178, "8a80bcb0cd62bd47fb39ff1fea744c0cf544e36390ee53cf0f9ee3b76f52efa2"),
     ("qaoa-regular-40", "relax-C1"):
-        (49, "894cf57ea43b360c485cd4f764ab66c8dcd566c9930e6383a2f6328238f8ca6e"),
+        (49, "bad04d60c67562a175e7c38318dd05eea2f0093f5944a61dcb2cdc82d9c99767"),
 }
 
 

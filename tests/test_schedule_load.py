@@ -1,11 +1,11 @@
 """The block loader against the stage-by-stage one (`load_reference`).
 
-`schedule_from_dict` checks stages LOAD_BLOCK at a time and falls back to
-stage-by-stage checks where a block's type pass fails.  On schedules of
-more than one block with faults injected at random stages and fields, it
-must raise what the stage-by-stage loader raises (class and message), and
-a file that loads must give `Stage` fields, stored columns and total move
-distance equal by `repr`.
+`schedule_from_dict` runs each check over LOAD_BLOCK stages at a time, and
+loads a failing block again one stage at a time through the same checks.
+On schedules of more than one block with faults injected at random stages
+and fields, it must raise what the stage-by-stage loader raises (class and
+message), and a file that loads must give `Stage` fields, stored columns
+and total move distance equal by `repr`.
 """
 
 import functools
@@ -171,4 +171,49 @@ def test_the_first_bad_stage_is_reported_across_blocks():
     doc["stages"][9]["cz"].append([2, 2])
     want = outcome(reference_load, doc)
     assert want == ("raised", ValueError, "stage 5: col_offsets_um needs numbers")
+    assert outcome(schedule_from_dict, doc) == want
+    # a stage with its cz key deleted in the second block loses to a type
+    # fault in the first
+    doc = json.loads(schedule_text("qaoa-rand", 14))
+    doc["stages"][7]["move_time_s"] = "3e-4"
+    del doc["stages"][LOAD_BLOCK + 2]["cz"]
+    want = outcome(reference_load, doc)
+    assert want == ("raised", ValueError, "stage 7: move_time_s '3e-4' is not a number")
+    assert outcome(schedule_from_dict, doc) == want
+    # within one block, a malformed stage loses to an earlier faulty one,
+    # and names its stage when it is the first
+    doc = json.loads(schedule_text("qaoa-rand", 14))
+    doc["stages"][4]["cooling"] = [2]
+    doc["stages"][6]["aod"] = 5
+    want = outcome(reference_load, doc)
+    assert want == ("raised", ValueError,
+                    "stage 4: cooling [2] needs int AOD indices in range(2)")
+    assert outcome(schedule_from_dict, doc) == want
+    del doc["stages"][4]
+    assert outcome(schedule_from_dict, doc) == outcome(reference_load, doc) == (
+        "raised", ValueError, "stage 5: object of type 'int' has no len()")
+    # within one stage, a cz pair out of range wins over a malformed pair
+    # after it, and loses to one before it
+    for pairs, message in [([[0, 99], [0, 1, 2]], "cz [0, 99] needs"),
+                           ([[0, 1, 2], [0, 99]], "too many values to unpack")]:
+        doc = json.loads(schedule_text("qaoa-rand", 14))
+        doc["stages"][LOAD_BLOCK]["cz"] = pairs
+        want = outcome(reference_load, doc)
+        assert want[2].startswith(f"stage {LOAD_BLOCK}: {message}")
+        assert outcome(schedule_from_dict, doc) == want
+    # LOAD_BLOCK + 1 stages: the last block holds one stage
+    doc = json.loads(schedule_text("qaoa-rand", 14))
+    del doc["stages"][LOAD_BLOCK + 1:]
+    assert outcome(schedule_from_dict, doc) == outcome(reference_load, doc)
+    assert outcome(schedule_from_dict, doc)[0] == "loaded"
+    doc["stages"][LOAD_BLOCK]["distances_um"].pop()
+    want = outcome(reference_load, doc)
+    assert want == ("raised", ValueError,
+                    f"stage {LOAD_BLOCK}: distances_um needs one number per qubit")
+    assert outcome(schedule_from_dict, doc) == want
+    # a lane fault in `initial`, the same lane check as a stage's
+    doc = json.loads(schedule_text("qaoa-rand", 14))
+    doc["initial"]["aod"][1]["col_lanes"][0] = 1.0
+    want = outcome(reference_load, doc)
+    assert want == ("raised", ValueError, "initial: col_lanes needs int or null lanes")
     assert outcome(schedule_from_dict, doc) == want
