@@ -194,46 +194,48 @@ def slm_position(row: int, col: int, config: ArchConfig) -> tuple[float, float]:
     return (col * config.D_site, row * config.D_site)
 
 
-def lane_gather(placement: dict[int, AtomCoord]):
+def lane_gather(placement: dict[int, AtomCoord], config: ArchConfig):
     """A function of (row_lanes, col_lanes, col_offsets=None) giving the
     (k * n, 3) lane coordinates of k stages of n atoms, row k * n + q for
     qubit q: x lane, x offset (um), y lane.
 
     row_lanes, col_lanes and col_offsets hold one entry per stage, each a
     list per AOD of the lane of every row or column (None = empty) or of
-    every column's x offset; col_offsets None means zero offsets.  A
-    static site (row, col) sits on the gate lanes (2 col, 0, 2 row); an
-    AOD atom takes its row's and column's lanes and its column's offset.
-    Raises ValueError when an occupied row or column has no lane (None or
-    no entry), a lane or offset is not finite, or the stages' lists differ
-    in length.
+    every column's x offset, of the config's `aod_rows` or `aod_cols`
+    entries; col_offsets None means zero offsets.  A static site (row, col)
+    sits on the gate lanes (2 col, 0, 2 row); an AOD atom takes its row's
+    and column's lanes and its column's offset.  Raises ValueError when a
+    stage's lists are not of the config's lengths, an occupied row or
+    column has no lane (None), a lane or offset is not finite, or an AOD
+    atom sits outside its array.
 
-    It works out which table column each atom reads once per set of list
-    lengths, so a walk that gathers many blocks of stages pays that
-    per-atom work once, not once per block."""
+    Each AOD atom's table columns are worked out once, from the config, not
+    once per block of stages gathered."""
     sites = [placement[q] for q in range(len(placement))]
     slm = np.array([q for q, p in enumerate(sites) if p.array == 0], dtype=np.intp)
     aod = np.array([q for q, p in enumerate(sites) if p.array != 0], dtype=np.intp)
     slm_lanes = np.array([(2 * sites[q].col, 0.0, 2 * sites[q].row) for q in slm],
                          dtype=np.float64).reshape(-1, 3)
-    columns = {}  # (row, col, offset list lengths) -> each AOD atom's three columns
+    row_at = np.cumsum((0, *config.aod_rows)).tolist()  # each AOD's first table column
+    col_at = np.cumsum((0, *config.aod_cols)).tolist()
+    ri, ci = [], []  # each AOD atom's row and column in the tables
+    for q in aod:
+        t, r, c = sites[q].array - 1, sites[q].row, sites[q].col
+        if not (0 <= r < config.aod_rows[t] and 0 <= c < config.aod_cols[t]):
+            raise ValueError(f"atom {q} sits outside array {t + 1}")
+        ri.append(row_at[t] + r)
+        ci.append(col_at[t] + c)
+    ri, ci = np.array(ri, dtype=np.intp), np.array(ci, dtype=np.intp)
 
     def gather(row_lanes, col_lanes, col_offsets=None) -> np.ndarray:
-        rows, row_widths = _lane_table(row_lanes)
-        cols, col_widths = _lane_table(col_lanes)
-        offs, off_widths = ((np.zeros_like(cols), col_widths) if col_offsets is None
-                            else _lane_table(col_offsets))
-        key = (row_widths, col_widths, off_widths)
-        if key not in columns:
-            columns[key] = [np.array(c, dtype=np.intp) for c in (
-                [_column(row_widths, sites[q].array - 1, sites[q].row) for q in aod],
-                [_column(col_widths, sites[q].array - 1, sites[q].col) for q in aod],
-                [_column(off_widths, sites[q].array - 1, sites[q].col) for q in aod])]
-        ri, ci, oi = columns[key]
+        rows = _lane_table(row_lanes, config.aod_rows)
+        cols = _lane_table(col_lanes, config.aod_cols)
+        offs = (np.zeros_like(cols) if col_offsets is None
+                else _lane_table(col_offsets, config.aod_cols))
         out = np.empty((len(row_lanes), len(sites), 3))
         out[:, slm] = slm_lanes
         out[:, aod, 0] = cols[:, ci]
-        out[:, aod, 1] = offs[:, oi]
+        out[:, aod, 1] = offs[:, ci]
         out[:, aod, 2] = rows[:, ri]
         lanes = out.reshape(-1, 3)
         if not np.isfinite(lanes).all():  # a None lane is NaN here
@@ -244,28 +246,15 @@ def lane_gather(placement: dict[int, AtomCoord]):
     return gather
 
 
-def _lane_table(per_stage) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(k, total) float array of each stage's per-AOD lists laid end to
-    end, and the lengths of those lists (the same in every stage).
-
-    One flatten of the stages into their per-AOD lists gives both the
-    width check (every stage has the first stage's lists, of its lengths)
-    and, flattened once more, the table; a None entry becomes NaN."""
+def _lane_table(per_stage, widths: tuple[int, ...]) -> np.ndarray:
+    """(k, sum(widths)) float array of each of k stages' per-AOD lists laid
+    end to end, a None entry as NaN; ValueError unless every stage has one
+    list per AOD of the lengths `widths` (the config's rows or columns)."""
     k = len(per_stage)
-    widths = [len(v) for v in per_stage[0]] if per_stage else []
     lists = list(chain.from_iterable(per_stage))
-    if set(map(len, per_stage)) - {len(widths)} or list(map(len, lists)) != widths * k:
-        raise ValueError("stages differ in the number of lanes of an AOD")
-    table = np.array(list(chain.from_iterable(lists)),
-                     dtype=np.float64).reshape(k, sum(widths))
-    return table, tuple(widths)
-
-
-def _column(widths: tuple[int, ...], t: int, i: int) -> int:
-    """The `_lane_table` column of entry i of AOD t's lists."""
-    if not (0 <= t < len(widths) and 0 <= i < widths[t]):
-        raise ValueError("an occupied AOD row or column has no lane")
-    return sum(widths[:t]) + i
+    if set(map(len, per_stage)) - {len(widths)} or list(map(len, lists)) != list(widths) * k:
+        raise ValueError(f"lanes need one list per AOD, of the config's lengths {list(widths)}")
+    return np.array(list(chain.from_iterable(lists)), dtype=np.float64).reshape(k, sum(widths))
 
 
 def atom_positions(lanes: np.ndarray, config: ArchConfig) -> np.ndarray:

@@ -154,14 +154,14 @@ def cmd_sweep(args) -> int:
     circuit = _generate(args, config)
     # every value is checked, as a config would check it, before any compile
     if args.param == "D_site":
-        # no routing decision reads D_site: route once, then per value audit
-        # the new positions as route does and score the distances they give
+        # no routing decision reads D_site: route once, then per value check
+        # the new positions as route's audit does and score their distances
         configs = [dataclasses.replace(config, D_site=v) for v in values]
         *_, schedule = build_schedule(circuit, configs[0], seed=args.seed)
         results = []
         for point_config in configs:
             point = dataclasses.replace(schedule, config=point_config)
-            point.total_distance_um = audit_routed(point)
+            audit_routed(point)
             results += apply_schedule(point, [(params, None)])
     else:
         # pure-model parameters rescore one compiled schedule, all points in

@@ -23,10 +23,10 @@ walk that heats and multiplies one atom at a time (that walk is kept as
   per-point value only in elementwise ``+ - * /``, ``sqrt``, comparisons
   and ``where``, which round each element as the scalar operation does.
   So each point's floats are those of scoring it alone.
-* Move distances come from the stages' lanes, one block of the stage
-  router's lane walk at a time, and a stage moves (is charged a move
-  time) by the router's one rule, ``move_times``: it has a CZ or its lanes
-  move an atom.  One array pass per walk block finds the moved atoms.
+* Each block of the stage router's lane walk gives its stages, their move
+  distances from the lanes, and their move times by the walk's one rule: a
+  stage moves (is charged a move time) if it has a CZ or its lanes move an
+  atom.  One array pass per walk block finds the moved atoms.
 * One loop runs over blocks of stages, split by size only.  The quanta
   each moved atom gains depend on nothing but its distance and the point's
   move time, so one ``delta_nvib`` pass heats a whole block.  A walk over
@@ -70,7 +70,7 @@ from operator import add, gt
 import numpy as np
 
 from .arch import HardwareParams
-from .stage_router import Schedule, lane_walk, move_times
+from .stage_router import Schedule, lane_walk
 
 # math.erf(x) == 1.0 for every x >= ERF_ONE (tests/test_fidelity.py checks it)
 ERF_ONE = 6.0
@@ -331,14 +331,12 @@ def _read_stages(schedule: Schedule, width: int):
     of the atoms it moves)], those atoms, their distances), for ``width``
     points, from one lane walk."""
     n = len(schedule.placement)
-    for k0, _, moved in lane_walk(schedule):
-        chunk = schedule.stages[k0:k0 + len(moved)]
+    for _, chunk, _, moved, times in lane_walk(schedule):
         # every stage's distances back to back, and the moved ones
         flat = moved.reshape(-1)
         at = (flat > 0.0).nonzero()[0]
         atoms, dist = at % n, flat[at]
         ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
-        times = move_times(chunk, moved, schedule.config.T_per_move)
 
         block, first, start = [], 0, 0
         for stage, move_time, end in zip(chunk, times, ends):

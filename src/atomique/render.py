@@ -21,10 +21,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_stage_svg(schedule: Schedule, k: int, pos) -> str:
-    """SVG document for stage k, its atoms at the (n, 2) positions `pos`."""
+def render_stage_svg(schedule: Schedule, k: int, stage, pos) -> str:
+    """SVG document for stage k (`stage`), its atoms at the (n, 2) positions `pos`."""
     cfg = schedule.config
-    stage = schedule.stages[k]
 
     corners = [slm_position(0, 0, cfg), slm_position(cfg.slm_rows - 1, cfg.slm_cols - 1, cfg)]
     xs = [p[0] for p in corners] + [p[0] for p in pos]
@@ -70,11 +69,11 @@ def render_schedule(schedule: Schedule, out_dir: str) -> list[str]:
     return the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for k0, lanes, moved in lane_walk(schedule):
-        block = atom_positions(lanes, schedule.config).reshape(*moved.shape, 2)
-        for k, pos in enumerate(block.tolist(), k0):
+    for k0, block, lanes, moved, _ in lane_walk(schedule):
+        positions = atom_positions(lanes, schedule.config).reshape(*moved.shape, 2)
+        for k, (stage, pos) in enumerate(zip(block, positions.tolist()), k0):
             path = os.path.join(out_dir, f"stage_{k:03d}.svg")
             with open(path, "w") as fh:
-                fh.write(render_stage_svg(schedule, k, pos))
+                fh.write(render_stage_svg(schedule, k, stage, pos))
             paths.append(path)
     return paths

@@ -16,15 +16,18 @@ Three legality constraints govern what fits into one stage:
   C3  two rows (or columns) of one array cannot merge onto one lane.
 Any of the three can be disabled for ablation studies; the continuous
 min-separation audit remains the ground truth and is run on every stage.
-A stage holds lanes only.  One walk (`lane_walk`) derives its move
-distances and move time, in blocks of up to AUDIT_BLOCK atoms with one lane
-gather each, for the audit (plus a separation scan per block), scoring and
-the serializer: fixed costs are paid per block, and the cap bounds arrays.
+A stage holds lanes only, one list per AOD of the config's lengths.  One
+walk (`lane_walk`) reads them in blocks of up to AUDIT_BLOCK atoms, one lane
+gather each, and hands each reader (the audit, which adds a separation scan
+per block, scoring, the serializer and render) the block's stages, lanes,
+move distances and move times: fixed costs are paid per block, and the cap
+bounds arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -552,10 +555,12 @@ AUDIT_BLOCK = 8192
 
 
 def lane_walk(schedule: Schedule):
-    """Yields (first stage index, `lane_gather` lanes, (k, n) move distances
-    from the lanes before, the initial ones first) per block of k stages of
-    up to AUDIT_BLOCK atoms, one lane gather each.  First raises ValueError
-    naming the first stage with a CZ qubit outside range(n)."""
+    """Yields (first stage index k0, the block's k stages, their
+    `lane_gather` lanes, (k, n) move distances from the lanes before, the
+    initial ones first, move times) per block of up to AUDIT_BLOCK atoms,
+    one lane gather each.  A stage's move time is T_per_move if it has a
+    CZ or its lanes move an atom, else 0.0.  First raises ValueError naming
+    the first stage with a CZ qubit outside range(n)."""
     placement, config, stages = schedule.placement, schedule.config, schedule.stages
     n = len(placement)
     for k, s in enumerate(stages):
@@ -563,35 +568,31 @@ def lane_walk(schedule: Schedule):
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")
     per_block = max(1, AUDIT_BLOCK // max(n, 1))
-    gather = lane_gather(placement)
+    gather = lane_gather(placement, config)
     prev = gather([schedule.initial_row_lanes], [schedule.initial_col_lanes])
     for k0 in range(0, len(stages), per_block):
         block = stages[k0:k0 + per_block]
         lanes = gather([s.row_lanes for s in block], [s.col_lanes for s in block],
                        [s.col_offsets for s in block])
         moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
-        yield k0, lanes, moved.reshape(len(block), n)
+        moved = moved.reshape(len(block), n)
+        times = [config.T_per_move if (s.cz or m) else 0.0
+                 for s, m in zip(block, moved.any(axis=1).tolist())]
+        yield k0, block, lanes, moved, times
         prev = lanes[len(lanes) - n:]
 
 
-def move_times(stages, moved: np.ndarray, T_per_move: float) -> list[float]:
-    """Each stage's move time: T_per_move if it has a CZ or its lanes move an
-    atom (`moved`: the stages' (k, n) move distances), else 0.0."""
-    return [T_per_move if (s.cz or m) else 0.0 for s, m in zip(stages, moved.any(axis=1).tolist())]
-
-
 def _audit_walk(schedule: Schedule):
-    """`lane_walk` with each block's separation scan.  Yields (first stage
-    index, (k, n) move distances, findings) per block of k stages.
-    Findings are (stage index, `Violation`) pairs in pair order, minus the
-    ones a relaxed constraint deliberately permits (cross-array closeness
-    under C1, same-array lane collisions under C3)."""
+    """`lane_walk` with each block's separation scan: yields (the walk's
+    record, findings) per block, findings as (stage index, `Violation`) in
+    pair order, minus the ones a relaxed constraint deliberately permits
+    (cross-array closeness under C1, same-array lane collisions under C3)."""
     placement, config = schedule.placement, schedule.config
     n = len(placement)
-    for k0, lanes, moved in lane_walk(schedule):
-        pairs = [(k * n + a, k * n + b)
-                 for k, s in enumerate(schedule.stages[k0:k0 + len(moved)]) for a, b in s.cz]
-        stage = np.repeat(np.arange(len(moved)), n)
+    for record in lane_walk(schedule):
+        k0, block, lanes, _, _ = record
+        pairs = [(k * n + a, k * n + b) for k, s in enumerate(block) for a, b in s.cz]
+        stage = np.repeat(np.arange(len(block)), n)
         found = []
         for v in min_separation_audit(atom_positions(lanes, config), pairs, config, stage):
             k = v.i // n
@@ -603,7 +604,7 @@ def _audit_walk(schedule: Schedule):
                     and v.distance_um < 1e-9):
                 continue
             found.append((k0 + k, Violation(i, j, v.distance_um, v.kind)))
-        yield k0, moved, found
+        yield record, found
 
 
 def audit_routed(schedule: Schedule) -> float:
@@ -611,7 +612,7 @@ def audit_routed(schedule: Schedule) -> float:
     walk; RuntimeError with the first four findings of the first stage in
     violation, if any."""
     total = 0.0
-    for _, moved, found in _audit_walk(schedule):
+    for (_, _, _, moved, _), found in _audit_walk(schedule):
         if found:
             raise RuntimeError("stage geometry violates separation: "
                                f"{[v for k, v in found if k == found[0][0]][:4]}")
@@ -628,7 +629,7 @@ class DistanceMismatch:
 
 
 class MoveTimeMismatch(NamedTuple):
-    """A stored move time other than the stage needs (`move_times`).
+    """A stored move time other than the stage needs (`lane_walk`).
     (A NamedTuple: it costs a fraction of a dataclass to define at import.)"""
     stored_s: float
     needed_s: float
@@ -644,17 +645,16 @@ def audit_schedule(schedule: Schedule) -> list:
     in pair order, then its distance mismatches in qubit order, then its
     move-time mismatch.
     """
-    stages, findings = schedule.stages, []
-    for k0, moved, found in _audit_walk(schedule):
+    findings = []
+    for (k0, _, _, moved, times), found in _audit_walk(schedule):
         if schedule.stored_distances_um is not None:
             k1 = k0 + len(moved)
             stored = np.array(schedule.stored_distances_um[k0:k1])
             found += [(k0 + k, DistanceMismatch(q, float(stored[k, q]), float(moved[k, q])))
                       for k, q in np.argwhere(stored != moved).tolist()]
-            times = np.array(schedule.stored_move_times_s[k0:k1], dtype=float)
-            needed = np.array(move_times(stages[k0:k1], moved, schedule.config.T_per_move))
-            found += [(k0 + k, MoveTimeMismatch(float(times[k]), float(needed[k])))
-                      for k in np.flatnonzero(times != needed).tolist()]
+            stored = np.array(schedule.stored_move_times_s[k0:k1], dtype=float)
+            found += [(k0 + k, MoveTimeMismatch(float(stored[k]), float(times[k])))
+                      for k in np.flatnonzero(stored != times).tolist()]
             found.sort(key=lambda f: f[0])  # stable: keeps the order above within a stage
         findings += found
     return findings
@@ -793,10 +793,8 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     """The schema-1 JSON form of a schedule, each stage's move distances
     and move time taken from one lane walk."""
     stages, config = [], schedule.config
-    for k0, _, moved in lane_walk(schedule):
-        block = schedule.stages[k0:k0 + len(moved)]
-        for s, move_time, distances in zip(block, move_times(block, moved, config.T_per_move),
-                                           moved.tolist()):
+    for _, block, _, moved, times in lane_walk(schedule):
+        for s, move_time, distances in zip(block, times, moved.tolist()):
             stages.append({
                 "aod": [{"row_lanes": s.row_lanes[t],
                          "col_lanes": s.col_lanes[t],
@@ -922,6 +920,18 @@ def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[tuple]:
     return [loaded for k, s in enumerate(block, k0) for loaded in _load_block(k, [s], n, n_aod)]
 
 
+@contextmanager
+def _entry(key: str):
+    """Raise any error in reading top-level entry `key` as a ValueError that
+    starts with the key: "key: " and its text, unless the text starts so."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if str(exc).startswith(key):
+            raise
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def schedule_from_dict(d: dict) -> Schedule:
     """Rebuild a Schedule from its JSON form (audit / render / check).
 
@@ -934,8 +944,9 @@ def schedule_from_dict(d: dict) -> Schedule:
     by int entries; also on a non-number `move_time_s`, `distances_um` or
     `col_offsets_um` entry, a lane neither int nor null, an `aod` list of
     other than n_aod entries, a raman gate without three numeric angles,
-    an `overlap_rejections` not an int >= 0 (a bool is no int), or a top
-    level or `config` not a JSON object (a config path is never opened).
+    an `overlap_rejections` not an int >= 0 (a bool is no int), `stages`
+    not a list, or a top level or `config` not a JSON object (a config path
+    is never opened); outside the stages, the error starts with its key.
 
     Stages are checked LOAD_BLOCK at a time by `_load_block`, which loads
     a failing block again one stage at a time, so the error names the first
@@ -946,29 +957,35 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError(f"schedule needs a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    config, _ = load_config(d["config"])
+    with _entry("config"):
+        config, _ = load_config(d["config"])
     placement, shapes = {}, [config.array_shape(a) for a in range(config.n_arrays)]
-    for q, (a, r, c) in enumerate(d["placement"]):
-        if not (_is_index(a, config.n_arrays) and all(map(_is_index, (r, c), shapes[a]))):
-            raise ValueError(f"placement {q}: {[a, r, c]!r} needs an int array in "
-                             f"range({config.n_arrays}) and an int row and col inside it")
-        placement[q] = AtomCoord(a, r, c)
+    with _entry("placement"):
+        for q, (a, r, c) in enumerate(d["placement"]):
+            if not (_is_index(a, config.n_arrays) and all(map(_is_index, (r, c), shapes[a]))):
+                raise ValueError(f"placement {q}: {[a, r, c]!r} needs an int array in "
+                                 f"range({config.n_arrays}) and an int row and col inside it")
+            placement[q] = AtomCoord(a, r, c)
     n = len(placement)
-    if type(d["n_qubits"]) is not int or d["n_qubits"] != n:
-        raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
-    if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
-        raise ValueError(f"perm is not a permutation of range({n})")
-    raw, loaded = d["stages"], []
+    with _entry("n_qubits"):
+        if type(d["n_qubits"]) is not int or d["n_qubits"] != n:
+            raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
+    with _entry("perm"):
+        if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
+            raise ValueError(f"perm is not a permutation of range({n})")
+    with _entry("stages"):
+        raw, loaded = d["stages"], []
+        if not isinstance(raw, list):
+            raise ValueError(f"stages needs a list, not {type(raw).__name__}")
     for k0 in range(0, len(raw), LOAD_BLOCK):
         loaded += _load_block(k0, raw[k0:k0 + LOAD_BLOCK], n, config.n_aod)
-    rejections = d["metrics"]["overlap_rejections"]
-    if type(rejections) is not int or rejections < 0:
-        raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
-    try:
+    with _entry("metrics"):
+        rejections = d["metrics"]["overlap_rejections"]
+        if type(rejections) is not int or rejections < 0:
+            raise ValueError(f"overlap_rejections {rejections!r} is not an int >= 0")
+    with _entry("initial"):
         (rows,), (cols,) = _aod_lists([d["initial"]["aod"]], config.n_aod,
                                       "row_lanes", "col_lanes")
-    except ValueError as exc:
-        raise ValueError(f"initial: {exc}") from exc
     stages, distances, times = map(list, zip(*loaded)) if loaded else ([], [], [])
     return Schedule(config, placement, stages, list(d["perm"]), rows, cols, rejections,
                     total_distance_um=float(reduce(add, (row.sum() for row in distances), 0.0)),

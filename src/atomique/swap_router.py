@@ -41,11 +41,6 @@ class RoutedCircuit:
     perm: list[int]         # logical qubit -> slot holding it afterwards
     added_cx: int
 
-    def intra_array_cz(self) -> int:
-        a = self.assignment
-        return sum(1 for g in self.circuit.gates
-                   if g.kind == "cz" and a[g.qubits[0]] == a[g.qubits[1]])
-
 
 def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
     """Eliminate intra-array CZ gates by inserting SWAPs.
@@ -174,8 +169,9 @@ def route_inter_array(circuit: Circuit, assignment) -> RoutedCircuit:
         l2s[q], l2s[r] = sr, sq
         l2a[q], l2a[r] = l2a[r], l2a[q]
 
-    routed = RoutedCircuit(out, s_arr, list(l2s), added_cx)
-    left = routed.intra_array_cz()
+    slot_arr = s_arr.tolist()  # slot -> array id
+    left = sum(1 for g in out.gates
+               if g.kind == "cz" and slot_arr[g.qubits[0]] == slot_arr[g.qubits[1]])
     if left:
         raise RuntimeError(f"routing left {left} intra-array CZ gate(s)")
-    return routed
+    return RoutedCircuit(out, s_arr, list(l2s), added_cx)

@@ -9,6 +9,7 @@ the same exception, with the same message, on any input, and load any
 valid one to `Stage` fields and stored columns equal by `repr`.
 """
 
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -42,6 +43,18 @@ def _aod_lists(where: str, aods, n_aod: int, *keys: str) -> list:
     return out
 
 
+@contextmanager
+def _entry(key: str):
+    """Any error reading top-level entry `key` as a ValueError starting with
+    the key: "key: " and the error's text, unless the text starts so."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if str(exc).startswith(key):
+            raise
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def schedule_from_dict(d: dict) -> Schedule:
     """Rebuild a Schedule from its JSON form (audit / render / check).
 
@@ -54,25 +67,34 @@ def schedule_from_dict(d: dict) -> Schedule:
     by int entries; also on a non-number `move_time_s`, `distances_um` or
     `col_offsets_um` entry, a lane neither int nor null, an `aod` list of
     other than n_aod entries, a raman gate without three numeric angles,
-    an `overlap_rejections` not an int >= 0 (a bool is no int), or a top
-    level or `config` not a JSON object (a config path is never opened)."""
+    an `overlap_rejections` not an int >= 0 (a bool is no int), `stages`
+    not a list, or a top level or `config` not a JSON object (a config path
+    is never opened).  Any error reading a top-level entry starts with its
+    key."""
     if not isinstance(d, dict):
         raise ValueError(f"schedule needs a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    config, _ = load_config(d["config"])
+    with _entry("config"):
+        config, _ = load_config(d["config"])
     placement = {}
-    for q, (a, r, c) in enumerate(d["placement"]):
-        if not (_is_index(a, config.n_arrays)
-                and all(map(_is_index, (r, c), config.array_shape(a)))):
-            raise ValueError(f"placement {q}: {[a, r, c]!r} needs an int array in "
-                             f"range({config.n_arrays}) and an int row and col inside it")
-        placement[q] = AtomCoord(a, r, c)
+    with _entry("placement"):
+        for q, (a, r, c) in enumerate(d["placement"]):
+            if not (_is_index(a, config.n_arrays)
+                    and all(map(_is_index, (r, c), config.array_shape(a)))):
+                raise ValueError(f"placement {q}: {[a, r, c]!r} needs an int array in "
+                                 f"range({config.n_arrays}) and an int row and col inside it")
+            placement[q] = AtomCoord(a, r, c)
     n = len(placement)
-    if type(d["n_qubits"]) is not int or d["n_qubits"] != n:
-        raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
-    if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
-        raise ValueError(f"perm is not a permutation of range({n})")
+    with _entry("n_qubits"):
+        if type(d["n_qubits"]) is not int or d["n_qubits"] != n:
+            raise ValueError(f"n_qubits {d['n_qubits']!r} but {n} placement entries")
+    with _entry("perm"):
+        if not (all(_is_index(q, n) for q in d["perm"]) and sorted(d["perm"]) == list(range(n))):
+            raise ValueError(f"perm is not a permutation of range({n})")
+    with _entry("stages"):
+        if not isinstance(d["stages"], list):
+            raise ValueError(f"stages needs a list, not {type(d['stages']).__name__}")
     stages, distances, move_times = [], [], []
     for k, s in enumerate(d["stages"]):
         try:
@@ -109,14 +131,16 @@ def schedule_from_dict(d: dict) -> Schedule:
             if str(exc).startswith(f"stage {k}: "):
                 raise
             raise ValueError(f"stage {k}: {exc}") from exc
-    rejections = d["metrics"]["overlap_rejections"]
-    if type(rejections) is not int or rejections < 0:
-        raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
+    with _entry("metrics"):
+        rejections = d["metrics"]["overlap_rejections"]
+        if type(rejections) is not int or rejections < 0:
+            raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
     total = 0.0
     for row in distances:
         total += row.sum()
-    return Schedule(config, placement, stages, list(d["perm"]),
-                    *_aod_lists("initial", d["initial"]["aod"], config.n_aod,
-                                "row_lanes", "col_lanes"), rejections,
+    with _entry("initial"):
+        initial = _aod_lists("initial", d["initial"]["aod"], config.n_aod,
+                             "row_lanes", "col_lanes")
+    return Schedule(config, placement, stages, list(d["perm"]), *initial, rejections,
                     total_distance_um=float(total), stored_distances_um=distances,
                     stored_move_times_s=move_times)

@@ -22,6 +22,7 @@ from atomique.pipeline import compile_circuit
 from atomique.stage_router import audit_schedule, schedule_to_circuit
 from atomique.workloads import WorkloadSpec, bv_secret
 from kcut_reference import cut_value, kcut_exhaustive
+from swap_reference import intra_array_cz
 from test_fidelity import one_move_schedule
 
 CFG, PARAMS = load_config({})
@@ -158,7 +159,7 @@ def test_criterion_06_geometric_legality(compiled_suite):
 
 def test_criterion_07_no_intra_array_gates(compiled_suite):
     for spec, res in compiled_suite:
-        bad = res.routed.intra_array_cz()
+        bad = intra_array_cz(res.routed)
         assert bad == 0, f"{spec.family}-{spec.n_qubits}: {bad} intra-array CZ"
     assert verdict(7, True, "every two-qubit gate spans two arrays "
                             "on the full benchmark suite")

@@ -155,10 +155,16 @@ def test_infinite_values_are_rejected_together_and_alone():
         ArchConfig(T_per_move=float("inf"))
 
 
+def shaped(rows: tuple, cols: tuple, **kw) -> ArchConfig:
+    """A config of one AOD per entry of `rows`, with those rows and `cols`
+    columns."""
+    return ArchConfig(n_aod=len(rows), aod_rows=rows, aod_cols=cols, **kw)
+
+
 def test_atom_positions_mixed():
-    cfg = ArchConfig()
+    cfg = shaped((1, 1), (1, 1))
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(1, 0, 0)}
-    lanes = lane_gather(placement)([[[1], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
+    lanes = lane_gather(placement, cfg)([[[1], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
     assert lanes.tolist() == [[4.0, 0.0, 2.0], [3.0, -0.5, 1.0]]
     pos = atom_positions(lanes, cfg)
     assert pos[0] == pytest.approx([30.0, 15.0])
@@ -169,24 +175,25 @@ def test_atom_positions_mixed():
 
 def test_atom_lanes_rejects_an_occupied_row_without_a_lane():
     with pytest.raises(ValueError):
-        lane_gather({0: AtomCoord(1, 0, 0)})([[[None]]], [[[1]]])
+        lane_gather({0: AtomCoord(1, 0, 0)}, shaped((1,), (1,)))([[[None]]], [[[1]]])
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_atom_lanes_rejects_a_lane_or_offset_that_is_not_finite(bad):
-    placement = {0: AtomCoord(1, 0, 0)}
+    gather = lane_gather({0: AtomCoord(1, 0, 0)}, shaped((1,), (1,)))
     for rows, cols, offsets in (([[[bad]]], [[[1]]], None), ([[[1]]], [[[bad]]], None),
                                 ([[[1]]], [[[1]]], [[[bad]]])):
         with pytest.raises(ValueError, match="not finite"):
-            lane_gather(placement)(rows, cols, offsets)
+            gather(rows, cols, offsets)
 
 
 def test_atom_lanes_of_a_block_stack_its_stages():
     placement = {0: AtomCoord(0, 1, 2), 1: AtomCoord(2, 1, 0), 2: AtomCoord(1, 0, 1)}
+    gather = lane_gather(placement, shaped((1, 2), (2, 1)))
     stages = [([[1], [None, 5]], [[None, 3], [7]], [[0.0, -0.5], [0.25]]),
               ([[9], [None, 11]], [[None, 13], [15]], [[0.0, 0.5], [-0.0]])]
-    block = lane_gather(placement)(*zip(*stages))
-    one_by_one = [lane_gather(placement)([r], [c], [o]) for r, c, o in stages]
+    block = gather(*zip(*stages))
+    one_by_one = [gather([r], [c], [o]) for r, c, o in stages]
     assert block.tobytes() == np.concatenate(one_by_one).tobytes()
     assert block.tolist() == [[4.0, 0.0, 2.0], [7.0, 0.25, 5.0], [3.0, -0.5, 1.0],
                               [4.0, 0.0, 2.0], [15.0, -0.0, 11.0], [13.0, 0.5, 9.0]]
@@ -194,32 +201,43 @@ def test_atom_lanes_of_a_block_stack_its_stages():
 
 def test_atom_lanes_rejects_lane_lists_that_do_not_line_up():
     placement = {0: AtomCoord(1, 0, 0), 1: AtomCoord(2, 1, 0)}
-    with pytest.raises(ValueError, match="differ"):  # same total, other split
-        lane_gather(placement)([[[1], [3, 5]], [[1, 3], [5]]], [[[1], [3]]] * 2)
-    with pytest.raises(ValueError, match="no lane"):  # AOD 2 has no row 1
-        lane_gather(placement)([[[1], [3]]], [[[1], [3]]])
+    gather = lane_gather(placement, shaped((1, 2), (1, 1)))
+    with pytest.raises(ValueError, match="config's lengths"):  # same total, other split
+        gather([[[1], [3, 5]], [[1, 3], [5]]], [[[1], [3]]] * 2)
+    with pytest.raises(ValueError, match="^atom 1 sits outside array 2$"):  # it has no row 1
+        lane_gather(placement, shaped((1, 1), (1, 1)))
 
 
-def test_a_lane_gather_follows_list_lengths_that_change_between_calls():
-    # the per-atom columns are worked out once per set of list lengths
-    placement = {0: AtomCoord(1, 0, 1), 1: AtomCoord(0, 2, 3), 2: AtomCoord(2, 0, 0)}
-    gather = lane_gather(placement)
-    short = ([[[1], [7]]], [[[3, 5], [9]]], [[[0.5, -0.5], [0.25]]])
-    longer = ([[[1, None], [7]]], [[[None, 5, 3], [11, None]]], None)
-    for args in (short, longer, short):  # a fresh gather has no columns yet
-        assert gather(*args).tobytes() == lane_gather(placement)(*args).tobytes()
-    assert gather(*longer).tolist() == [[5.0, 0.0, 1.0], [6.0, 0.0, 4.0], [11.0, 0.0, 7.0]]
-    with pytest.raises(ValueError, match="no lane"):  # AOD 0 has no column 1
-        gather([[[1], [7]]], [[[3], [9]]])
+LENGTHS = r"^lanes need one list per AOD, of the config's lengths \[2, 1\]$"
+
+
+def test_a_lane_gather_takes_lists_of_the_configs_lengths_only():
+    # AOD 1 has two rows and AOD 2 one; the one atom sits on AOD 1's row 0,
+    # so row 1 is empty, but its entry must be there all the same
+    gather = lane_gather({0: AtomCoord(1, 0, 0)}, shaped((2, 1), (1, 1)))
+    cols = [[[3], [None]]]
+    assert gather([[[1, None], [None]]], cols).tolist() == [[3.0, 0.0, 1.0]]
+    for rows in ([[1, None, None], [None]],  # one entry long
+                 [[1], [None]],              # one entry short, for the empty row
+                 [[1, None], [None], []],    # a list for an AOD the config lacks
+                 [[1, None]]):               # no list for AOD 2
+        with pytest.raises(ValueError, match=LENGTHS):
+            gather([rows], cols)
+    # any stage of a block, and the offsets as much as the lanes
+    with pytest.raises(ValueError, match=LENGTHS):
+        gather([[[1, None], [None]], [[1], [None]]], cols * 2)
+    with pytest.raises(ValueError, match=r"config's lengths \[1, 1\]$"):
+        gather([[[1, None], [None]]], cols, [[[0.0, 0.0], [0.0]]])
 
 
 def test_move_distances_come_from_lane_deltas():
     # D_site/2 = 8.15 is not dyadic: lane deltas times half-pitch and
     # differences of positions round differently
-    cfg = ArchConfig(D_site=16.3)
+    cfg = shaped((1, 1), (1, 1), D_site=16.3)
     placement = {0: AtomCoord(0, 0, 0), 1: AtomCoord(1, 0, 0)}
-    prev = lane_gather(placement)([[[7], [None]]], [[[1], [None]]])
-    new = lane_gather(placement)([[[7], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
+    gather = lane_gather(placement, cfg)
+    prev = gather([[[7], [None]]], [[[1], [None]]])
+    new = gather([[[7], [None]]], [[[3], [None]]], [[[-0.5], [0.0]]])
     got = move_distances(prev, new, cfg)
     assert got[0] == 0.0
     assert got[1] == 2 * 8.15 - 0.5 == 15.8

@@ -31,6 +31,12 @@ from audit_reference import move_time, stage_moves
 CFG, PARAMS = load_config({})
 
 
+def empty_schedule():
+    """No stages, one static atom, and every AOD row and column empty."""
+    return Schedule(CFG, {0: AtomCoord(0, 0, 0)}, [], [0], [[None] * r for r in CFG.aod_rows],
+                    [[None] * c for c in CFG.aod_cols], 0)
+
+
 def one_move_schedule(n_qubits):
     """Synthetic schedule: a single timed move, no gates.  Every atom but
     the last is static; the last, alone in AOD 0, moves one park lane
@@ -150,8 +156,7 @@ def test_one_move_decoherence_scaling():
 
 
 def test_empty_schedule_is_perfect():
-    empty = Schedule(CFG, {0: AtomCoord(0, 0, 0)}, [], [0], [[]], [[]], 0)
-    report, ledger = score(empty, PARAMS)
+    report, ledger = score(empty_schedule(), PARAMS)
     assert all(v == 1.0 for v in report.factors().values())
     assert report.F_total == 1.0
     assert execution_time(ledger) == 0.0
@@ -499,11 +504,10 @@ def test_a_schedule_larger_than_a_block_matches_the_walk():
 
 
 def test_empty_and_gate_free_schedules_score_float_ones():
-    empty = Schedule(CFG, {0: AtomCoord(0, 0, 0)}, [], [0], [[]], [[]], 0)
     moving = compiled_schedule("qaoa-rand", 12, 0, frozenset(), 15.0)
     no_cz = dataclasses.replace(
         moving, stages=[dataclasses.replace(s, cz=[]) for s in moving.stages])
-    for schedule in (empty, one_move_schedule(10), no_cz):
+    for schedule in (empty_schedule(), one_move_schedule(10), no_cz):
         report, _ = assert_scores_like_the_walk(schedule, PARAMS)
         assert repr(report.F_mov_heating) == "1.0"
         assert repr(report.F_mov_cooling) == "1.0"

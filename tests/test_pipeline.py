@@ -372,6 +372,35 @@ def audit_edited_schedule(tmp_path, capsys, edit):
     return rc, captured.out, captured.err
 
 
+def _extra_lane(doc):
+    # the config's AOD 0 has 10 rows; every stage and `initial` list 11
+    for aod in [doc["initial"]["aod"][0], *(s["aod"][0] for s in doc["stages"])]:
+        aod["row_lanes"].append(None)
+
+
+def _missing_lane(doc):
+    # the last row of AOD 0 is empty, yet its entry is needed
+    for aod in [doc["initial"]["aod"][0], *(s["aod"][0] for s in doc["stages"])]:
+        assert aod["row_lanes"].pop() is None
+
+
+def _extra_lane_in_stage_2(doc):
+    doc["stages"][2]["aod"][1]["row_lanes"].append(None)
+
+
+@pytest.mark.parametrize("edit", [_extra_lane, _missing_lane, _extra_lane_in_stage_2])
+def test_audit_command_rejects_lane_lists_not_of_the_configs_lengths(tmp_path, capsys, edit):
+    rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
+    assert (rc, out, err) == (
+        1, "", "error: lanes need one list per AOD, of the config's lengths [10, 10]\n")
+
+
+def test_audit_command_names_the_entry_it_cannot_read(tmp_path, capsys):
+    def edit(doc):
+        del doc["initial"]["aod"]
+    assert audit_edited_schedule(tmp_path, capsys, edit) == (1, "", "error: initial: 'aod'\n")
+
+
 @pytest.mark.parametrize("pair", [[0, 15], [-1, 0], [2, 2], [0.9, 1], [True, 1]])
 def test_audit_command_rejects_a_cz_on_a_qubit_that_does_not_exist(tmp_path, capsys, pair):
     # a gate-free stage: the separation scan alone matches no atom to 15

@@ -217,3 +217,54 @@ def test_the_first_bad_stage_is_reported_across_blocks():
     want = outcome(reference_load, doc)
     assert want == ("raised", ValueError, "initial: col_lanes needs int or null lanes")
     assert outcome(schedule_from_dict, doc) == want
+
+
+def _del_path(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+def _set_path(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+# edits outside the stages, each with the error both loaders must raise
+TOP_LEVEL = [
+    (_del_path("initial", "aod"), "initial: 'aod'"),
+    (_set_path(5, "placement", 0), "placement: cannot unpack non-iterable int object"),
+    (_del_path("metrics"), "metrics: 'metrics'"),
+    (_set_path({"a": 1}, "stages"), "stages needs a list, not dict"),
+    (_set_path(5, "stages"), "stages needs a list, not int"),
+    (_del_path("stages"), "stages: 'stages'"),
+    (_del_path("config"), "config: 'config'"),
+    (_set_path({"bogus": 1}, "config"), "config: unknown config key 'bogus'"),
+    (_set_path("cfg.json", "config"), "config needs a JSON object, not str"),
+    (_del_path("placement"), "placement: 'placement'"),
+    (_set_path([0, 0], "placement", 0),
+     "placement: not enough values to unpack (expected 3, got 2)"),
+    (_del_path("n_qubits"), "n_qubits: 'n_qubits'"),
+    (_del_path("perm"), "perm: 'perm'"),
+    (_set_path(5, "perm"), "perm: 'int' object is not iterable"),
+    (_set_path([], "metrics"), "metrics: list indices must be integers or slices, not str"),
+    (_del_path("metrics", "overlap_rejections"), "metrics: 'overlap_rejections'"),
+    (_set_path(-1, "metrics", "overlap_rejections"),
+     "metrics: overlap_rejections -1 is not an int >= 0"),
+    (_set_path(5, "initial"), "initial: 'int' object is not subscriptable"),
+    (_set_path(5, "initial", "aod"), "initial: object of type 'int' has no len()"),
+    (_del_path("initial", "aod", 0, "row_lanes"), "initial: 'row_lanes'"),
+]
+
+
+def test_an_entry_outside_the_stages_is_named_by_both_loaders():
+    for edit, message in TOP_LEVEL:
+        doc = json.loads(schedule_text("qsim-rand", 8))
+        edit(doc)
+        assert outcome(schedule_from_dict, doc) == outcome(reference_load, doc) == (
+            "raised", ValueError, message)

@@ -24,6 +24,7 @@ from atomique.circuit import Circuit, build_dag
 from atomique.pipeline import compile_circuit
 from atomique.swap_router import RoutedCircuit
 from atomique.fidelity import apply_schedule
+from atomique.render import render_schedule
 from atomique.stage_router import (
     DistanceMismatch,
     MoveTimeMismatch,
@@ -56,7 +57,8 @@ def small_config(n_aod=1, rows=10):
 def stage_positions(sched, k):
     """Stage k's (n, 2) atom positions, from its lanes alone."""
     s = sched.stages[k]
-    lanes = lane_gather(sched.placement)([s.row_lanes], [s.col_lanes], [s.col_offsets])
+    gather = lane_gather(sched.placement, sched.config)
+    lanes = gather([s.row_lanes], [s.col_lanes], [s.col_offsets])
     return atom_positions(lanes, sched.config)
 
 
@@ -116,7 +118,7 @@ def test_initial_positions_pass_separation_audit():
     # raman-free, gate-free circuit: whatever stages exist must be clean,
     # and the parked starting geometry itself must be clean too
     assert audit_schedule(sched) == []
-    lanes = lane_gather(placement)([sched.initial_row_lanes], [sched.initial_col_lanes])
+    lanes = lane_gather(placement, cfg)([sched.initial_row_lanes], [sched.initial_col_lanes])
     pos = atom_positions(lanes, cfg)
     assert min_separation_audit(pos, [], cfg) == []
 
@@ -609,6 +611,33 @@ def test_only_the_audit_reads_a_loaded_files_stored_columns():
     assert compiled.stored_distances_um is None and compiled.stored_move_times_s is None
     points = [(params, None), (params, 1e-4)]
     assert repr(apply_schedule(loaded, points)) == repr(apply_schedule(compiled, points))
+
+
+def with_extra_lane(schedule: Schedule) -> Schedule:
+    """The schedule with one more, empty entry on AOD 0's row lanes in
+    every stage and in the initial lanes."""
+    def longer(row_lanes):
+        return [row_lanes[0] + [None], *row_lanes[1:]]
+    return dataclasses.replace(
+        schedule, initial_row_lanes=longer(schedule.initial_row_lanes),
+        stages=[dataclasses.replace(s, row_lanes=longer(s.row_lanes)) for s in schedule.stages])
+
+
+def test_every_lane_walk_reader_refuses_lane_lists_longer_than_the_config(tmp_path):
+    cfg, params = load_config({})
+    compiled = compile_circuit(WorkloadSpec("qaoa-rand", 10, seed=2).generate(), cfg,
+                               params).schedule
+    message = r"^lanes need one list per AOD, of the config's lengths \[10, 10\]$"
+    for schedule in (with_extra_lane(compiled), with_extra_lane(schedule_from_dict(
+            schedule_to_dict(compiled)))):
+        with pytest.raises(ValueError, match=message):
+            audit_schedule(schedule)
+        with pytest.raises(ValueError, match=message):
+            apply_schedule(schedule, [(params, None)])
+        with pytest.raises(ValueError, match=message):
+            schedule_to_dict(schedule)
+        with pytest.raises(ValueError, match=message):
+            render_schedule(schedule, str(tmp_path / "frames"))
 
 
 def test_routing_is_deterministic():
