@@ -14,7 +14,9 @@ Each point times ``compile_circuit``, then
 (loading, as ``atomique audit`` does), ``audit_schedule``,
 ``apply_schedule`` of one point (scoring) and of 12 ``T_per_move`` points
 from 100 to 500 us in one call (what ``atomique sweep`` does) on the
-compiled schedule, k times each (k = 3 up to 300 qubits, 1 above), keeping
+compiled schedule (each scoring time includes the separation scan of every
+stage, since scoring is the audit of a routed schedule; the compile time
+includes it once, through its own scoring), k times each (k = 3 up to 300 qubits, 1 above), keeping
 the fastest.  It records the fill, the stage count, ``two_qubit_depth``,
 the routed circuit's CZ-depth (its lower bound) and the CZs that synthesis
 popped from selection (``stats["deferrals"]["popped"]``).  Every compile

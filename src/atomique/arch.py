@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, zip_longest
 from numbers import Real
 
 import numpy as np
@@ -207,7 +207,8 @@ def lane_gather(placement: dict[int, AtomCoord], config: ArchConfig):
     and column's lanes and its column's offset.  Raises ValueError when a
     stage's lists are not of the config's lengths, an occupied row or
     column has no lane (None), a lane or offset is not finite, or an AOD
-    atom sits outside its array.
+    atom sits outside its array; a gather's message names the AOD and the
+    list by its schedule-file key, and the caller names the stage.
 
     Each AOD atom's table columns are worked out once, from the config, not
     once per block of stages gathered."""
@@ -228,32 +229,38 @@ def lane_gather(placement: dict[int, AtomCoord], config: ArchConfig):
     ri, ci = np.array(ri, dtype=np.intp), np.array(ci, dtype=np.intp)
 
     def gather(row_lanes, col_lanes, col_offsets=None) -> np.ndarray:
-        rows = _lane_table(row_lanes, config.aod_rows)
-        cols = _lane_table(col_lanes, config.aod_cols)
+        rows = _lane_table(row_lanes, config.aod_rows, "row_lanes")
+        cols = _lane_table(col_lanes, config.aod_cols, "col_lanes")
         offs = (np.zeros_like(cols) if col_offsets is None
-                else _lane_table(col_offsets, config.aod_cols))
+                else _lane_table(col_offsets, config.aod_cols, "col_offsets_um"))
         out = np.empty((len(row_lanes), len(sites), 3))
         out[:, slm] = slm_lanes
         out[:, aod, 0] = cols[:, ci]
         out[:, aod, 1] = offs[:, ci]
         out[:, aod, 2] = rows[:, ri]
         lanes = out.reshape(-1, 3)
-        if not np.isfinite(lanes).all():  # a None lane is NaN here
-            raise ValueError("an occupied AOD row or column has no lane, "
+        if not np.isfinite(lanes).all():  # a None lane is NaN here; the first names the list
+            row, axis = divmod(int(np.isfinite(lanes).argmin()), 3)
+            key = ("col_lanes", "col_offsets_um", "row_lanes")[axis]  # the columns of a row
+            raise ValueError(f"AOD {sites[row % len(sites)].array - 1} {key}: "
+                             "an occupied AOD row or column has no lane, "
                              "or a lane or offset that is not finite")
         return lanes
 
     return gather
 
 
-def _lane_table(per_stage, widths: tuple[int, ...]) -> np.ndarray:
+def _lane_table(per_stage, widths: tuple[int, ...], key: str) -> np.ndarray:
     """(k, sum(widths)) float array of each of k stages' per-AOD lists laid
-    end to end, a None entry as NaN; ValueError unless every stage has one
-    list per AOD of the lengths `widths` (the config's rows or columns)."""
+    end to end, a None entry as NaN; ValueError naming `key` and the first
+    AOD whose list is missing, extra or not of its config length in `widths`."""
     k = len(per_stage)
     lists = list(chain.from_iterable(per_stage))
     if set(map(len, per_stage)) - {len(widths)} or list(map(len, lists)) != list(widths) * k:
-        raise ValueError(f"lanes need one list per AOD, of the config's lengths {list(widths)}")
+        t = next(t for per_aod in per_stage for t, (got, want)
+                 in enumerate(zip_longest(map(len, per_aod), widths)) if got != want)
+        raise ValueError(f"AOD {t} {key}: lanes need one list per AOD, "
+                         f"of the config's lengths {list(widths)}")
     return np.array(list(chain.from_iterable(lists)), dtype=np.float64).reshape(k, sum(widths))
 
 

@@ -28,7 +28,6 @@ from .render import render_schedule
 from .stage_router import (
     DistanceMismatch,
     MoveTimeMismatch,
-    audit_routed,
     audit_schedule,
     schedule_from_dict,
     schedule_to_circuit,
@@ -152,28 +151,20 @@ def cmd_sweep(args) -> int:
     values = sorted(float(v) for v in args.values.split(","))
     config, params = _load_config(args)
     circuit = _generate(args, config)
-    # every value is checked, as a config would check it, before any compile
+    # route once, then score (and so audit) each run of (config, points) in
+    # one walk: no routing decision reads D_site.  Every value is checked,
+    # as a config would check it, before any compile
     if args.param == "D_site":
-        # no routing decision reads D_site: route once, then per value check
-        # the new positions as route's audit does and score their distances
-        configs = [dataclasses.replace(config, D_site=v) for v in values]
-        *_, schedule = build_schedule(circuit, configs[0], seed=args.seed)
-        results = []
-        for point_config in configs:
-            point = dataclasses.replace(schedule, config=point_config)
-            audit_routed(point)
-            results += apply_schedule(point, [(params, None)])
+        runs = [(dataclasses.replace(config, D_site=v), [(params, None)]) for v in values]
+    elif args.param == "T_per_move":
+        runs = [(config, [(params, dataclasses.replace(config, T_per_move=v).T_per_move)
+                          for v in values])]
     else:
-        # pure-model parameters rescore one compiled schedule, all points in
-        # one walk
-        if args.param == "T_per_move":
-            points = [(params, dataclasses.replace(config, T_per_move=v).T_per_move)
-                      for v in values]
-        else:
-            points = [(dataclasses.replace(params, **{args.param: v}), None)
-                      for v in values]
-        *_, schedule = build_schedule(circuit, config, seed=args.seed)
-        results = apply_schedule(schedule, points)
+        runs = [(config, [(dataclasses.replace(params, **{args.param: v}), None)
+                          for v in values])]
+    *_, schedule = build_schedule(circuit, runs[0][0], seed=args.seed)
+    results = [score for run_config, points in runs for score
+               in apply_schedule(dataclasses.replace(schedule, config=run_config), points)]
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

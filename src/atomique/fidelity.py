@@ -11,22 +11,19 @@ Scoring runs as array passes and gives the same floats, bit for bit, as a
 walk that heats and multiplies one atom at a time (that walk is kept as
 ``tests/score_reference.py``):
 
-* ``apply_schedule`` scores a list of points, each a ``HardwareParams`` and
-  a move time (or None), in one walk over the stages; one point is the
-  list of one.  A point has one move time for every stage that moves:
-  None is the schedule's ``config.T_per_move``, and any other value must
-  pass ``ArchConfig``'s check.  ``n_vib`` has one column per point, so each
-  stage's reads, gathers and stores serve every point.  Per-point scalars
+* ``apply_schedule`` scores a list of points in one walk over the stages;
+  one point is the list of one.  ``n_vib`` has one column per point, so
+  each stage's reads, gathers and stores serve every point.  Per-point scalars
   (the ``delta_nvib`` denominator, the thresholds, the decoherence and
   cooling factors, the ledger sums and the seven factors) stay Python
   floats built with the single-point expressions, and numpy sees a
   per-point value only in elementwise ``+ - * /``, ``sqrt``, comparisons
   and ``where``, which round each element as the scalar operation does.
   So each point's floats are those of scoring it alone.
-* Each block of the stage router's lane walk gives its stages, their move
-  distances from the lanes, and their move times by the walk's one rule: a
-  stage moves (is charged a move time) if it has a CZ or its lanes move an
-  atom.  One array pass per walk block finds the moved atoms.
+* Each block of the audited lane walk (``routed_walk``) gives its stages,
+  their move distances from the lanes, and their move times by the walk's
+  one rule: a stage moves (is charged a move time) if it has a CZ or its
+  lanes move an atom.  One array pass per walk block finds the moved atoms.
 * One loop runs over blocks of stages, split by size only.  The quanta
   each moved atom gains depend on nothing but its distance and the point's
   move time, so one ``delta_nvib`` pass heats a whole block.  A walk over
@@ -70,7 +67,7 @@ from operator import add, gt
 import numpy as np
 
 from .arch import HardwareParams
-from .stage_router import Schedule, lane_walk
+from .stage_router import Schedule, routed_walk
 
 # math.erf(x) == 1.0 for every x >= ERF_ONE (tests/test_fidelity.py checks it)
 ERF_ONE = 6.0
@@ -165,6 +162,7 @@ class FidelityReport:
     N_transfer: int
     N_cooling: int
     cooling: list[list[int]]  # per stage: AOD indices cooled after it
+    move_distance_um: float   # per-stage sums of the move distances, in stage order
 
     @property
     def F_total(self) -> float:
@@ -206,9 +204,9 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     The report's ``cooling`` lists, per stage, the AOD indices whose atoms
     were swapped against the cold reserve after that stage.
 
-    Raises the lane walk's ValueError: naming the first stage whose ``cz``
-    names a qubit outside range(n_qubits), or on lanes that do not give
-    every atom a finite position.
+    Raises the lane walk's ValueError on a ``cz`` qubit outside
+    range(n_qubits) or lanes that give an atom no finite position, and the
+    audit's RuntimeError for the first stage in violation (``routed_walk``).
     """
     config = schedule.config
     placement = schedule.placement
@@ -245,13 +243,15 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
     n_cooling = [0] * n_pts
     cooling = [[[] for _ in schedule.stages] for _ in points]
     n_1q = n_2q = n_layers = rydberg_stages = n_moving = k = 0
+    total_distance = 0.0
     for block, atoms, dist in _read_stages(schedule, n_pts):
         if atoms.size:
             gain = _gain(dist[:, None], scale)
         # the post-move n_vib of each moved atom, and the n_vib pair of each
         # CZ, in stage-then-qubit order
         after, pairs = [], []
-        for stage, moving, lo, hi in block:
+        for stage, moving, lo, hi, distance in block:
+            total_distance += distance
             for layer in stage.raman:
                 n_1q += len(layer)
             n_layers += len(stage.raman)
@@ -313,7 +313,7 @@ def apply_schedule(schedule: Schedule, points: list[tuple[HardwareParams, float 
             F_mov_cooling=F_mov_cooling[i],
             F_mov_deco=math.prod(repeat(math.exp(-n_mapped * t / t1), n_moving), start=1.0),
             N_1Q=n_1q, N_2Q=n_2q, N_transfer=n_transfer, N_cooling=n_cooling[i],
-            cooling=cooling[i],
+            cooling=cooling[i], move_distance_um=total_distance,
         )
         scores.append((report, ledger))
     return scores
@@ -328,10 +328,10 @@ BLOCK = 1024
 
 def _read_stages(schedule: Schedule, width: int):
     """Yield blocks of stages, as ([(stage, whether it moves, start and end
-    of the atoms it moves)], those atoms, their distances), for ``width``
-    points, from one lane walk."""
+    of the atoms it moves, its move distance)], those atoms, their
+    distances), for ``width`` points, from one audited lane walk."""
     n = len(schedule.placement)
-    for _, chunk, _, moved, times in lane_walk(schedule):
+    for _, chunk, _, moved, times in routed_walk(schedule):
         # every stage's distances back to back, and the moved ones
         flat = moved.reshape(-1)
         at = (flat > 0.0).nonzero()[0]
@@ -339,8 +339,8 @@ def _read_stages(schedule: Schedule, width: int):
         ends = np.searchsorted(at, n * np.arange(1, len(chunk) + 1)).tolist()
 
         block, first, start = [], 0, 0
-        for stage, move_time, end in zip(chunk, times, ends):
-            block.append((stage, move_time > 0.0, start - first, end - first))
+        for stage, t, end, distance in zip(chunk, times, ends, moved.sum(axis=1).tolist()):
+            block.append((stage, t > 0.0, start - first, end - first, distance))
             start = end
             if start - first >= BLOCK or (start - first) * width >= 16 * BLOCK:
                 yield block, atoms[first:start], dist[first:start]

@@ -64,7 +64,7 @@ def build_schedule(
     """The schedule-building half of the pipeline: lower, map, SWAP-route,
     place and stage-route, with no scoring.  Returns the basis-lowered
     circuit, the qubit -> array assignment, the routed circuit, the
-    placement and the schedule.
+    placement and the schedule, unaudited until scored (`apply_schedule`).
 
     mapper="random" replaces the greedy partitioner with a seeded uniform
     slot assignment (the ablation baseline); everything downstream is shared.
@@ -102,8 +102,8 @@ def compile_circuit(
     order: str = "weight",
     mapper: str = "greedy",
 ) -> CompileResult:
-    """Run the whole pipeline: `build_schedule`, then score the schedule
-    at `params` and the config's move time, and gather the stats."""
+    """Run the whole pipeline: `build_schedule`, then audit and score the
+    schedule at `params` and the config's move time, and gather the stats."""
     if params is None:
         params = HardwareParams()
     t0 = time.perf_counter()
@@ -132,7 +132,7 @@ def compile_circuit(
         "n_coolings": report.N_cooling,
         "overlap_rejections": schedule.overlap_rejections,
         "execution_time_s": execution_time(ledger),
-        "total_move_distance_mm": schedule.total_distance_um / 1000.0,
+        "total_move_distance_mm": report.move_distance_um / 1000.0,
         "fidelity": {"F_total": report.F_total, **report.factors()},
         "neg_log": report.neg_log_breakdown(),
         "times": {

@@ -14,8 +14,8 @@ Three legality constraints govern what fits into one stage:
   C2  row/column order within an array must be preserved (tweezer beams of
       one AOD cannot cross),
   C3  two rows (or columns) of one array cannot merge onto one lane.
-Any of the three can be disabled for ablation studies; the continuous
-min-separation audit remains the ground truth and is run on every stage.
+Any of the three can be disabled for ablation studies; scoring runs the
+continuous min-separation audit, the ground truth, on every stage (`routed_walk`).
 A stage holds lanes only, one list per AOD of the config's lengths.  One
 walk (`lane_walk`) reads them in blocks of up to AUDIT_BLOCK atoms, one lane
 gather each, and hands each reader (the audit, which adds a separation scan
@@ -75,7 +75,6 @@ class Schedule:
     # "popped": accepted by selection, then dropped so synthesis fits.
     # Routing fills it; a loaded schedule has none.
     deferrals: dict[str, int] = field(default_factory=dict)
-    total_distance_um: float = 0.0  # per-stage sums added in stage order
     # a loaded file's stored move distances and move time per stage, for
     # `audit_schedule` alone; routing derives both from the lanes
     stored_distances_um: list[np.ndarray] | None = None
@@ -560,7 +559,8 @@ def lane_walk(schedule: Schedule):
     initial ones first, move times) per block of up to AUDIT_BLOCK atoms,
     one lane gather each.  A stage's move time is T_per_move if it has a
     CZ or its lanes move an atom, else 0.0.  First raises ValueError naming
-    the first stage with a CZ qubit outside range(n)."""
+    the first stage with a CZ qubit outside range(n); a gather's ValueError
+    starts "initial: " or "stage k: ", k the first bad stage."""
     placement, config, stages = schedule.placement, schedule.config, schedule.stages
     n = len(placement)
     for k, s in enumerate(stages):
@@ -569,11 +569,18 @@ def lane_walk(schedule: Schedule):
                 raise ValueError(f"stage {k}: cz {[a, b]} names a qubit not in range({n})")
     per_block = max(1, AUDIT_BLOCK // max(n, 1))
     gather = lane_gather(placement, config)
-    prev = gather([schedule.initial_row_lanes], [schedule.initial_col_lanes])
+    with _entry("initial"):
+        prev = gather([schedule.initial_row_lanes], [schedule.initial_col_lanes])
     for k0 in range(0, len(stages), per_block):
         block = stages[k0:k0 + per_block]
-        lanes = gather([s.row_lanes for s in block], [s.col_lanes for s in block],
-                       [s.col_offsets for s in block])
+        try:
+            lanes = gather([s.row_lanes for s in block], [s.col_lanes for s in block],
+                           [s.col_offsets for s in block])
+        except ValueError:  # gathered again a stage at a time: the first bad one raises
+            for k, s in enumerate(block, k0):
+                with _entry(f"stage {k}"):
+                    gather([s.row_lanes], [s.col_lanes], [s.col_offsets])
+            raise
         moved = move_distances(np.concatenate((prev, lanes[:len(lanes) - n])), lanes, config)
         moved = moved.reshape(len(block), n)
         times = [config.T_per_move if (s.cz or m) else 0.0
@@ -607,17 +614,15 @@ def _audit_walk(schedule: Schedule):
         yield record, found
 
 
-def audit_routed(schedule: Schedule) -> float:
-    """The total move distance of a routed schedule, summed in one audit
-    walk; RuntimeError with the first four findings of the first stage in
-    violation, if any."""
-    total = 0.0
-    for (_, _, _, moved, _), found in _audit_walk(schedule):
+def routed_walk(schedule: Schedule):
+    """`lane_walk`'s records, each after its block's separation scan: at
+    the first block with a finding, RuntimeError with the first four
+    findings of the first stage in violation."""
+    for record, found in _audit_walk(schedule):
         if found:
             raise RuntimeError("stage geometry violates separation: "
                                f"{[v for k, v in found if k == found[0][0]][:4]}")
-        total = reduce(add, moved.sum(axis=1).tolist(), total)
-    return total
+        yield record
 
 
 @dataclass(frozen=True)
@@ -662,7 +667,7 @@ def audit_schedule(schedule: Schedule) -> list:
 
 def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
           serial: bool = False) -> Schedule:
-    """Schedule a routed circuit into audited movement stages.
+    """Schedule a routed circuit into movement stages.
 
     ValueError first on a gate other than u, cz and barrier, or on an
     intra-array CZ.  Loop: execute every ready one-qubit gate in Raman
@@ -670,14 +675,12 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     (ties: lower gate index; only the first if `serial`) to
     `select_parallel_gates` with the previous stage's lanes, synthesize
     the lane motion (dropping the last accepted gate while the parked rows
-    don't fit), emit.  Retiring a gate files each gate it frees by kind,
-    so the ready CZs stay sorted and no pass rescans the front; a barrier
-    retires as soon as it is ready.  The schedule's `deferrals` add up
-    selection's counts over the stages, and "popped" counts the dropped
-    gates.  Then the emitted stages are audited in blocks, which also sums
-    their move distances: the first stage in violation raises RuntimeError
-    with its first four findings (`audit_routed`), also when routing
-    failed after emitting it.
+    don't fit), emit.  Retired gates file the gates they free by kind
+    (`release`), so no pass rescans the front.  The schedule's `deferrals`
+    add up selection's counts over the stages, and "popped" counts the
+    dropped gates.  The stages are returned unaudited (scoring audits them);
+    if routing fails, the stages emitted so far are audited first, so the
+    first one in violation raises its RuntimeError instead.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -759,7 +762,7 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 for gi, _ in accepted:
                     pins.add(gate_pins[gi])
             # synthesize_motion gives every occupied row and column a finite
-            # lane, so the audit's lane gather cannot fail; its lists are
+            # lane, so a lane gather of the stage cannot fail; its lists are
             # fresh on every call, so each stage owns the ones it is given
             stages.append(Stage(raman_layers, [pair for _, pair in accepted], *synth))
             for gi, _ in accepted:
@@ -767,11 +770,11 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 release(retire(gi))
             prev_rows, prev_cols, _ = synth
     except Exception:
-        audit_routed(schedule)
+        for _ in routed_walk(schedule):
+            pass
         raise
 
     schedule.overlap_rejections = deferrals["C3"]
-    schedule.total_distance_um = audit_routed(schedule)
     return schedule
 
 
@@ -791,9 +794,10 @@ def schedule_to_circuit(schedule: Schedule) -> Circuit:
 
 def schedule_to_dict(schedule: Schedule) -> dict:
     """The schema-1 JSON form of a schedule, each stage's move distances
-    and move time taken from one lane walk."""
-    stages, config = [], schedule.config
+    and move time, and their total, taken from one lane walk."""
+    stages, config, total = [], schedule.config, 0.0
     for _, block, _, moved, times in lane_walk(schedule):
+        total = reduce(add, moved.sum(axis=1).tolist(), total)
         for s, move_time, distances in zip(block, times, moved.tolist()):
             stages.append({
                 "aod": [{"row_lanes": s.row_lanes[t],
@@ -824,7 +828,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
             "depth": schedule.depth,
             "n_stages": len(schedule.stages),
             "n_raman_layers": schedule.n_raman_layers,
-            "total_distance_um": schedule.total_distance_um,
+            "total_distance_um": total,
             "overlap_rejections": schedule.overlap_rejections,
         },
     }
@@ -922,8 +926,8 @@ def _load_block(k0: int, block: list, n: int, n_aod: int) -> list[tuple]:
 
 @contextmanager
 def _entry(key: str):
-    """Raise any error in reading top-level entry `key` as a ValueError that
-    starts with the key: "key: " and its text, unless the text starts so."""
+    """Raise any error in reading `key` (an entry or a stage) as a ValueError
+    that starts with the key: "key: " and its text, unless the text starts so."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -948,11 +952,9 @@ def schedule_from_dict(d: dict) -> Schedule:
     not a list, or a top level or `config` not a JSON object (a config path
     is never opened); outside the stages, the error starts with its key.
 
-    Stages are checked LOAD_BLOCK at a time by `_load_block`, which loads
-    a failing block again one stage at a time, so the error names the first
-    bad stage: "stage k: " and the failed check's message, or the error
-    text of a malformed entry (a missing key, a wrong container).  The
-    stored distances and move times are kept for `audit_schedule`."""
+    Stages are checked LOAD_BLOCK at a time by `_load_block`, so an error
+    names the first bad stage ("stage k: ").  The stored distances and move
+    times are kept for `audit_schedule`."""
     if not isinstance(d, dict):
         raise ValueError(f"schedule needs a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != 1:
@@ -988,5 +990,4 @@ def schedule_from_dict(d: dict) -> Schedule:
                                       "row_lanes", "col_lanes")
     stages, distances, times = map(list, zip(*loaded)) if loaded else ([], [], [])
     return Schedule(config, placement, stages, list(d["perm"]), rows, cols, rejections,
-                    total_distance_um=float(reduce(add, (row.sum() for row in distances), 0.0)),
                     stored_distances_um=distances, stored_move_times_s=times)

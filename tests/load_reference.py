@@ -135,12 +135,9 @@ def schedule_from_dict(d: dict) -> Schedule:
         rejections = d["metrics"]["overlap_rejections"]
         if type(rejections) is not int or rejections < 0:
             raise ValueError(f"metrics: overlap_rejections {rejections!r} is not an int >= 0")
-    total = 0.0
-    for row in distances:
-        total += row.sum()
     with _entry("initial"):
         initial = _aod_lists("initial", d["initial"]["aod"], config.n_aod,
                              "row_lanes", "col_lanes")
     return Schedule(config, placement, stages, list(d["perm"]), *initial, rejections,
-                    total_distance_um=float(total), stored_distances_um=distances,
+                    stored_distances_um=distances,
                     stored_move_times_s=move_times)

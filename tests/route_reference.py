@@ -22,8 +22,8 @@ from atomique.stage_router import (
     _ArrayIndex,
     _gate_pins,
     _Pins,
-    audit_routed,
     initial_lanes,
+    routed_walk,
     select_parallel_gates,
     synthesize_motion,
 )
@@ -44,7 +44,7 @@ def descendant_counts(dag) -> list[int]:
 
 def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
           serial: bool = False) -> Schedule:
-    """Schedule a routed circuit into audited movement stages.
+    """Schedule a routed circuit into movement stages.
 
     ValueError first on a gate other than u, cz and barrier, or on an
     intra-array CZ.  Loop: execute every ready one-qubit gate in Raman
@@ -52,10 +52,9 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
     (ties: lower gate index; only the first if `serial`) to
     `select_parallel_gates` with the previous stage's lanes, synthesize
     the lane motion (dropping the last accepted gate while the parked rows
-    don't fit), emit.  Then the emitted stages are audited in blocks, which
-    also sums their move distances: the first stage in violation raises
-    RuntimeError with its first four findings, also when routing failed
-    after emitting it.
+    don't fit), emit.  The stages are returned unaudited; when routing
+    fails, the stages emitted so far are audited first, so the first stage
+    in violation raises RuntimeError with its first four findings.
     """
     circuit = routed.circuit
     gates = circuit.gates
@@ -126,16 +125,16 @@ def route(routed: RoutedCircuit, placement: Placement, config: ArchConfig,
                 for gi, _ in accepted:
                     pins.add(gate_pins[gi])
             # synthesize_motion gives every occupied row and column a finite
-            # lane, so the audit's lane gather cannot fail; its lists are
+            # lane, so a lane gather of the stage cannot fail; its lists are
             # fresh on every call, so each stage owns the ones it is given
             stages.append(Stage(raman_layers, [pair for _, pair in accepted], *synth))
             for gi, _ in accepted:
                 finish(gi)
             prev_rows, prev_cols, _ = synth
     except Exception:
-        audit_routed(schedule)
+        for _ in routed_walk(schedule):
+            pass
         raise
 
     schedule.overlap_rejections = deferrals["C3"]
-    schedule.total_distance_um = audit_routed(schedule)
     return schedule

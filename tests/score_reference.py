@@ -49,8 +49,10 @@ def apply_schedule(schedule, params, *, T_per_move=None, n_transfer=0):
     n_1q = n_2q = n_cooling = 0
     rydberg_stages = 0
     cooling = []
+    move_distance = 0.0
 
     for stage, (_, distances) in zip(schedule.stages, stage_moves(schedule)):
+        move_distance += float(distances.sum())
         for layer in stage.raman:
             n_1q += len(layer)
             ledger.T_1Q_total += params.t_1Q
@@ -97,6 +99,6 @@ def apply_schedule(schedule, params, *, T_per_move=None, n_transfer=0):
         F_mov_heating=F_mov_heating, F_mov_loss=F_mov_loss,
         F_mov_cooling=F_mov_cooling, F_mov_deco=F_mov_deco,
         N_1Q=n_1q, N_2Q=n_2q, N_transfer=n_transfer, N_cooling=n_cooling,
-        cooling=cooling,
+        cooling=cooling, move_distance_um=move_distance,
     )
     return report, ledger

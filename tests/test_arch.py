@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import fields
@@ -208,26 +209,47 @@ def test_atom_lanes_rejects_lane_lists_that_do_not_line_up():
         lane_gather(placement, shaped((1, 1), (1, 1)))
 
 
-LENGTHS = r"^lanes need one list per AOD, of the config's lengths \[2, 1\]$"
+def lengths(t, key, widths="2, 1"):
+    """The gather's message for a list of AOD t under `key` that is not of
+    the config's lengths."""
+    return rf"^AOD {t} {key}: lanes need one list per AOD, of the config's lengths \[{widths}\]$"
 
 
 def test_a_lane_gather_takes_lists_of_the_configs_lengths_only():
-    # AOD 1 has two rows and AOD 2 one; the one atom sits on AOD 1's row 0,
+    # AOD 0 has two rows and AOD 1 one; the one atom sits on AOD 0's row 0,
     # so row 1 is empty, but its entry must be there all the same
     gather = lane_gather({0: AtomCoord(1, 0, 0)}, shaped((2, 1), (1, 1)))
     cols = [[[3], [None]]]
     assert gather([[[1, None], [None]]], cols).tolist() == [[3.0, 0.0, 1.0]]
-    for rows in ([[1, None, None], [None]],  # one entry long
-                 [[1], [None]],              # one entry short, for the empty row
-                 [[1, None], [None], []],    # a list for an AOD the config lacks
-                 [[1, None]]):               # no list for AOD 2
-        with pytest.raises(ValueError, match=LENGTHS):
+    for rows, t in (([[1, None, None], [None]], 0),  # one entry long
+                    ([[1], [None]], 0),              # one entry short, for the empty row
+                    ([[1, None], [None, 3]], 1),     # one entry long on AOD 1
+                    ([[1, None], [None], []], 2),    # a list for an AOD the config lacks
+                    ([[1, None]], 1)):               # no list for AOD 1
+        with pytest.raises(ValueError, match=lengths(t, "row_lanes")):
             gather([rows], cols)
-    # any stage of a block, and the offsets as much as the lanes
-    with pytest.raises(ValueError, match=LENGTHS):
+    # any stage of a block, and the columns and offsets as much as the rows
+    with pytest.raises(ValueError, match=lengths(0, "row_lanes")):
         gather([[[1, None], [None]], [[1], [None]]], cols * 2)
-    with pytest.raises(ValueError, match=r"config's lengths \[1, 1\]$"):
+    with pytest.raises(ValueError, match=lengths(1, "col_lanes", "1, 1")):
+        gather([[[1, None], [None]]], [[[3], []]])
+    with pytest.raises(ValueError, match=lengths(0, "col_offsets_um", "1, 1")):
         gather([[[1, None], [None]]], cols, [[[0.0, 0.0], [0.0]]])
+
+
+def test_a_lane_gather_names_the_list_that_gives_an_atom_no_lane():
+    # atom 0 on AOD 0, atom 1 on AOD 1: the list of the first atom without
+    # a finite value is named, its column lane, offset and row lane in turn
+    gather = lane_gather({0: AtomCoord(1, 0, 0), 1: AtomCoord(2, 0, 0)},
+                         shaped((1, 1), (1, 1)))
+    tail = ": an occupied AOD row or column has no lane, or a lane or offset that is not finite$"
+    for rows, cols, offs, where in (([[1], [None]], [[1], [3]], None, "AOD 1 row_lanes"),
+                                    ([[1], [3]], [[1], [None]], None, "AOD 1 col_lanes"),
+                                    ([[1], [3]], [[1], [3]], [[math.inf], [0.0]],
+                                     "AOD 0 col_offsets_um"),
+                                    ([[1], [None]], [[None], [3]], None, "AOD 0 col_lanes")):
+        with pytest.raises(ValueError, match=f"^{where}{tail}"):
+            gather([rows], [cols], None if offs is None else [offs])
 
 
 def test_move_distances_come_from_lane_deltas():

@@ -1,5 +1,6 @@
 """Thermal tracking, cooling insertion, and the multiplicative fidelity model."""
 
+import copy
 import dataclasses
 import functools
 import math
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import score_reference
-from atomique import fidelity
-from atomique.arch import AtomCoord, load_config
+from atomique import fidelity, stage_router
+from atomique.arch import AtomCoord, Violation, load_config
 from atomique.circuit import Circuit
 from atomique.fidelity import (
     ERF_ONE,
@@ -24,7 +25,13 @@ from atomique.fidelity import (
     move_survival,
 )
 from atomique.pipeline import compile_circuit
-from atomique.stage_router import Schedule, Stage, schedule_to_dict
+from atomique.stage_router import (
+    Schedule,
+    Stage,
+    audit_schedule,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from atomique.workloads import FAMILIES, WorkloadSpec
 from audit_reference import move_time, stage_moves
 
@@ -356,21 +363,24 @@ OVERRIDES = st.one_of(st.none(), st.floats(1e-5, 2e-3), st.sampled_from([1e-9, 1
 def scored_schedules(draw):
     """A compiled schedule (random family, size, relax set, pitch, and maybe
     a few idle stages) and the arguments to score it with at one point."""
+    relaxed = draw(st.frozensets(st.sampled_from(["C1", "C2", "C3"])))
     schedule = compiled_schedule(
         draw(st.sampled_from(FAMILIES)), 2 * draw(st.integers(2, 8)), draw(st.integers(0, 3)),
-        draw(st.frozensets(st.sampled_from(["C1", "C2", "C3"]))),
-        draw(st.sampled_from([15.0, 60.0])))  # 60 um hops force coolings
+        relaxed, draw(st.sampled_from([15.0, 60.0])))  # 60 um hops force coolings
     hw = {"n_cool_threshold": draw(st.one_of(st.just(0.0), st.floats(0.0, 32.0)))}
     heat = draw(st.sampled_from(["default", "clamp", "random"]))
     if heat == "clamp":  # lam * (1 - f_2Q) = 5: any n_eff above 0.2 clamps at 0
         hw.update(f_2Q=0.5, lam=10.0)
     elif heat == "random":
         hw.update(f_2Q=draw(st.floats(0.5, 1.0)), lam=draw(st.floats(0.0, 20.0)))
-    # idle stages among moving ones, as route() writes them (no CZ, the
-    # lanes of the stage before, so no move and move time 0.0): they sit
-    # inside a block without heating it, and only a move may call for a
-    # cooling
-    idle = draw(st.sets(st.integers(1, max(1, len(schedule.stages) - 2)), max_size=4))
+    # idle copies of stages among moving ones (no CZ, the lanes of the
+    # stage before, so no move and move time 0.0): they sit inside a block
+    # without heating it, and only a move may call for a cooling.  route()
+    # never writes an idle stage after a CZ stage, and a copy of one leaves
+    # its pairs 0.5 um apart without their pulse, which the audit in
+    # scoring allows only where C1 is relaxed; scoring reads no `relaxed`
+    idle = (draw(st.sets(st.integers(1, max(1, len(schedule.stages) - 2)), max_size=4))
+            if "C1" in relaxed else set())
     stages = []
     for k, s in enumerate(schedule.stages):
         stages.append(s)
@@ -504,7 +514,9 @@ def test_a_schedule_larger_than_a_block_matches_the_walk():
 
 
 def test_empty_and_gate_free_schedules_score_float_ones():
-    moving = compiled_schedule("qaoa-rand", 12, 0, frozenset(), 15.0)
+    # its gate pairs stay 0.5 um apart without their pulse, which the audit
+    # in scoring allows only where C1 is relaxed
+    moving = compiled_schedule("qaoa-rand", 12, 0, frozenset({"C1"}), 15.0)
     no_cz = dataclasses.replace(
         moving, stages=[dataclasses.replace(s, cz=[]) for s in moving.stages])
     for schedule in (empty_schedule(), one_move_schedule(10), no_cz):
@@ -585,5 +597,32 @@ def test_the_first_bad_stage_is_named_whatever_its_fault():
     rows[t][i] = None
     later_lanes = with_stage(with_stage(schedule, j, cz=[(0, 99)]), k, row_lanes=rows)
     assert_rejected(later_lanes, rf"^stage {j}: cz \[0, 99\]")
-    with pytest.raises(ValueError, match="^an occupied AOD row or column has no lane"):
+    with pytest.raises(ValueError, match=rf"^stage {k}: AOD {t} row_lanes: an occupied AOD "
+                                         "row or column has no lane"):
         score(with_stage(schedule, k, row_lanes=rows), PARAMS)
+
+
+@pytest.mark.parametrize("block", [None, 90])
+def test_scoring_refuses_a_schedule_whose_geometry_fails_the_audit(block, monkeypatch):
+    # stage 3's AOD 0 rows collapsed onto one lane, in a file: scoring audits
+    # each block before it scores it, and raises for the first stage in
+    # violation with the routing audit's error and that stage's first four
+    # findings, whatever the blocks (90 atoms: three stages a block)
+    if block is not None:
+        monkeypatch.setattr(stage_router, "AUDIT_BLOCK", block)
+    doc = schedule_to_dict(compile_circuit(WorkloadSpec("qaoa-rand", 30, seed=2).generate(),
+                                           CFG, PARAMS, seed=1).schedule)
+    rows = doc["stages"][3]["aod"][0]["row_lanes"]
+    lane = next(lane for lane in rows if lane is not None)
+    rows[:] = [None if r is None else lane for r in rows]
+    schedule = schedule_from_dict(doc)
+    findings = audit_schedule(schedule)
+    assert findings[0][0] == 3
+    first = [v for k, v in findings if k == 3 and isinstance(v, Violation)][:4]
+    want = f"stage geometry violates separation: {first}"
+    before = copy.deepcopy(schedule)
+    for points in ([(PARAMS, None)], [(PARAMS, None), (PARAMS, 1e-4)]):
+        with pytest.raises(RuntimeError) as err:
+            apply_schedule(schedule, points)
+        assert str(err.value) == want
+    assert repr(schedule) == repr(before)

@@ -356,10 +356,11 @@ def test_audit_command_fails_on_an_offset_that_is_not_finite(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
-def audit_edited_schedule(tmp_path, capsys, edit):
-    """`atomique audit` on a fresh 5-qubit schedule after `edit(doc)`:
-    (return code, stdout, stderr)."""
-    qasm = write_benchmark(tmp_path)
+def audit_edited_schedule(tmp_path, capsys, edit, **bench):
+    """`atomique audit` on a fresh schedule after `edit(doc)`: (return
+    code, stdout, stderr).  The input is `write_benchmark(tmp_path,
+    **bench)`, by default 5 qubits."""
+    qasm = write_benchmark(tmp_path, **bench)
     out = tmp_path / "out"
     main(["compile", str(qasm), "-o", str(out)])
     doc = json.loads((out / "schedule.json").read_text())
@@ -388,11 +389,52 @@ def _extra_lane_in_stage_2(doc):
     doc["stages"][2]["aod"][1]["row_lanes"].append(None)
 
 
-@pytest.mark.parametrize("edit", [_extra_lane, _missing_lane, _extra_lane_in_stage_2])
+def _missing_col_in_stage_2(doc):
+    doc["stages"][2]["aod"][0]["col_lanes"].pop()
+
+
+def _extra_offset_in_stage_2(doc):
+    doc["stages"][2]["aod"][1]["col_offsets_um"].append(0.0)
+
+
+def _extra_initial_lane(doc):
+    doc["initial"]["aod"][0]["row_lanes"].append(None)
+
+
+# each edit of a lane list's length, and where its error says the list is
+LENGTH_FAULTS = {
+    _extra_lane: "initial: AOD 0 row_lanes",
+    _missing_lane: "initial: AOD 0 row_lanes",
+    _extra_lane_in_stage_2: "stage 2: AOD 1 row_lanes",
+    _missing_col_in_stage_2: "stage 2: AOD 0 col_lanes",
+    _extra_offset_in_stage_2: "stage 2: AOD 1 col_offsets_um",
+    _extra_initial_lane: "initial: AOD 0 row_lanes",
+}
+
+
+@pytest.mark.parametrize("edit", LENGTH_FAULTS)
 def test_audit_command_rejects_lane_lists_not_of_the_configs_lengths(tmp_path, capsys, edit):
+    # the error names the first bad stage, or `initial`, the AOD and the list
+    where = LENGTH_FAULTS[edit]
     rc, out, err = audit_edited_schedule(tmp_path, capsys, edit)
     assert (rc, out, err) == (
-        1, "", "error: lanes need one list per AOD, of the config's lengths [10, 10]\n")
+        1, "", f"error: {where}: lanes need one list per AOD, of the config's lengths [10, 10]\n")
+
+
+def test_audit_command_names_the_stage_and_list_that_give_an_atom_no_lane(tmp_path, capsys):
+    # an occupied row of stage 3 (of at least four) set to null: no lane
+    # for its atoms
+    where = []
+
+    def edit(doc):
+        t, r = next((t, r) for t, aod in enumerate(doc["stages"][3]["aod"])
+                    for r, lane in enumerate(aod["row_lanes"]) if lane is not None)
+        doc["stages"][3]["aod"][t]["row_lanes"][r] = None
+        where.append(t)
+    assert audit_edited_schedule(tmp_path, capsys, edit, family="qaoa-rand", n=12,
+                                 secret=None) == (
+        1, "", f"error: stage 3: AOD {where[0]} row_lanes: an occupied AOD row or column "
+               "has no lane, or a lane or offset that is not finite\n")
 
 
 def test_audit_command_names_the_entry_it_cannot_read(tmp_path, capsys):
@@ -888,6 +930,59 @@ def test_a_pitch_sweep_raises_the_routing_error_of_a_value_in_violation(tmp_path
     assert capsys.readouterr().err == f"error: {err.value}\n"
     assert str(err.value).startswith("stage geometry violates separation: [Violation(i=0, j=1")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "check", "T_per_move", "D_site"])
+def test_every_routing_command_refuses_a_geometry_in_violation_before_writing(
+        tmp_path, capsys, monkeypatch, command):
+    # routing returns its stages unaudited: scoring audits them, before a
+    # command writes anything
+    real = stage_router.min_separation_audit
+
+    def too_close(positions, pairs, config, stage=None):
+        return [Violation(0, 1, 0.0, "too_close"), *real(positions, pairs, config, stage)]
+    qasm = write_benchmark(tmp_path, family="qaoa-rand", n=6, secret=None)
+    out = tmp_path / "out"
+    argv = {"compile": ["compile", str(qasm), "-o", str(out)],
+            "check": ["check", str(qasm)]}.get(command, [
+        "sweep", "--param", command, "--values", "15,30" if command == "D_site" else "1e-4,3e-4",
+        "--family", "qaoa-rand", "--n", "6", "-o", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr(stage_router, "min_separation_audit", too_close)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stage geometry violates separation: "
+                                   "[Violation(i=0, j=1, distance_um=0.0, kind='too_close')")
+    assert not out.exists()
+
+
+def test_each_command_walks_the_lanes_once_per_reader(tmp_path, capsys, monkeypatch):
+    # scoring is the audit of what was routed: a compile walks the lanes
+    # once to score them and once to write them, a sweep once per schedule
+    # it scores, and routing never walks the stages it returns
+    calls = []
+    real = stage_router.lane_gather
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(stage_router, "lane_gather", counted)
+
+    def walks(*argv) -> int:
+        calls.clear()
+        assert main(list(argv)) == 0
+        return len(calls)
+
+    compile_circuit(WorkloadSpec("qaoa-rand", 12, seed=0).generate(), CFG, PARAMS)
+    assert len(calls) == 1
+    qasm = write_benchmark(tmp_path, family="qaoa-rand", n=12, secret=None)
+    family = ["--family", "qaoa-rand", "--n", "12", "-o", str(tmp_path / "x.csv")]
+    out = tmp_path / "out"
+    assert walks("compile", str(qasm), "-o", str(out)) == 2
+    assert walks("sweep", "--param", "T_per_move", "--values", "1e-4,3e-4", *family) == 1
+    assert walks("sweep", "--param", "D_site", "--values", "15,20,30", *family) == 3
+    assert walks("audit", str(out / "schedule.json")) == 1
 
 
 def routing_of(schedule) -> str:

@@ -139,8 +139,7 @@ def outcome(load, doc):
                                  schedule.stored_move_times_s, strict=True)]
     return ("loaded", repr(fields), repr((schedule.perm, schedule.initial_row_lanes,
                                           schedule.initial_col_lanes,
-                                          schedule.overlap_rejections,
-                                          schedule.total_distance_um)))
+                                          schedule.overlap_rejections)))
 
 
 @settings(max_examples=300, deadline=None)

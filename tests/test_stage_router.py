@@ -627,7 +627,7 @@ def test_every_lane_walk_reader_refuses_lane_lists_longer_than_the_config(tmp_pa
     cfg, params = load_config({})
     compiled = compile_circuit(WorkloadSpec("qaoa-rand", 10, seed=2).generate(), cfg,
                                params).schedule
-    message = r"^lanes need one list per AOD, of the config's lengths \[10, 10\]$"
+    message = r"^initial: AOD 0 row_lanes: lanes need one list per AOD, of the config's lengths \[10, 10\]$"
     for schedule in (with_extra_lane(compiled), with_extra_lane(schedule_from_dict(
             schedule_to_dict(compiled)))):
         with pytest.raises(ValueError, match=message):
