@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import chain, zip_longest
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,8 +286,7 @@ def move_distances(prev: np.ndarray, new: np.ndarray, config: ArchConfig) -> np.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     i: int
     j: int
     distance_um: float
@@ -316,7 +316,5 @@ def min_separation_audit(
         np.asarray(positions, dtype=np.float64), partner, config.r_b, config.s_min, stage
     )
     kinds = ("too_close", "pair_too_far")
-    return [
-        Violation(int(i), int(j), float(d), kinds[int(k)])
-        for i, j, d, k in zip(vi, vj, vd, vk)
-    ]
+    return [Violation(i, j, d, kinds[k])
+            for i, j, d, k in zip(vi.tolist(), vj.tolist(), vd.tolist(), vk.tolist())]

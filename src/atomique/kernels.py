@@ -26,10 +26,13 @@ plus the reach of the neighbour runs, so no run crosses into another
 stage.  Each distance comes from the pair's coordinates with the same
 arithmetic as an all-pairs scan, so the findings are bit-identical to one.
 
-Cost: O(m log m) plus the number of pairs in adjacent cells, which is O(m)
-when atoms sit on lanes at least about s_min apart; the all-pairs scan
-tests m(m-1)/2 pairs.  Its fixed cost of about fifty numpy calls is paid
-once per call, so callers scan a block of stages at a time.
+Cost: one unstable sort of the m cell keys and two binary searches,
+O(m log m), plus the number of pairs in adjacent cells, which is O(m) when
+atoms sit on lanes at least about s_min apart; the all-pairs scan tests
+m(m-1)/2 pairs.  The candidate pairs are tested in the order they are met,
+and only the findings are sorted into row-major order.  Its fixed cost of
+about fifty numpy calls is paid once per call, so callers scan a block of
+stages at a time.
 """
 
 from __future__ import annotations
@@ -65,27 +68,26 @@ def separation_scan(pos, partner, r_b, s_min, stage=None):
     lim = _MAX_CELL * side
     cell = np.floor(np.minimum(np.maximum(pos, -lim), lim) / side).astype(np.int64)
     key = stage * _STRIDE + cell[:, 0] * _WIDTH + cell[:, 1]
-    # stable (timsort): the default int64 sort pulls ~0.5 MB more of numpy's
-    # SIMD sorting code into memory, for no gain at these sizes
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)  # equal keys share a cell: their order only swaps a and b
     sk = key[order]
     # runs of sorted positions per atom: the rest of its own cell and the
     # next y cell (keys k, k + 1), then the next x column's three cells
-    # (keys k + W - 1 .. k + W + 1)
+    # (keys k + W - 1 .. k + W + 1); pairs come only from non-empty runs
     lo = np.concatenate((np.arange(1, m + 1), np.searchsorted(sk, sk + (_WIDTH - 1))))
     hi = np.searchsorted(sk, np.concatenate((sk + 1, sk + (_WIDTH + 1))), "right")
-    count = hi - lo
-    a = np.repeat(np.concatenate((order, order)), count)
-    b = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(a.size)]
+    run = np.flatnonzero(hi > lo)
+    count = hi[run] - lo[run]
+    a = np.repeat(order[run % m], count)
+    b = order[np.repeat(lo[run] - np.cumsum(count) + count, count) + np.arange(a.size)]
     ip = np.flatnonzero((partner > np.arange(m)) & (partner < m))
     far = ip[(np.abs(cell[ip] - cell[partner[ip]]) > 1).any(axis=1)]
-    code = np.sort(np.concatenate((np.minimum(a, b) * m + np.maximum(a, b),
-                                   far * m + partner[far])), kind="stable")
-    iu, ju = code // m, code % m
+    iu = np.concatenate((np.minimum(a, b), far))
+    ju = np.concatenate((np.maximum(a, b), partner[far]))
     diff = pos[iu] - pos[ju]
     with np.errstate(over="ignore"):  # a pair too far apart to square is at inf
         d = np.sqrt((diff * diff).sum(axis=1))
     intended = partner[iu] == ju
-    bad = np.where(intended, d >= float(r_b), d < float(s_min))
-    kind = intended.astype(np.int64)
-    return iu[bad], ju[bad], d[bad], kind[bad]
+    bad = np.flatnonzero(np.where(intended, d >= float(r_b), d < float(s_min)))
+    # the pairs are distinct, so their codes put the findings in row-major order
+    bad = bad[np.argsort(iu[bad] * m + ju[bad], kind="stable")]
+    return iu[bad], ju[bad], d[bad], intended[bad].astype(np.int64)

@@ -75,9 +75,10 @@ class Schedule:
     # "popped": accepted by selection, then dropped so synthesis fits.
     # Routing fills it; a loaded schedule has none.
     deferrals: dict[str, int] = field(default_factory=dict)
-    # a loaded file's stored move distances and move time per stage, for
-    # `audit_schedule` alone; routing derives both from the lanes
-    stored_distances_um: list[np.ndarray] | None = None
+    # a loaded file's stored move distances, one (stages, n) array, and its
+    # move time per stage, for `audit_schedule` alone; routing derives both
+    # from the lanes
+    stored_distances_um: np.ndarray | None = None
     stored_move_times_s: list[float] | None = None
 
     @property
@@ -654,7 +655,7 @@ def audit_schedule(schedule: Schedule) -> list:
     for (k0, _, _, moved, times), found in _audit_walk(schedule):
         if schedule.stored_distances_um is not None:
             k1 = k0 + len(moved)
-            stored = np.array(schedule.stored_distances_um[k0:k1])
+            stored = schedule.stored_distances_um[k0:k1]
             found += [(k0 + k, DistanceMismatch(q, float(stored[k, q]), float(moved[k, q])))
                       for k, q in np.argwhere(stored != moved).tolist()]
             stored = np.array(schedule.stored_move_times_s[k0:k1], dtype=float)
@@ -990,4 +991,5 @@ def schedule_from_dict(d: dict) -> Schedule:
                                       "row_lanes", "col_lanes")
     stages, distances, times = map(list, zip(*loaded)) if loaded else ([], [], [])
     return Schedule(config, placement, stages, list(d["perm"]), rows, cols, rejections,
-                    stored_distances_um=distances, stored_move_times_s=times)
+                    stored_distances_um=np.array(distances, float).reshape(len(stages), n),
+                    stored_move_times_s=times)

@@ -290,3 +290,52 @@ def test_kcut_vertex_limit():
 def test_kcut_empty():
     best, labels = kcut_exhaustive(np.zeros((0, 0)), 2)
     assert best == 0.0 and labels.size == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(stage_geometries(), min_size=1, max_size=4), st.data())
+def test_scan_findings_do_not_depend_on_the_atom_order(geometries, data):
+    # atoms of one cell tie on the sort key, and their order only decides
+    # which atom of a pair comes first: renumbered atoms give the same
+    # findings once mapped back and put in (i, j) order
+    pos, partner, stage = blocks(geometries)
+    m = len(pos)
+    perm = np.array(data.draw(st.permutations(range(m))), np.int64)
+    new = np.empty(m, np.int64)
+    new[perm] = np.arange(m)  # atom perm[t] is atom t of the permuted block
+    moved = partner[perm]
+    got = separation_scan(pos[perm], np.where(moved >= 0, new[moved], -1), R_B, S_MIN,
+                          stage[perm])
+    i, j = perm[got[0]], perm[got[1]]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    back = np.lexsort((j, i))
+    assert_same_findings((i[back], j[back], got[2][back], got[3][back]),
+                         separation_scan(pos, partner, R_B, S_MIN, stage))
+
+
+def test_scan_of_stacked_cells_in_many_stages_matches_each_stage():
+    # relaxed C3 lets rows of one AOD share a lane, so many atoms of each
+    # stage stack on one point, next to lattice atoms; intended pairs sit
+    # at the gate offset or several cells apart
+    rng = np.random.default_rng(3)
+    lattice = np.array([[7.5 * x, 7.5 * y] for x in range(8) for y in range(6)])
+    parts, partners, stages = [], [], []
+    for k in range(4):
+        pos = lattice.copy()
+        stack = rng.choice(len(pos), 20, replace=False)
+        pos[stack] = pos[stack[0]] + rng.choice([0.0, 0.0, 0.5], (20, 2))
+        partner = np.full(len(pos), -1, np.int64)
+        order = rng.permutation(len(pos))
+        for a, b in zip(order[0:16:2], order[1:16:2]):
+            partner[a], partner[b] = b, a
+            if rng.random() < 0.5:
+                pos[b] = pos[a] + [0.5, 0.0]
+        lo = len(pos) * k
+        parts.append(pos)
+        partners.append(np.where(partner >= 0, partner + lo, -1))
+        stages.append(np.full(len(pos), k))
+    pos, partner, stage = map(np.concatenate, (parts, partners, stages))
+    got = separation_scan(pos, partner, R_B, S_MIN, stage)
+    assert_same_findings(got, per_stage_dense(pos, partner, stage))
+    far = (got[3] == 1) & (got[2] > 3 * S_MIN)
+    assert (got[2] == 0.0).sum() >= 4 * 19 and far.any()

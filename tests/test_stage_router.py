@@ -591,6 +591,28 @@ def test_audit_reports_a_stored_distance_off_by_one_bit():
     assert finding.stored_um == stored[q] != finding.lanes_um
 
 
+def test_stored_distances_load_as_one_array_the_audit_slices_per_block(monkeypatch):
+    cfg, params = load_config({})
+    doc = schedule_to_dict(compile_circuit(WorkloadSpec("qaoa-rand", 10, seed=2).generate(),
+                                           cfg, params).schedule)
+    n, n_stages = doc["n_qubits"], len(doc["stages"])
+    stored = schedule_from_dict(doc).stored_distances_um
+    assert stored.dtype == np.float64 and stored.shape == (n_stages, n)
+    empty = schedule_from_dict({**doc, "stages": []}).stored_distances_um
+    assert empty.dtype == np.float64 and empty.shape == (0, n)
+    # three stages of ten atoms per walk block: stage 1 and stage 5 lie in
+    # different blocks, and stage 5's qubits are edited out of order
+    monkeypatch.setattr(stage_router, "AUDIT_BLOCK", 30)
+    for k, q in [(5, 7), (1, 4), (5, 2)]:
+        doc["stages"][k]["distances_um"][q] += 1.0
+    loaded = schedule_from_dict(doc)
+    findings = audit_schedule(loaded)
+    assert [(k, f.q) for k, f in findings] == [(1, 4), (5, 2), (5, 7)]
+    assert all(isinstance(f, DistanceMismatch) and f.stored_um == f.lanes_um + 1.0
+               for _, f in findings)
+    assert repr(findings) == repr(reference_audit(loaded))
+
+
 def test_only_the_audit_reads_a_loaded_files_stored_columns():
     # a stored distance and a stored move time tampered with: the audit
     # reports both, and scoring, which reads the lanes, is unchanged
