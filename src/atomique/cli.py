@@ -82,8 +82,9 @@ def _write_json(path: str, payload: dict[str, object]) -> None:
     """Write json.dumps(payload, sort_keys=True) and a newline, encoding one
     top-level value, or one item of a top-level list, at a time.  Without
     an indent, json runs its C encoder; piece by piece, the file is never
-    one string in memory."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    one string in memory.  The payload is a fresh tree, which holds no
+    cycle to look for."""
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
     with open(path, "w") as fh:
         fh.write("{")
         for i, key in enumerate(sorted(payload)):

@@ -626,8 +626,7 @@ def routed_walk(schedule: Schedule):
         yield record
 
 
-@dataclass(frozen=True)
-class DistanceMismatch:
+class DistanceMismatch(NamedTuple):
     """A stored move distance that differs from the lane and offset deltas."""
     q: int
     stored_um: float
